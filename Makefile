@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check fmt vet test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist bench-parallel bench-telemetry cover dist-e2e serve-smoke serve-chaos serve-load clean
+.PHONY: check build fmt-check fmt vet test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist bench-parallel bench-telemetry cover dist-e2e serve-smoke serve-chaos serve-load clean
 
 # bench-parallel is intentionally NOT part of check: it asserts the W=4
 # executor beats W=1 on wall time, which needs >= 4 real cores — run it
 # explicitly on multi-core hardware (CI's bench-parallel job does).
-check: build fmt-check vet test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist cover dist-e2e serve-smoke serve-chaos serve-load
+check: build fmt-check vet test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist cover dist-e2e serve-smoke serve-chaos serve-load
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark under perfbench/ is its own module (replace dropback => ..),
+# so the root build, vet and test never compile it; this keeps a facade or
+# internal change from breaking the benchmark unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short coverage-guided runs of the checkpoint-decoder and dist
 # wire-decoder fuzzers, mirroring the CI fuzz smoke steps.
@@ -63,9 +69,11 @@ bench-guard-train:
 
 # Sparse-native inference gate: BenchmarkSparseForward (compute straight
 # off the CSR artifact) must stay allocation-free on the MLP path and under
-# the dense path's alloc ceilings, per BENCH_sparse.json.
+# the dense path's alloc ceilings, per BENCH_sparse.json. Pinned to
+# GOMAXPROCS=1, the configuration the baseline records: on more cores the
+# ParallelChunks fan-out adds goroutine and closure allocations per forward.
 bench-guard-sparse:
-	$(GO) test -bench 'BenchmarkSparseForward|BenchmarkDenseForward' \
+	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkSparseForward|BenchmarkDenseForward' \
 		-benchmem -benchtime 20x -run '^$$' ./internal/sparsenn > bench_sparse.out
 	$(GO) run ./cmd/benchguard -baseline BENCH_sparse.json -input bench_sparse.out
 

@@ -7,15 +7,18 @@ import (
 
 	"dropback/internal/nn"
 	"dropback/internal/optim"
+	"dropback/internal/xorshift"
 )
 
-// TrackedTensor is the CSR view of one virtualized parameter tensor: only
-// the tracked deltas are stored (flat index + value over the tensor's own
-// index space), everything else is regenerated from the init stream on
-// demand. Rows/RowLen give the matrix shape the sparse kernels walk
-// (Linear: Out×In, Conv2D: OutC×(InC·KH·KW)).
+// TrackedTensor is the CSR view of one weight tensor: only the tracked
+// entries are stored (flat index + value over the tensor's own index space),
+// everything else is regenerated from the init stream on demand. Rows/RowLen
+// give the matrix shape the sparse kernels walk (Linear: Out×In, Conv2D:
+// OutC×(InC·KH·KW)). It is the one weight encoding of both sparse training
+// (TrackedTrainer mutates it) and sparse inference (a compiled plan reads it
+// immutably), and it holds no reference to the dense parameter.
 type TrackedTensor struct {
-	P      *nn.Param
+	Init   xorshift.Init
 	Rows   int
 	RowLen int
 	// RowPtr/Idx/Val are the CSR arrays: Idx holds ascending flat indices
@@ -33,22 +36,34 @@ type TrackedTensor struct {
 	val2 []float32
 }
 
+// NewTrackedTensor builds the CSR view of a rows×rowLen tensor whose tracked
+// entries are idx (ascending flat indices into the tensor) and val. The
+// slices are retained, not copied; the row pointers are derived from idx.
+func NewTrackedTensor(init xorshift.Init, rows, rowLen int, idx []int32, val []float32) *TrackedTensor {
+	t := &TrackedTensor{Init: init, Rows: rows, RowLen: rowLen, RowPtr: make([]int32, rows+1), Idx: idx, Val: val}
+	t.rebuildRowPtr()
+	return t
+}
+
 // FillRow materializes one row of the virtual dense tensor into dst
 // (len(dst) == RowLen): tracked values verbatim, gaps regenerated from the
-// init stream — bit-equal to the dense row by the PR 7 argument.
+// init stream — byte-for-byte the row a dense tensor holding the same
+// tracked values over its regenerated init would contain.
 func (t *TrackedTensor) FillRow(dst []float32, r int) {
+	init := t.Init
 	base := r * t.RowLen
+	dst = dst[:t.RowLen]
 	p := 0
 	for k := t.RowPtr[r]; k < t.RowPtr[r+1]; k++ {
 		c := int(t.Idx[k]) - base
 		for ; p < c; p++ {
-			dst[p] = t.P.Init.Regenerate(base + p)
+			dst[p] = init.Regenerate(base + p)
 		}
 		dst[c] = t.Val[k]
 		p = c + 1
 	}
-	for ; p < t.RowLen; p++ {
-		dst[p] = t.P.Init.Regenerate(base + p)
+	for ; p < len(dst); p++ {
+		dst[p] = init.Regenerate(base + p)
 	}
 }
 
@@ -165,14 +180,15 @@ func (d *TrackedTrainer) Virtualize(p *nn.Param, rows int) (*TrackedTensor, erro
 	if rows <= 0 || p.Len()%rows != 0 {
 		return nil, fmt.Errorf("core: parameter %q (%d weights) cannot be viewed as %d rows", p.Name, p.Len(), rows)
 	}
-	t := &TrackedTensor{P: p, Rows: rows, RowLen: p.Len() / rows, RowPtr: make([]int32, rows+1)}
+	var tIdx []int32
+	var tVal []float32
 	for e, v := range p.Value.Data {
 		if math.Float32bits(v) != math.Float32bits(p.Init.Regenerate(e)) {
-			t.Idx = append(t.Idx, int32(e))
-			t.Val = append(t.Val, v)
+			tIdx = append(tIdx, int32(e))
+			tVal = append(tVal, v)
 		}
 	}
-	t.rebuildRowPtr()
+	t := NewTrackedTensor(p.Init, rows, p.Len()/rows, tIdx, tVal)
 	d.big[idx] = t
 	return t, nil
 }
@@ -425,12 +441,12 @@ func (d *TrackedTrainer) MaybeFreezeAtEpochEnd(epoch int) {
 // epoch boundaries so evaluation, best-snapshot capture, and checkpoints
 // see exactly the values the dense trainer would hold.
 func (d *TrackedTrainer) Densify() {
-	for i := range d.set.Params() {
+	for i, p := range d.set.Params() {
 		t := d.big[i]
 		if t == nil {
 			continue
 		}
-		data := t.P.Value.Data
+		data := p.Value.Data
 		for r := 0; r < t.Rows; r++ {
 			t.FillRow(data[r*t.RowLen:(r+1)*t.RowLen], r)
 		}
@@ -666,15 +682,15 @@ func (d *TrackedTrainer) RestoreState(st State) error {
 			d.mask[i] = false
 			d.prevMask[i] = false
 		}
-		for i := range d.big {
+		for i, p := range d.set.Params() {
 			t := d.big[i]
 			if t == nil {
 				continue
 			}
 			t.Idx = t.Idx[:0]
 			t.Val = t.Val[:0]
-			for e, v := range t.P.Value.Data {
-				if math.Float32bits(v) != math.Float32bits(t.P.Init.Regenerate(e)) {
+			for e, v := range p.Value.Data {
+				if math.Float32bits(v) != math.Float32bits(p.Init.Regenerate(e)) {
 					t.Idx = append(t.Idx, int32(e))
 					t.Val = append(t.Val, v)
 				}

@@ -39,8 +39,12 @@ func (e *Executor) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // countWeights records one materialization pass over a weight group with
 // `tracked` stored scalars out of `elems` total, repeated `times` times
-// (worker chunks that each regenerate the group independently).
+// (worker chunks that each regenerate the group independently). Ops outside
+// an executor (the training mirror) have a nil e and count nothing.
 func (e *Executor) countWeights(tracked, elems, times int) {
+	if e == nil {
+		return
+	}
 	e.trackedReads += int64(tracked) * int64(times)
 	e.regens += int64(elems-tracked) * int64(times)
 }

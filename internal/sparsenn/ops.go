@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dropback/internal/core"
 	"dropback/internal/nn"
 	"dropback/internal/tensor"
 )
@@ -89,12 +90,13 @@ func (s *gapSpec) build(ex *Executor) nn.Layer { return nn.NewGlobalAvgPool2D(s.
 
 // Weight-bearing specs build sparse leaf ops: one op instance per executor
 // (owning that executor's scratch), all sharing the spec's plan-owned weight
-// state.
+// state. The training mirror builds the same Linear and Conv2D ops over a
+// spec whose CSR view is the engine's and whose bias is the live parameter.
 
 type linearSpec struct {
 	name        string
 	in, out     int
-	w           *csrMat
+	w           *core.TrackedTensor
 	bias        []float32 // nil when the layer has no bias
 	biasTracked int
 }
@@ -106,7 +108,7 @@ func (s *linearSpec) build(ex *Executor) nn.Layer {
 type convSpec struct {
 	name                           string
 	inC, outC, kh, kw, stride, pad int
-	w                              *csrMat
+	w                              *core.TrackedTensor
 	bias                           []float32
 	biasTracked                    int
 }
@@ -137,12 +139,15 @@ func (s *preluSpec) build(ex *Executor) nn.Layer {
 	return &preluOp{spec: s, ws: tensor.NewWorkspace(), ex: ex}
 }
 
-// inferenceOnly is the shared Backward/Params stub of the sparse leaf ops.
+// inferenceOnlyPanic is the shared Backward stub of the sparse leaf ops
+// built without a training engine.
 func inferenceOnlyPanic(name string) {
 	panic(fmt.Sprintf("sparsenn: %q is inference-only (no Backward)", name))
 }
 
-// linearOp computes y = x Wᵀ + b with W in CSR + regeneration form.
+// linearOp is the sparse Linear layer: y = x Wᵀ + b with W in CSR +
+// regeneration form. Inference executors and the training mirror build this
+// one type; the mirror also sets the training fields Backward needs.
 //
 // Bit-identity argument: the dense path (tensor.MatMulTransB) computes each
 // output element y[i][j] as an independent dot product Σ_p x[i][p]·W[j][p]
@@ -156,28 +161,41 @@ func inferenceOnlyPanic(name string) {
 type linearOp struct {
 	spec *linearSpec
 	ws   *tensor.Workspace
-	ex   *Executor
+	ex   *Executor      // weight-traffic counters; nil in the training mirror
+	x    *tensor.Tensor // last forward input, which Backward reuses
+
+	// Training state, nil in inference-only mode.
+	layer *nn.Linear
+	eng   *core.TrackedTrainer
 }
 
-func (l *linearOp) Name() string { return l.spec.name }
+func (op *linearOp) Name() string { return op.spec.name }
 
-func (l *linearOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s := l.spec
+func (op *linearOp) Params() []*nn.Param {
+	if op.layer == nil {
+		return nil
+	}
+	return op.layer.Params()
+}
+
+func (op *linearOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	s := op.spec
 	if len(x.Shape) != 2 || x.Shape[1] != s.in {
 		panic(fmt.Sprintf("sparsenn: linear %q expected (N,%d) input, got %v", s.name, s.in, x.Shape))
 	}
+	op.x = x
 	n := x.Shape[0]
-	y := l.ws.GetRaw("y", n, s.out)
+	y := op.ws.GetRaw("y", n, s.out)
 	work := n * s.out * s.in
 	chunks := tensor.ParallelChunkCount(s.out, work)
-	wrows := l.ws.GetRaw("wrow", chunks, s.in)
+	wrows := op.ws.GetRaw("wrow", chunks, s.in)
 	if chunks == 1 {
 		// Calling the worker directly keeps the steady-state serving path
 		// (small batches never fan out) free of closure allocations.
-		l.rowRange(x, y, wrows.Data[:s.in], 0, s.out)
+		op.rowRange(x, y, wrows.Data[:s.in], 0, s.out)
 	} else {
 		tensor.ParallelChunks(s.out, work, func(c, lo, hi int) {
-			l.rowRange(x, y, wrows.Data[c*s.in:(c+1)*s.in], lo, hi)
+			op.rowRange(x, y, wrows.Data[c*s.in:(c+1)*s.in], lo, hi)
 		})
 	}
 	if s.bias != nil {
@@ -187,21 +205,21 @@ func (l *linearOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				row[j] += s.bias[j]
 			}
 		}
-		l.ex.countWeights(s.biasTracked, len(s.bias), 1)
+		op.ex.countWeights(s.biasTracked, len(s.bias), 1)
 	}
 	// Output rows are partitioned across chunks, so each weight row is
 	// materialized exactly once per forward regardless of worker count.
-	l.ex.countWeights(s.w.nnz(), s.w.elems(), 1)
+	op.ex.countWeights(len(s.w.Val), s.out*s.in, 1)
 	return y
 }
 
 // rowRange computes output columns [lo, hi) for the whole batch, streaming
 // each weight row through the caller-provided bounce buffer.
-func (l *linearOp) rowRange(x, y *tensor.Tensor, wrow []float32, lo, hi int) {
-	s := l.spec
+func (op *linearOp) rowRange(x, y *tensor.Tensor, wrow []float32, lo, hi int) {
+	s := op.spec
 	n := x.Shape[0]
 	for j := lo; j < hi; j++ {
-		s.w.fillRow(wrow, j)
+		s.w.FillRow(wrow, j)
 		for i := 0; i < n; i++ {
 			xrow := x.Data[i*s.in : (i+1)*s.in]
 			var acc float32
@@ -213,15 +231,10 @@ func (l *linearOp) rowRange(x, y *tensor.Tensor, wrow []float32, lo, hi int) {
 	}
 }
 
-func (l *linearOp) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	inferenceOnlyPanic(l.spec.name)
-	return nil
-}
-
-func (l *linearOp) Params() []*nn.Param { return nil }
-
-// convOp computes a 2-D convolution by im2col lowering with the filter
-// matrix in CSR + regeneration form.
+// convOp is the sparse Conv2D layer: im2col lowering with the filter matrix
+// in CSR + regeneration form. Inference executors and the training mirror
+// build this one type; the mirror also sets the training fields Backward
+// needs.
 //
 // Bit-identity argument: the dense path lowers each sample and runs
 // tensor.MatMulSlice(y_i, W, cols_i) — a jb-tiled kernel where each output
@@ -236,60 +249,80 @@ func (l *linearOp) Params() []*nn.Param { return nil }
 type convOp struct {
 	spec *convSpec
 	ws   *tensor.Workspace
-	ex   *Executor
+	ex   *Executor // weight-traffic counters; nil in the training mirror
+	// Lowering and geometry of the last forward input, which Backward reuses.
+	cols       *tensor.Tensor // (N, C·KH·KW, OH·OW) lowering slab
+	inShape    []int
+	outH, outW int
+
+	// Training state, nil in inference-only mode.
+	layer *nn.Conv2D
+	eng   *core.TrackedTrainer
 }
 
-func (l *convOp) Name() string { return l.spec.name }
+func (op *convOp) Name() string { return op.spec.name }
 
-func (l *convOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s := l.spec
+func (op *convOp) Params() []*nn.Param {
+	if op.layer == nil {
+		return nil
+	}
+	return op.layer.Params()
+}
+
+func (op *convOp) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	s := op.spec
 	if len(x.Shape) != 4 || x.Shape[1] != s.inC {
 		panic(fmt.Sprintf("sparsenn: conv %q expected (N,%d,H,W) input, got %v", s.name, s.inC, x.Shape))
 	}
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	outH := tensor.ConvOutSize(h, s.kh, s.stride, s.pad)
-	outW := tensor.ConvOutSize(w, s.kw, s.stride, s.pad)
-	colRows := s.inC * s.kh * s.kw
-	spatial := outH * outW
-	imgSize := s.inC * h * w
-	perSample := s.outC * spatial
-	colSize := colRows * spatial
+	op.inShape = append(op.inShape[:0], x.Shape...)
+	op.outH = tensor.ConvOutSize(h, s.kh, s.stride, s.pad)
+	op.outW = tensor.ConvOutSize(w, s.kw, s.stride, s.pad)
+	g := op.geom()
 
-	cols := l.ws.GetRaw("cols", n, colRows, spatial)
-	y := l.ws.GetRaw("y", n, s.outC, outH, outW)
-	work := n * perSample * colRows
+	op.cols = op.ws.GetRaw("cols", n, g.colRows, g.spatial)
+	y := op.ws.GetRaw("y", n, s.outC, op.outH, op.outW)
+	work := n * g.perSample * g.colRows
 	chunks := tensor.ParallelChunkCount(n, work)
-	wrows := l.ws.GetRaw("wrow", chunks, colRows)
-	g := convGeom{h: h, w: w, colRows: colRows, spatial: spatial,
-		imgSize: imgSize, perSample: perSample, colSize: colSize}
+	wrows := op.ws.GetRaw("wrow", chunks, g.colRows)
 	if chunks == 1 {
 		// Direct call: the steady-state serving path (small batches never fan
 		// out) stays free of closure allocations.
-		l.sampleRange(x, y, cols, wrows.Data[:colRows], 0, n, g)
+		op.sampleRange(x, y, wrows.Data[:g.colRows], 0, n, g)
 	} else {
 		tensor.ParallelChunks(n, work, func(c, lo, hi int) {
-			l.sampleRange(x, y, cols, wrows.Data[c*colRows:(c+1)*colRows], lo, hi, g)
+			op.sampleRange(x, y, wrows.Data[c*g.colRows:(c+1)*g.colRows], lo, hi, g)
 		})
 	}
 	// Each worker chunk regenerates the full filter matrix once, so measured
 	// traffic scales with the chunk count (1 for small batches).
-	l.ex.countWeights(s.w.nnz(), s.w.elems(), chunks)
+	op.ex.countWeights(len(s.w.Val), s.outC*g.colRows, chunks)
 	if s.bias != nil {
-		l.ex.countWeights(s.biasTracked, len(s.bias), 1)
+		op.ex.countWeights(s.biasTracked, len(s.bias), 1)
 	}
 	return y
 }
 
-// convGeom carries the per-forward derived dimensions into sampleRange.
+// convGeom carries the dimensions derived from the last forward input.
 type convGeom struct {
 	h, w, colRows, spatial, imgSize, perSample, colSize int
+}
+
+func (op *convOp) geom() convGeom {
+	s := op.spec
+	h, w := op.inShape[2], op.inShape[3]
+	colRows := s.inC * s.kh * s.kw
+	spatial := op.outH * op.outW
+	return convGeom{h: h, w: w, colRows: colRows, spatial: spatial,
+		imgSize: s.inC * h * w, perSample: s.outC * spatial, colSize: colRows * spatial}
 }
 
 // sampleRange lowers and convolves samples [lo, hi): im2col each sample,
 // then bounce each filter row through wrow and multiply it against every
 // lowered sample, then add the bias planes.
-func (l *convOp) sampleRange(x, y, cols *tensor.Tensor, wrow []float32, lo, hi int, g convGeom) {
-	s := l.spec
+func (op *convOp) sampleRange(x, y *tensor.Tensor, wrow []float32, lo, hi int, g convGeom) {
+	s := op.spec
+	cols := op.cols
 	for i := lo; i < hi; i++ {
 		tensor.Im2ColSlice(cols.Data[i*g.colSize:(i+1)*g.colSize], x.Data[i*g.imgSize:(i+1)*g.imgSize],
 			s.inC, g.h, g.w, s.kh, s.kw, s.stride, s.pad)
@@ -297,7 +330,7 @@ func (l *convOp) sampleRange(x, y, cols *tensor.Tensor, wrow []float32, lo, hi i
 	// Filter rows are materialized once per chunk and reused across the
 	// chunk's samples, amortizing regeneration over the batch.
 	for f := 0; f < s.outC; f++ {
-		s.w.fillRow(wrow, f)
+		s.w.FillRow(wrow, f)
 		for i := lo; i < hi; i++ {
 			tensor.MatMulRowSlice(y.Data[i*g.perSample+f*g.spatial:i*g.perSample+(f+1)*g.spatial],
 				wrow, cols.Data[i*g.colSize:(i+1)*g.colSize], g.colRows, g.spatial)
@@ -313,13 +346,6 @@ func (l *convOp) sampleRange(x, y, cols *tensor.Tensor, wrow []float32, lo, hi i
 		}
 	}
 }
-
-func (l *convOp) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	inferenceOnlyPanic(l.spec.name)
-	return nil
-}
-
-func (l *convOp) Params() []*nn.Param { return nil }
 
 // bnOp applies inference-mode batch normalization using the plan's shared
 // gamma/beta vectors and running statistics. The per-element expression is

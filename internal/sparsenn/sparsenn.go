@@ -1,8 +1,9 @@
 // Package sparsenn executes frozen post-training models directly on the
 // pruned weight budget: the compiled Plan holds the tracked weights of a
-// sparse.Artifact in per-layer CSR index/value slices, and the executor's
-// fused kernels stream every untracked weight from the xorshift
-// initialization stream in registers — the model is never densified.
+// sparse.Artifact as per-layer core.TrackedTensor CSR views (the encoding
+// the sparse trainer updates), and the executor's fused kernels stream every
+// untracked weight from the xorshift initialization stream in registers —
+// the model is never densified.
 //
 // This is the inference half of the paper's deployment contract made
 // literal. Applying an artifact to a dense model regenerates all N weights
@@ -30,48 +31,10 @@ import (
 	"fmt"
 	"sort"
 
+	"dropback/internal/core"
 	"dropback/internal/nn"
 	"dropback/internal/sparse"
-	"dropback/internal/xorshift"
 )
-
-// csrMat is one big weight tensor viewed as a (rows, cols) matrix stored in
-// compressed sparse row form over the *tracked* entries only. Untracked
-// elements are not stored anywhere: fillRow regenerates them from the
-// initialization stream, which is exactly what Artifact.Apply writes into a
-// dense model.
-type csrMat struct {
-	init       xorshift.Init
-	rows, cols int
-	rowPtr     []int32 // len rows+1; tracked entries of row r are [rowPtr[r], rowPtr[r+1])
-	idx        []int32 // column index of each tracked entry, ascending within a row
-	val        []float32
-}
-
-// nnz returns the number of tracked (stored) entries.
-func (m *csrMat) nnz() int { return len(m.val) }
-
-// elems returns the dense element count rows*cols.
-func (m *csrMat) elems() int { return m.rows * m.cols }
-
-// fillRow writes row r's dense values into dst (len cols): tracked entries
-// from the CSR payload, everything else regenerated by flat element index —
-// byte-for-byte the row Artifact.Apply would produce.
-func (m *csrMat) fillRow(dst []float32, r int) {
-	base := r * m.cols
-	p := 0
-	for t := m.rowPtr[r]; t < m.rowPtr[r+1]; t++ {
-		c := int(m.idx[t])
-		for ; p < c; p++ {
-			dst[p] = m.init.Regenerate(base + p)
-		}
-		dst[p] = m.val[t]
-		p++
-	}
-	for ; p < m.cols; p++ {
-		dst[p] = m.init.Regenerate(base + p)
-	}
-}
 
 // Plan is the compiled, immutable sparse execution form of one artifact
 // applied to one architecture. It holds everything inference needs — CSR
@@ -179,29 +142,24 @@ func (c *compiler) span(p *nn.Param) (ents []sparse.Entry, base int) {
 }
 
 // csr builds the CSR view of a big weight parameter seen as a (rows, cols)
-// matrix — (Out, In) for Linear, (OutC, InC·KH·KW) for Conv2D.
-func (c *compiler) csr(p *nn.Param, rows, cols int) (*csrMat, error) {
+// matrix — (Out, In) for Linear, (OutC, InC·KH·KW) for Conv2D. Untracked
+// elements are not stored anywhere: FillRow regenerates them from the
+// initialization stream, which is exactly what Artifact.Apply writes into a
+// dense model.
+func (c *compiler) csr(p *nn.Param, rows, cols int) (*core.TrackedTensor, error) {
 	if p.Len() != rows*cols {
 		return nil, fmt.Errorf("sparsenn: parameter %q has %d elements, want %d×%d", p.Name, p.Len(), rows, cols)
 	}
 	ents, base := c.span(p)
-	m := &csrMat{
-		init: p.Init, rows: rows, cols: cols,
-		rowPtr: make([]int32, rows+1),
-		idx:    make([]int32, len(ents)),
-		val:    make([]float32, len(ents)),
-	}
+	idx := make([]int32, len(ents))
+	val := make([]float32, len(ents))
 	for t, e := range ents {
-		el := int(e.Index) - base
-		m.idx[t] = int32(el % cols)
-		m.val[t] = e.Value
-		m.rowPtr[el/cols+1]++
+		idx[t] = int32(int(e.Index) - base)
+		val[t] = e.Value
 	}
-	for r := 0; r < rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
-	}
-	c.weightBytes += 4 * (len(m.rowPtr) + len(m.idx) + len(m.val))
-	return m, nil
+	w := core.NewTrackedTensor(p.Init, rows, cols, idx, val)
+	c.weightBytes += 4 * (len(w.RowPtr) + len(w.Idx) + len(w.Val))
+	return w, nil
 }
 
 // dense materializes a small parameter (bias, gamma/beta, PReLU slope) as a

@@ -1,5 +1,6 @@
 // Sparse-native training: the mirror tree built by NewTrainingMirror runs
-// forward AND backward passes straight off the engine's CSR weight state,
+// forward AND backward passes straight off the engine's CSR weight state
+// (the same core.TrackedTensor form a compiled Plan serves from),
 // regenerating untracked weights inside the kernel loops per minibatch. The
 // model's dense weight tensors are never read during a training step — they
 // are refreshed only at epoch boundaries via TrackedTrainer.Densify for
@@ -7,11 +8,14 @@
 //
 // Correctness contract (the training half of the package contract): every
 // activation, gradient, and parameter update is bit-identical to the dense
-// trainer's. The forward kernels reuse the inference bit-identity argument
-// (ops.go); the backward kernels replay the dense gradient kernels'
-// per-element operation sequences — same accumulation order, same cleared
-// accumulators, same zero skips on the same values — with weight rows
-// materialized through TrackedTensor.FillRow instead of read from DRAM:
+// trainer's. Forward is the inference kernel itself — the mirror builds the
+// same linearOp/convOp a Plan does — so the ops.go bit-identity argument
+// covers it, ParallelChunks fan-out included (each output element's dot
+// product is computed whole by one worker). The backward kernels replay the
+// dense gradient kernels' per-element operation sequences — same
+// accumulation order, same cleared accumulators, same zero skips on the same
+// values — with weight rows materialized through TrackedTensor.FillRow
+// instead of read from DRAM:
 //
 //   - Linear dX (dense tensor.MatMulInto(dy, W)): each element dx[i][j]
 //     accumulates dy[i][p]·W[p][j] in ascending p from a cleared buffer,
@@ -29,10 +33,6 @@
 //   - Conv dX (dense MatMulTransASlice) accumulates W[f][c]·dy[f][s] in
 //     ascending f from a cleared buffer, skipping W[f][c]==0; the replay
 //     hoists f outward and skips on the regenerated row's identical bits.
-//
-// Kernels run single-goroutine: the bit-identity already holds at any
-// worker count for the dense layers, but the mirror's merge walks share one
-// bounce buffer per layer and the sparse trainer rejects Workers>1 anyway.
 package sparsenn
 
 import (
@@ -45,11 +45,11 @@ import (
 
 // NewTrainingMirror builds a training-mode mirror of m.Net over the tracked
 // engine: Linear and Conv2D layers are virtualized into CSR form and
-// replaced by sparse train kernels, containers are rebuilt around them, and
-// every other layer (activations, pooling, batch norm, dropout — anything
-// whose parameters the engine keeps dense) is shared with the original tree
-// so its internal state (BN statistics, dropout RNG) advances exactly as in
-// a dense run. The mirror and m.Net must not run concurrently; the trainer
+// replaced by the sparse Linear/Conv2D ops a Plan also runs, containers are
+// rebuilt around them, and every other layer (activations, pooling, batch
+// norm, dropout — anything whose parameters the engine keeps dense) is
+// shared with the original tree so its internal state (BN statistics,
+// dropout RNG) advances exactly as in a dense run. The mirror and m.Net must not run concurrently; the trainer
 // uses the mirror for steps and the densified m.Net for evaluation.
 func NewTrainingMirror(m *nn.Model, eng *core.TrackedTrainer) (nn.Layer, error) {
 	return mirrorLayer(m.Net, eng)
@@ -88,17 +88,28 @@ func mirrorLayer(l nn.Layer, eng *core.TrackedTrainer) (nn.Layer, error) {
 		}
 		return nn.NewDenseBlock(t.Name(), t.InC, t.Growth, units...), nil
 	case *nn.Linear:
-		ct, err := eng.Virtualize(t.W, t.Out)
+		w, err := eng.Virtualize(t.W, t.Out)
 		if err != nil {
 			return nil, err
 		}
-		return &trainLinear{l: t, t: ct, eng: eng, ws: tensor.NewWorkspace()}, nil
+		s := &linearSpec{name: t.Name(), in: t.In, out: t.Out, w: w}
+		if t.B != nil {
+			s.bias = t.B.Value.Data
+		}
+		return &linearOp{spec: s, ws: tensor.NewWorkspace(), layer: t, eng: eng}, nil
 	case *nn.Conv2D:
-		ct, err := eng.Virtualize(t.W, t.OutC)
+		w, err := eng.Virtualize(t.W, t.OutC)
 		if err != nil {
 			return nil, err
 		}
-		return &trainConv{l: t, t: ct, eng: eng, ws: tensor.NewWorkspace()}, nil
+		s := &convSpec{
+			name: t.Name(), inC: t.InC, outC: t.OutC,
+			kh: t.KH, kw: t.KW, stride: t.Stride, pad: t.Pad, w: w,
+		}
+		if t.B != nil {
+			s.bias = t.B.Value.Data
+		}
+		return &convOp{spec: s, ws: tensor.NewWorkspace(), layer: t, eng: eng}, nil
 	default:
 		// Parameter-free layers and small-parameter layers (BatchNorm,
 		// PReLU, variational wrappers) stay dense: the engine updates their
@@ -121,60 +132,22 @@ func TrainStep(m *nn.Model, mirror nn.Layer, x *tensor.Tensor, labels []int) (lo
 	return loss, acc
 }
 
-// trainLinear is the training-mode sparse Linear: y = x Wᵀ + b with W in
-// CSR + regeneration form, bit-identical forward and backward.
-type trainLinear struct {
-	l   *nn.Linear
-	t   *core.TrackedTensor
-	eng *core.TrackedTrainer
-	ws  *tensor.Workspace
-	x   *tensor.Tensor // cached forward input
-}
-
-func (s *trainLinear) Name() string { return s.l.Name() }
-
-func (s *trainLinear) Params() []*nn.Param { return s.l.Params() }
-
-func (s *trainLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l := s.l
-	if len(x.Shape) != 2 || x.Shape[1] != l.In {
-		panic(fmt.Sprintf("sparsenn: linear %q expected (N,%d) input, got %v", l.Name(), l.In, x.Shape))
+// Backward is the training-mode sparse Linear backward pass; it panics in
+// inference-only mode.
+func (op *linearOp) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if op.eng == nil {
+		inferenceOnlyPanic(op.spec.name)
 	}
-	s.x = x
-	n := x.Shape[0]
-	y := s.ws.GetRaw("y", n, l.Out)
-	wrow := s.ws.GetRaw("wrow", l.In).Data
-	// Dense MatMulTransB computes each y[i][j] as an independent ascending
-	// dot with no zero skip; materializing W row j once per output column
-	// preserves every element's operation sequence (see linearOp).
-	for j := 0; j < l.Out; j++ {
-		s.t.FillRow(wrow, j)
-		for i := 0; i < n; i++ {
-			xrow := x.Data[i*l.In : (i+1)*l.In]
-			var acc float32
-			for p, xv := range xrow {
-				acc += xv * wrow[p]
-			}
-			y.Data[i*l.Out+j] = acc
-		}
-	}
-	if l.B != nil {
-		tensor.AddRowVector(y, l.B.Value)
-	}
-	return y
-}
-
-func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	l := s.l
-	if s.x == nil {
+	l := op.layer
+	if op.x == nil {
 		panic(fmt.Sprintf("sparsenn: linear %q Backward before Forward", l.Name()))
 	}
 	n := dy.Shape[0]
-	if s.eng.Frozen() {
+	if op.eng.Frozen() {
 		// Tracked-set-only dW: replay the dense MatMulTransA element for
 		// each tracked (r,c) — ascending-sample fold from zero, skipping
 		// dy[p][r]==0 — exactly the value AddInPlace would land in W.Grad.
-		t := s.t
+		t := op.spec.w
 		for k, fi := range t.Idx {
 			r := int(fi) / l.In
 			c := int(fi) % l.In
@@ -184,15 +157,15 @@ func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				if av == 0 {
 					continue
 				}
-				acc += av * s.x.Data[p*l.In+c]
+				acc += av * op.x.Data[p*l.In+c]
 			}
 			t.TGrad[k] = acc
 		}
 	} else {
 		// Pre-freeze every weight is a candidate: dense gradients via the
 		// exact dense kernels (dW = dyᵀ x needs no weight values).
-		dW := s.ws.GetRaw("dw", l.Out, l.In)
-		tensor.MatMulTransAInto(dW, dy, s.x)
+		dW := op.ws.GetRaw("dw", l.Out, l.In)
+		tensor.MatMulTransAInto(dW, dy, op.x)
 		tensor.AddInPlace(l.W.Grad, dW)
 	}
 	if l.B != nil {
@@ -206,13 +179,13 @@ func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// dx = dy @ W with regenerated rows: clear, then ascending-p
 	// accumulation skipping dy==0 — the dense MatMulInto sequence with the
 	// weight-row loop hoisted outward.
-	dx := s.ws.GetRaw("dx", n, l.In)
+	dx := op.ws.GetRaw("dx", n, l.In)
 	for i := range dx.Data {
 		dx.Data[i] = 0
 	}
-	wrow := s.ws.GetRaw("wrow", l.In).Data
+	wrow := op.ws.GetRaw("wrow", l.In).Data
 	for p := 0; p < l.Out; p++ {
-		s.t.FillRow(wrow, p)
+		op.spec.w.FillRow(wrow, p)
 		for i := 0; i < n; i++ {
 			av := dy.Data[i*l.Out+p]
 			if av == 0 {
@@ -227,99 +200,34 @@ func (s *trainLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// trainConv is the training-mode sparse Conv2D: im2col lowering with the
-// filter matrix in CSR + regeneration form, bit-identical forward and
-// backward.
-type trainConv struct {
-	l   *nn.Conv2D
-	t   *core.TrackedTensor
-	eng *core.TrackedTrainer
-	ws  *tensor.Workspace
-
-	cols       *tensor.Tensor // (N, C·KH·KW, OH·OW) lowering slab
-	batch      int
-	inShape    []int
-	outH, outW int
-}
-
-func (s *trainConv) Name() string { return s.l.Name() }
-
-func (s *trainConv) Params() []*nn.Param { return s.l.Params() }
-
-func (s *trainConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l := s.l
-	if len(x.Shape) != 4 || x.Shape[1] != l.InC {
-		panic(fmt.Sprintf("sparsenn: conv %q expected (N,%d,H,W) input, got %v", l.Name(), l.InC, x.Shape))
+// Backward is the training-mode sparse Conv2D backward pass; it panics in
+// inference-only mode.
+func (op *convOp) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if op.eng == nil {
+		inferenceOnlyPanic(op.spec.name)
 	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	s.inShape = append(s.inShape[:0], x.Shape...)
-	s.outH = tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad)
-	s.outW = tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
-	s.batch = n
-	colRows := l.InC * l.KH * l.KW
-	spatial := s.outH * s.outW
-	imgSize := l.InC * h * w
-	perSample := l.OutC * spatial
-	colSize := colRows * spatial
-
-	s.cols = s.ws.GetRaw("cols", n, colRows, spatial)
-	y := s.ws.GetRaw("y", n, l.OutC, s.outH, s.outW)
-	wrow := s.ws.GetRaw("wrow", colRows).Data
-	for i := 0; i < n; i++ {
-		tensor.Im2ColSlice(s.cols.Data[i*colSize:(i+1)*colSize], x.Data[i*imgSize:(i+1)*imgSize],
-			l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad)
-	}
-	// Each filter row is materialized once and multiplied against every
-	// lowered sample by MatMulRowSlice — the dense MatMulSlice row's exact
-	// operation sequence (same tiling, clear, order, and zero skip).
-	for f := 0; f < l.OutC; f++ {
-		s.t.FillRow(wrow, f)
-		for i := 0; i < n; i++ {
-			tensor.MatMulRowSlice(y.Data[i*perSample+f*spatial:i*perSample+(f+1)*spatial],
-				wrow, s.cols.Data[i*colSize:(i+1)*colSize], colRows, spatial)
-		}
-	}
-	if l.B != nil {
-		for i := 0; i < n; i++ {
-			for f := 0; f < l.OutC; f++ {
-				b := l.B.Value.Data[f]
-				plane := y.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
-				for j := range plane {
-					plane[j] += b
-				}
-			}
-		}
-	}
-	return y
-}
-
-func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	l := s.l
-	if s.cols == nil || s.batch == 0 {
+	l := op.layer
+	if op.cols == nil {
 		panic(fmt.Sprintf("sparsenn: conv %q Backward before Forward", l.Name()))
 	}
-	n := s.batch
-	h, w := s.inShape[2], s.inShape[3]
-	colRows := l.InC * l.KH * l.KW
-	spatial := s.outH * s.outW
-	imgSize := l.InC * h * w
-	perSample := l.OutC * spatial
-	colSize := colRows * spatial
+	g := op.geom()
+	n := op.inShape[0]
+	colRows, spatial, perSample, colSize := g.colRows, g.spatial, g.perSample, g.colSize
 	wSize := l.OutC * colRows
 
-	if s.eng.Frozen() {
+	if op.eng.Frozen() {
 		// Tracked-set-only dW: each tracked (f,c) folds the per-sample
 		// independent dots (dense MatMulTransBSlice elements) in ascending
 		// sample order from zero — the value the dense reduction loop would
 		// land in W.Grad.
-		t := s.t
+		t := op.spec.w
 		for k, fi := range t.Idx {
 			f := int(fi) / colRows
 			c := int(fi) % colRows
 			var acc float32
 			for i := 0; i < n; i++ {
 				dyRow := dy.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
-				colRow := s.cols.Data[i*colSize+c*spatial : i*colSize+(c+1)*spatial]
+				colRow := op.cols.Data[i*colSize+c*spatial : i*colSize+(c+1)*spatial]
 				var dot float32
 				for j, v := range dyRow {
 					dot += v * colRow[j]
@@ -331,10 +239,10 @@ func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	} else {
 		// Pre-freeze dense dW: the exact per-sample kernel plus the dense
 		// ascending-sample reduction (weights are not read).
-		dwPart := s.ws.GetRaw("dwpart", n, wSize)
+		dwPart := op.ws.GetRaw("dwpart", n, wSize)
 		for i := 0; i < n; i++ {
 			tensor.MatMulTransBSlice(dwPart.Data[i*wSize:(i+1)*wSize],
-				dy.Data[i*perSample:(i+1)*perSample], s.cols.Data[i*colSize:(i+1)*colSize],
+				dy.Data[i*perSample:(i+1)*perSample], op.cols.Data[i*colSize:(i+1)*colSize],
 				l.OutC, spatial, colRows)
 		}
 		dW := l.W.Grad.Data
@@ -364,14 +272,14 @@ func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// accumulation skipping W[f][c]==0 (the dense MatMulTransASlice
 	// sequence with the filter-row loop hoisted outward) — then the dense
 	// col2im scatter per sample.
-	dx := s.ws.GetRaw("dx", s.inShape...)
-	dcols := s.ws.GetRaw("dcols", n, colSize)
+	dx := op.ws.GetRaw("dx", op.inShape...)
+	dcols := op.ws.GetRaw("dcols", n, colSize)
 	for i := range dcols.Data {
 		dcols.Data[i] = 0
 	}
-	wrow := s.ws.GetRaw("wrow", colRows).Data
+	wrow := op.ws.GetRaw("wrow", colRows).Data
 	for f := 0; f < l.OutC; f++ {
-		s.t.FillRow(wrow, f)
+		op.spec.w.FillRow(wrow, f)
 		for i := 0; i < n; i++ {
 			dyRow := dy.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
 			dcI := dcols.Data[i*colSize : (i+1)*colSize]
@@ -388,8 +296,8 @@ func (s *trainConv) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	for i := 0; i < n; i++ {
-		tensor.Col2ImSlice(dx.Data[i*imgSize:(i+1)*imgSize], dcols.Data[i*colSize:(i+1)*colSize],
-			l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad)
+		tensor.Col2ImSlice(dx.Data[i*g.imgSize:(i+1)*g.imgSize], dcols.Data[i*colSize:(i+1)*colSize],
+			l.InC, g.h, g.w, l.KH, l.KW, l.Stride, l.Pad)
 	}
 	return dx
 }

@@ -480,6 +480,12 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	if telemetryOn {
 		nn.Instrument(m.Net, rec)
 		defer nn.Instrument(m.Net, nil)
+		// The sparse mirror's containers are its own, so training steps
+		// need their own instrumentation to emit per-layer spans.
+		if mirror != nil {
+			nn.Instrument(mirror, rec)
+			defer nn.Instrument(mirror, nil)
+		}
 	}
 
 	batcher := data.NewBatcher(train, cfg.BatchSize, cfg.Seed^0xBA7C4)

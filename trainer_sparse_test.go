@@ -1,10 +1,13 @@
 package dropback
 
 import (
+	"runtime"
 	"testing"
 
 	"dropback/internal/data"
+	"dropback/internal/models"
 	"dropback/internal/nn"
+	"dropback/internal/telemetry"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
 )
@@ -105,21 +108,86 @@ func assertSparseRunMatchesDense(t *testing.T, ctx string, ref, got *Result, ref
 // sparse-native training must produce byte-identical parameters, history,
 // and DropBack telemetry to the dense trainer across budgets, freeze
 // epochs (including never-freeze, which exercises the per-step reselection
-// path for the whole run), and batch sizes.
+// path for the whole run), and batch sizes. The fan-out input is big enough
+// that the sparse Linear forward crosses the ParallelChunks threshold — fc1
+// of a 784-100-10 MLP at batch 8 does 8·100·784 = 627,200 MACs — and runs
+// both single-threaded and fanned out over four workers.
 func TestSparseTrainerBitIdenticalMLP(t *testing.T) {
-	train, val := synthTrainVal(48, 12, 4, 7)
-	for _, budget := range []int{40, 120} {
-		for _, freeze := range []int{-1, 0, 1} {
-			for _, bs := range []int{1, 3, 8} {
-				cfg := TrainConfig{
-					Method: MethodDropBack, Budget: budget, FreezeAfterEpoch: freeze,
-					Epochs: 3, BatchSize: bs, Seed: 11,
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	fanOutMLP := func(seed uint64) *Model {
+		return models.NewMLP(models.MLPConfig{Name: "fan", In: 784, Hidden: []int{100}, Classes: 10, Seed: seed})
+	}
+	smallTrain, smallVal := synthTrainVal(48, 12, 4, 7)
+	fanTrain, fanVal := synthTrainVal(48, 784, 10, 41)
+	inputs := []struct {
+		name                             string
+		factory                          func(uint64) *Model
+		train, val                       *Dataset
+		budgets, freezes, batches, procs []int
+	}{
+		{"mlp", parTestMLP, smallTrain, smallVal, []int{40, 120}, []int{-1, 0, 1}, []int{1, 3, 8}, []int{prev}},
+		{"fanout", fanOutMLP, fanTrain, fanVal, []int{4000}, []int{-1, 0}, []int{8}, []int{1, 4}},
+	}
+	for _, in := range inputs {
+		for _, procs := range in.procs {
+			runtime.GOMAXPROCS(procs)
+			for _, budget := range in.budgets {
+				for _, freeze := range in.freezes {
+					for _, bs := range in.batches {
+						cfg := TrainConfig{
+							Method: MethodDropBack, Budget: budget, FreezeAfterEpoch: freeze,
+							Epochs: 3, BatchSize: bs, Seed: 11,
+						}
+						ref, refParams := runSparseOrDense(t, in.factory, 3, false, cfg, in.train, in.val)
+						got, gotParams := runSparseOrDense(t, in.factory, 3, true, cfg, in.train, in.val)
+						ctx := in.name + "/procs=" + itoa(procs) + "/budget=" + itoa(budget) +
+							"/freeze=" + itoa(freeze) + "/bs=" + itoa(bs)
+						assertSparseRunMatchesDense(t, ctx, ref, got, refParams, gotParams)
+					}
 				}
-				ref, refParams := runSparseOrDense(t, parTestMLP, 3, false, cfg, train, val)
-				got, gotParams := runSparseOrDense(t, parTestMLP, 3, true, cfg, train, val)
-				ctx := "mlp/budget=" + itoa(budget) + "/freeze=" + itoa(freeze) + "/bs=" + itoa(bs)
-				assertSparseRunMatchesDense(t, ctx, ref, got, refParams, gotParams)
 			}
+		}
+	}
+	runtime.GOMAXPROCS(4)
+	if tensor.ParallelChunkCount(100, 8*100*784) < 2 {
+		t.Fatal("the fan-out input's fc1 forward no longer crosses the ParallelChunks threshold")
+	}
+}
+
+// TestSparseTrainEmitsLayerSpans pins per-layer tracing on the sparse path:
+// the training mirror's containers are instrumented like the model's, so a
+// sparse run records the same (layer, phase) spans with the same counts as
+// the dense run of the same configuration.
+func TestSparseTrainEmitsLayerSpans(t *testing.T) {
+	train, val := synthImageTrainVal(18, 1, 6, 4, 45)
+	spans := func(sparse bool) map[string]int64 {
+		c := telemetry.NewCollector(telemetry.CollectorOptions{})
+		cfg := TrainConfig{
+			Method: MethodDropBack, Budget: 150, FreezeAfterEpoch: 1,
+			Epochs: 2, BatchSize: 3, Seed: 47, SparseTrain: sparse, Telemetry: c,
+		}
+		if _, err := TrainE(sparseTestBNResModel(7), train, val, cfg); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int64{}
+		for _, st := range c.LayerStats() {
+			out[st.Phase+" "+st.Layer] = st.Count
+		}
+		return out
+	}
+	dense, sparse := spans(false), spans(true)
+	if len(dense) == 0 {
+		t.Fatal("dense run recorded no layer spans")
+	}
+	for k, n := range dense {
+		if sparse[k] != n {
+			t.Errorf("span %q: dense count %d, sparse count %d", k, n, sparse[k])
+		}
+	}
+	for k := range sparse {
+		if _, ok := dense[k]; !ok {
+			t.Errorf("span %q recorded by the sparse run only", k)
 		}
 	}
 }
