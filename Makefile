@@ -34,11 +34,18 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short coverage-guided runs of the checkpoint-decoder and dist
-# wire-decoder fuzzers, mirroring the CI fuzz smoke steps.
+# Short coverage-guided runs of every committed byte-decoder fuzzer
+# (checkpoint, dist wire, sparse artifact, serve reload, IDX and CIFAR-10
+# readers), mirroring the CI fuzz smoke steps. go test fuzzes one target per
+# run, so packages with several fuzzers take an anchored -fuzz pattern each.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run=Fuzz -fuzz=FuzzReadFrame -fuzztime=10s ./internal/dist
+	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/sparse
+	$(GO) test -run=Fuzz -fuzz=FuzzReloadArtifact -fuzztime=10s ./internal/serve
+	$(GO) test -run=Fuzz -fuzz='^FuzzReadIDXImages$$' -fuzztime=10s ./internal/data
+	$(GO) test -run=Fuzz -fuzz='^FuzzReadIDXLabels$$' -fuzztime=10s ./internal/data
+	$(GO) test -run=Fuzz -fuzz='^FuzzReadCIFAR10Binary$$' -fuzztime=10s ./internal/data
 
 # Repo-wide: the data-parallel training executor put goroutines in the
 # trainer hot path, so every package that touches a model now runs under

@@ -8,8 +8,12 @@ import (
 	"testing"
 
 	"dropback"
+	"dropback/internal/data"
 	"dropback/internal/faults"
+	"dropback/internal/models"
 	"dropback/internal/nn"
+	"dropback/internal/optim"
+	"dropback/internal/prune"
 )
 
 // ftMLP builds the small-MLP fixture used across the fault-tolerance tests.
@@ -25,6 +29,17 @@ func ftConv(seed uint64) (*dropback.Model, *dropback.Dataset, *dropback.Dataset)
 	ds := dropback.CIFARLikeSized(120, 8, seed)
 	train, val := ds.Split(96)
 	return dropback.VGGSReduced(8, 2, seed, false), train, val
+}
+
+// ftVDMLP builds a small variational-dropout MLP fixture: every VD layer
+// draws its weight noise from its own stream, which resume must carry.
+func ftVDMLP(seed uint64) (*dropback.Model, *dropback.Dataset, *dropback.Dataset) {
+	ds := data.Generate(data.SynthConfig{
+		Classes: 10, Samples: 200, Size: 14, Channels: 1,
+		Bumps: 5, MaxShift: 1, Noise: 0.1, Seed: seed,
+	}).Flatten()
+	train, val := ds.Split(160)
+	return models.ReducedMNISTMLP("vd", 14, 32, 32, seed, prune.Variational{}), train, val
 }
 
 func snapshotsEqual(t *testing.T, a, b []float32, label string) {
@@ -111,25 +126,44 @@ func TestCrashCorruptionResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeDeterminism is the resume matrix: for MLP and conv models,
-// DropBack and plain SGD, a run split across a checkpoint must be
-// bit-identical to the same run done in one piece.
+// TestResumeDeterminism is the resume matrix: for MLP and conv models and
+// all six training methods, a run split across a checkpoint (after epoch 1
+// unless split says otherwise) must be bit-identical to the same run done in
+// one piece. The DSD cases split inside and after the sparse phase and the
+// slimming case after its prune, so the state those methods derive at epoch
+// edges must be rebuilt on resume.
 func TestResumeDeterminism(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(seed uint64) (*dropback.Model, *dropback.Dataset, *dropback.Dataset)
 		cfg   dropback.TrainConfig
+		split int
 	}{
 		{"mlp/baseline", ftMLP, dropback.TrainConfig{
-			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}},
+			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
 		{"mlp/dropback", ftMLP, dropback.TrainConfig{
 			Method: dropback.MethodDropBack, Budget: 1500, FreezeAfterEpoch: 1,
-			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}},
+			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
 		{"conv/baseline", ftConv, dropback.TrainConfig{
-			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}},
+			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}, 0},
 		{"conv/dropback", ftConv, dropback.TrainConfig{
 			Method: dropback.MethodDropBack, Budget: 800, FreezeAfterEpoch: 1,
-			Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}},
+			Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}, 0},
+		{"mlp/magnitude", ftMLP, dropback.TrainConfig{
+			Method: dropback.MethodMagnitude, PruneFraction: 0.5,
+			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+		{"mlp/variational", ftVDMLP, dropback.TrainConfig{
+			Method: dropback.MethodVariational, KLScale: 1.0 / 160, Schedule: optim.Constant(0.05),
+			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+		{"mlp/dsd", ftMLP, dropback.TrainConfig{
+			Method: dropback.MethodDSD, DSDSparseFraction: 0.3, DSDSparseStart: 0, DSDSparseEnd: 2,
+			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+		{"mlp/dsd-after-phase", ftMLP, dropback.TrainConfig{
+			Method: dropback.MethodDSD, DSDSparseFraction: 0.3, DSDSparseStart: 0, DSDSparseEnd: 1,
+			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 2},
+		{"conv/slimming", ftConv, dropback.TrainConfig{
+			Method: dropback.MethodSlimming, SlimLambda: 1e-4, SlimPruneFraction: 0.3, SlimPruneAtEpoch: 0,
+			Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,7 +173,7 @@ func TestResumeDeterminism(t *testing.T) {
 			dir := t.TempDir()
 			m1, train1, val1 := tc.build(5)
 			cfgA := tc.cfg
-			cfgA.Epochs = 1
+			cfgA.Epochs = max(tc.split, 1)
 			cfgA.Checkpoint = &dropback.CheckpointSpec{Dir: dir, Every: 1}
 			dropback.Train(m1, train1, val1, cfgA)
 

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"dropback/internal/nn"
+	"dropback/internal/optim"
 )
 
 // Config parameterizes a DropBack run.
@@ -54,56 +53,17 @@ type Config struct {
 // untracked weight it is exactly |α·∂f/∂w| from the current step, its bid
 // to enter the tracked set.
 type DropBack struct {
-	cfg Config
-	set *nn.ParamSet
-
-	scores   []float32
-	mask     []bool
-	prevMask []bool
-	havePrev bool
-	frozen   bool
+	tracking
 
 	// shares is the per-tensor budget scratch for the PerLayerBudget path,
 	// reused across steps so selection stays allocation-free.
 	shares []int
-
-	// Telemetry.
-	stepCount     int
-	swapHistory   []int
-	swapSummary   SwapSummary
-	regenerations int64
-	trackedWrites int64
 }
 
 // New builds a DropBack constraint over the given parameter set. Budget
 // must be positive and is clamped to the parameter count.
 func New(set *nn.ParamSet, cfg Config) *DropBack {
-	if cfg.Budget <= 0 {
-		panic(fmt.Sprintf("core: budget must be positive, got %d", cfg.Budget))
-	}
-	if cfg.Budget > set.Total() {
-		cfg.Budget = set.Total()
-	}
-	n := set.Total()
-	return &DropBack{
-		cfg:      cfg,
-		set:      set,
-		scores:   make([]float32, n),
-		mask:     make([]bool, n),
-		prevMask: make([]bool, n),
-	}
-}
-
-// Config returns the configuration the constraint was built with.
-func (d *DropBack) Config() Config { return d.cfg }
-
-// Budget returns k, the tracked-weight budget.
-func (d *DropBack) Budget() int { return d.cfg.Budget }
-
-// CompressionRatio returns total parameters divided by the budget — the
-// "weight compression" column of the paper's tables.
-func (d *DropBack) CompressionRatio() float64 {
-	return float64(d.set.Total()) / float64(d.cfg.Budget)
+	return &DropBack{tracking: newTracking(set, cfg)}
 }
 
 // Apply enforces the DropBack constraint after an SGD update: it recomputes
@@ -140,15 +100,6 @@ func (d *DropBack) Apply() int {
 	d.havePrev = true
 	// After the swap, prevMask holds the current selection.
 	return swaps
-}
-
-// recordSwaps folds one step's swap count into the O(1) summary and, unless
-// the series is disabled, appends it to the full per-step history.
-func (d *DropBack) recordSwaps(swaps int) {
-	d.swapSummary.Add(swaps)
-	if !d.cfg.DisableSwapHistory {
-		d.swapHistory = append(d.swapHistory, swaps)
-	}
 }
 
 // computeScores fills d.scores with |W_t − W_0| for every global index.
@@ -266,9 +217,6 @@ func (d *DropBack) Freeze() {
 	d.frozen = true
 }
 
-// Frozen reports whether the tracked set is frozen.
-func (d *DropBack) Frozen() bool { return d.frozen }
-
 // MaybeFreezeAtEpochEnd freezes the tracked set if the configured freeze
 // epoch has just completed. The trainer calls it after every epoch.
 func (d *DropBack) MaybeFreezeAtEpochEnd(epoch int) {
@@ -276,6 +224,16 @@ func (d *DropBack) MaybeFreezeAtEpochEnd(epoch int) {
 		d.Freeze()
 	}
 }
+
+// Update applies opt's step to the parameter set, then the constraint, and
+// returns Apply's swap count.
+func (d *DropBack) Update(opt *optim.SGD) int {
+	opt.Step(d.set)
+	return d.Apply()
+}
+
+// EndEpoch runs MaybeFreezeAtEpochEnd.
+func (d *DropBack) EndEpoch(epoch int) { d.MaybeFreezeAtEpochEnd(epoch) }
 
 // SwapSummary is the bounded form of the swap-history telemetry: the
 // per-step series collapsed to four scalars. It is what checkpoints store —
@@ -334,30 +292,15 @@ type State struct {
 }
 
 // State captures the constraint's resumable state.
-func (d *DropBack) State() State {
-	st := State{
-		Frozen:        d.frozen,
-		HaveSelection: d.havePrev,
-		StepCount:     d.stepCount,
-		Regenerations: d.regenerations,
-		TrackedWrites: d.trackedWrites,
-		Swaps:         d.swapSummary,
-	}
-	if d.havePrev {
-		st.Mask = d.Mask()
-	}
-	return st
-}
+func (d *DropBack) State() State { return d.state(d.Mask) }
 
 // RestoreState rewinds the constraint to a previously captured state. The
 // mask length must match the parameter space (or be empty when no selection
 // had happened yet).
 func (d *DropBack) RestoreState(st State) error {
-	if st.HaveSelection && len(st.Mask) != d.set.Total() {
-		return fmt.Errorf("core: state mask covers %d weights, parameter space has %d", len(st.Mask), d.set.Total())
+	if err := d.restore(st); err != nil {
+		return err
 	}
-	d.frozen = st.Frozen
-	d.havePrev = st.HaveSelection
 	if st.HaveSelection {
 		// After Apply the latest selection lives in prevMask; the frozen
 		// path reads mask directly. Restore both so either path resumes
@@ -365,46 +308,23 @@ func (d *DropBack) RestoreState(st State) error {
 		copy(d.prevMask, st.Mask)
 		copy(d.mask, st.Mask)
 	} else {
-		for i := range d.mask {
-			d.mask[i] = false
-			d.prevMask[i] = false
-		}
-	}
-	d.stepCount = st.StepCount
-	d.regenerations = st.Regenerations
-	d.trackedWrites = st.TrackedWrites
-	d.swapSummary = st.Swaps
-	// The in-memory series is deterministic, so any prefix of it is exact:
-	// a rollback (series longer than the restored step count) truncates to
-	// the captured prefix; a resume into a fresh constraint (series shorter)
-	// keeps what it has and the series covers post-resume steps only.
-	if len(d.swapHistory) > st.Swaps.Steps {
-		d.swapHistory = d.swapHistory[:st.Swaps.Steps]
+		clear(d.mask)
+		clear(d.prevMask)
 	}
 	return nil
 }
 
 // Mask returns a copy of the current tracked-set mask over global indices.
 func (d *DropBack) Mask() []bool {
-	src := d.mask
-	if d.havePrev && !d.frozen {
-		src = d.prevMask // latest selection lives in prevMask after Apply
-	}
-	out := make([]bool, len(src))
-	copy(out, src)
-	return out
+	return append([]bool(nil), d.liveMask()...)
 }
 
 // TrackedCount returns the number of currently tracked weights. It counts
 // the live mask in place — the trainer polls this per step for the tracked
 // gauge, so it must not copy the n-element mask.
 func (d *DropBack) TrackedCount() int {
-	src := d.mask
-	if d.havePrev && !d.frozen {
-		src = d.prevMask // latest selection lives in prevMask after Apply
-	}
 	n := 0
-	for _, m := range src {
+	for _, m := range d.liveMask() {
 		if m {
 			n++
 		}
@@ -418,46 +338,13 @@ func (d *DropBack) TrackedCount() int {
 // constraint state, which is what lets the frozen-phase wire frames carry
 // k values with no index side-band.
 func (d *DropBack) AppendTrackedIndices(dst []int32) []int32 {
-	src := d.mask
-	if d.havePrev && !d.frozen {
-		src = d.prevMask // latest selection lives in prevMask after Apply
-	}
-	for i, m := range src {
+	for i, m := range d.liveMask() {
 		if m {
 			dst = append(dst, int32(i))
 		}
 	}
 	return dst
 }
-
-// AccumulatedGradients returns a copy of the most recent |W_t − W_0| score
-// vector (Fig 1's distribution). Call after at least one Apply.
-func (d *DropBack) AccumulatedGradients() []float32 {
-	out := make([]float32, len(d.scores))
-	copy(out, d.scores)
-	return out
-}
-
-// SwapHistory returns the number of weights that entered the tracked set at
-// each step (Fig 2's series). Empty when Config.DisableSwapHistory is set —
-// use Swaps for the bounded summary.
-func (d *DropBack) SwapHistory() []int {
-	out := make([]int, len(d.swapHistory))
-	copy(out, d.swapHistory)
-	return out
-}
-
-// Swaps returns the bounded swap-telemetry summary, available regardless of
-// whether the full series is kept.
-func (d *DropBack) Swaps() SwapSummary { return d.swapSummary }
-
-// Regenerations returns the total number of untracked-weight regenerations
-// performed — each one replacing what would otherwise be an off-chip weight
-// store+load pair (the energy model consumes this).
-func (d *DropBack) Regenerations() int64 { return d.regenerations }
-
-// TrackedWrites returns the total number of tracked-weight writes retained.
-func (d *DropBack) TrackedWrites() int64 { return d.trackedWrites }
 
 // LayerRetention describes how many of a parameter tensor's weights are in
 // the tracked set — Table 2's per-layer breakdown.

@@ -94,31 +94,18 @@ func (t *TrackedTensor) rebuildRowPtr() {
 // CSR values + tracked gradients + small tensors — the steady state whose
 // byte count WeightStateBytes reports and the benchmarks gate.
 type TrackedTrainer struct {
-	set *nn.ParamSet
-	cfg Config
-	sgd optim.TrackedSGD
+	tracking // mask and prevMask are nil once frozen
+	sgd      optim.TrackedSGD
 
 	// big is aligned with set.Params(); nil entries are dense-updated
 	// small tensors.
 	big []*TrackedTensor
-
-	scores   []float32
-	mask     []bool // nil once frozen
-	prevMask []bool // nil once frozen
-	havePrev bool
-	frozen   bool
 
 	// smallMask holds per-small-tensor tracked masks once frozen (the
 	// global n-mask is freed at freeze — big-tensor membership is the CSR
 	// index array itself).
 	smallMask     [][]bool
 	frozenTracked int
-
-	stepCount     int
-	swapHistory   []int
-	swapSummary   SwapSummary
-	regenerations int64
-	trackedWrites int64
 }
 
 // NewTrackedTrainer builds the sparse-native training engine over the given
@@ -126,36 +113,14 @@ type TrackedTrainer struct {
 // switches (DryRun, ZeroUntracked, SelectByMagnitude, PerLayerBudget) stay
 // on the dense trainer.
 func NewTrackedTrainer(set *nn.ParamSet, cfg Config) *TrackedTrainer {
-	if cfg.Budget <= 0 {
-		panic(fmt.Sprintf("core: budget must be positive, got %d", cfg.Budget))
-	}
-	if cfg.Budget > set.Total() {
-		cfg.Budget = set.Total()
-	}
 	if cfg.DryRun || cfg.ZeroUntracked || cfg.SelectByMagnitude || cfg.PerLayerBudget {
 		panic("core: tracked trainer supports the plain DropBack path only")
 	}
-	n := set.Total()
 	return &TrackedTrainer{
-		set:       set,
-		cfg:       cfg,
+		tracking:  newTracking(set, cfg),
 		big:       make([]*TrackedTensor, len(set.Params())),
 		smallMask: make([][]bool, len(set.Params())),
-		scores:    make([]float32, n),
-		mask:      make([]bool, n),
-		prevMask:  make([]bool, n),
 	}
-}
-
-// Config returns the configuration the engine was built with.
-func (d *TrackedTrainer) Config() Config { return d.cfg }
-
-// Budget returns k, the tracked-weight budget.
-func (d *TrackedTrainer) Budget() int { return d.cfg.Budget }
-
-// CompressionRatio returns total parameters divided by the budget.
-func (d *TrackedTrainer) CompressionRatio() float64 {
-	return float64(d.set.Total()) / float64(d.cfg.Budget)
 }
 
 // Virtualize registers one parameter tensor for CSR storage, viewed as a
@@ -191,13 +156,6 @@ func (d *TrackedTrainer) Virtualize(p *nn.Param, rows int) (*TrackedTensor, erro
 	t := NewTrackedTensor(p.Init, rows, p.Len()/rows, tIdx, tVal)
 	d.big[idx] = t
 	return t, nil
-}
-
-func (d *TrackedTrainer) recordSwaps(swaps int) {
-	d.swapSummary.Add(swaps)
-	if !d.cfg.DisableSwapHistory {
-		d.swapHistory = append(d.swapHistory, swaps)
-	}
 }
 
 // Apply performs one optimizer step under the DropBack constraint: SGD
@@ -425,15 +383,26 @@ func (d *TrackedTrainer) freezeTransition() {
 	d.mask, d.prevMask = nil, nil
 }
 
-// Frozen reports whether the tracked set is frozen.
-func (d *TrackedTrainer) Frozen() bool { return d.frozen }
-
 // MaybeFreezeAtEpochEnd freezes the tracked set if the configured freeze
 // epoch has just completed.
 func (d *TrackedTrainer) MaybeFreezeAtEpochEnd(epoch int) {
 	if !d.frozen && d.cfg.FreezeAfterEpoch >= 0 && epoch >= d.cfg.FreezeAfterEpoch {
 		d.Freeze()
 	}
+}
+
+// Update runs Apply at opt's learning rate. The engine fuses the SGD update
+// with selection and regeneration over the tracked representation, so
+// opt.Step itself never runs: the model's dense big tensors are stale
+// between epoch boundaries.
+func (d *TrackedTrainer) Update(opt *optim.SGD) int { return d.Apply(opt.LR) }
+
+// EndEpoch runs MaybeFreezeAtEpochEnd, then Densify, so evaluation,
+// best-snapshot capture and checkpoints see exactly the values the dense
+// trainer holds here.
+func (d *TrackedTrainer) EndEpoch(epoch int) {
+	d.MaybeFreezeAtEpochEnd(epoch)
+	d.Densify()
 }
 
 // Densify writes every virtualized tensor's dense values (tracked values
@@ -458,11 +427,7 @@ func (d *TrackedTrainer) Densify() {
 func (d *TrackedTrainer) Mask() []bool {
 	out := make([]bool, d.set.Total())
 	if !d.frozen {
-		src := d.mask
-		if d.havePrev {
-			src = d.prevMask
-		}
-		copy(out, src)
+		copy(out, d.liveMask())
 		return out
 	}
 	for i, p := range d.set.Params() {
@@ -484,12 +449,8 @@ func (d *TrackedTrainer) TrackedCount() int {
 	if d.frozen {
 		return d.frozenTracked
 	}
-	src := d.mask
-	if d.havePrev {
-		src = d.prevMask
-	}
 	n := 0
-	for _, m := range src {
+	for _, m := range d.liveMask() {
 		if m {
 			n++
 		}
@@ -506,11 +467,7 @@ func (d *TrackedTrainer) TrackedCount() int {
 // order and each CSR's Idx array is ascending.
 func (d *TrackedTrainer) AppendTrackedIndices(dst []int32) []int32 {
 	if !d.frozen {
-		src := d.mask
-		if d.havePrev {
-			src = d.prevMask
-		}
-		for i, m := range src {
+		for i, m := range d.liveMask() {
 			if m {
 				dst = append(dst, int32(i))
 			}
@@ -534,32 +491,6 @@ func (d *TrackedTrainer) AppendTrackedIndices(dst []int32) []int32 {
 	return dst
 }
 
-// AccumulatedGradients returns a copy of the most recent score vector. The
-// final pre-freeze scores are retained after Freeze for telemetry parity
-// with the dense constraint; they are not part of WeightStateBytes.
-func (d *TrackedTrainer) AccumulatedGradients() []float32 {
-	out := make([]float32, len(d.scores))
-	copy(out, d.scores)
-	return out
-}
-
-// SwapHistory returns the per-step tracked-set entry counts (empty when
-// Config.DisableSwapHistory is set).
-func (d *TrackedTrainer) SwapHistory() []int {
-	out := make([]int, len(d.swapHistory))
-	copy(out, d.swapHistory)
-	return out
-}
-
-// Swaps returns the bounded swap-telemetry summary.
-func (d *TrackedTrainer) Swaps() SwapSummary { return d.swapSummary }
-
-// Regenerations returns the total untracked-weight regeneration count.
-func (d *TrackedTrainer) Regenerations() int64 { return d.regenerations }
-
-// TrackedWrites returns the total tracked-weight writes retained.
-func (d *TrackedTrainer) TrackedWrites() int64 { return d.trackedWrites }
-
 // RetentionByParam returns the tracked count for every parameter tensor.
 func (d *TrackedTrainer) RetentionByParam() []LayerRetention {
 	out := make([]LayerRetention, 0, len(d.set.Params()))
@@ -576,10 +507,7 @@ func (d *TrackedTrainer) RetentionByParam() []LayerRetention {
 				}
 			}
 		default:
-			src := d.mask
-			if d.havePrev {
-				src = d.prevMask
-			}
+			src := d.liveMask()
 			for e := 0; e < p.Len(); e++ {
 				if src[base+e] {
 					r.Retained++
@@ -638,20 +566,7 @@ func (d *TrackedTrainer) DenseWeightStateBytes() int64 {
 // State captures the engine's resumable state in the same form as
 // DropBack.State, so checkpoints cross-resume between the dense and sparse
 // trainers.
-func (d *TrackedTrainer) State() State {
-	st := State{
-		Frozen:        d.frozen,
-		HaveSelection: d.havePrev,
-		StepCount:     d.stepCount,
-		Regenerations: d.regenerations,
-		TrackedWrites: d.trackedWrites,
-		Swaps:         d.swapSummary,
-	}
-	if d.havePrev {
-		st.Mask = d.Mask()
-	}
-	return st
-}
+func (d *TrackedTrainer) State() State { return d.state(d.Mask) }
 
 // RestoreState rewinds the engine to a previously captured state. The
 // model's dense parameter values must already hold the checkpointed values
@@ -660,28 +575,17 @@ func (d *TrackedTrainer) State() State {
 // to be bit-equal to its regenerated init — the invariant both trainers
 // maintain.
 func (d *TrackedTrainer) RestoreState(st State) error {
-	if st.HaveSelection && len(st.Mask) != d.set.Total() {
-		return fmt.Errorf("core: state mask covers %d weights, parameter space has %d", len(st.Mask), d.set.Total())
+	if err := d.restore(st); err != nil {
+		return err
 	}
 	if d.mask == nil {
 		n := d.set.Total()
 		d.mask = make([]bool, n)
 		d.prevMask = make([]bool, n)
 	}
-	d.frozen = st.Frozen
-	d.havePrev = st.HaveSelection
-	d.stepCount = st.StepCount
-	d.regenerations = st.Regenerations
-	d.trackedWrites = st.TrackedWrites
-	d.swapSummary = st.Swaps
-	if len(d.swapHistory) > st.Swaps.Steps {
-		d.swapHistory = d.swapHistory[:st.Swaps.Steps]
-	}
 	if !st.HaveSelection {
-		for i := range d.mask {
-			d.mask[i] = false
-			d.prevMask[i] = false
-		}
+		clear(d.mask)
+		clear(d.prevMask)
 		for i, p := range d.set.Params() {
 			t := d.big[i]
 			if t == nil {

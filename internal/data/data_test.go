@@ -3,6 +3,9 @@ package data
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 
 	"dropback/internal/tensor"
@@ -328,4 +331,27 @@ func TestDatasetTensorViewIsShared(t *testing.T) {
 	}
 	ds.X.Data[0] = orig
 	_ = tensor.New(1) // keep tensor import
+}
+
+// TestReadIDXImagesAllocatesOnlyWhatArrives feeds a header that claims
+// 2²⁴×4096×4096 pixels over a stream that ends right after it. The reader
+// must fail with io.ErrUnexpectedEOF without first allocating the claimed
+// size.
+func TestReadIDXImagesAllocatesOnlyWhatArrives(t *testing.T) {
+	var hdr bytes.Buffer
+	for _, v := range []uint32{idxMagicImages, 1 << 24, 4096, 4096} {
+		if err := binary.Write(&hdr, binary.BigEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadIDXImages(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("ReadIDXImages error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("ReadIDXImages allocated %d bytes for a %d-byte stream", grew, hdr.Len())
+	}
 }

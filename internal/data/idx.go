@@ -35,8 +35,13 @@ func ReadIDXImages(r io.Reader) (*tensor.Tensor, error) {
 	if n <= 0 || h <= 0 || w <= 0 || n > 1<<24 || h > 4096 || w > 4096 {
 		return nil, fmt.Errorf("data: implausible IDX image dims %d×%d×%d", n, h, w)
 	}
-	raw := make([]byte, n*h*w)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	// The buffer grows as pixels arrive, so a corrupt header over a short
+	// stream cannot first allocate the n·h·w bytes it claims.
+	raw, err := io.ReadAll(io.LimitReader(r, int64(n*h*w)))
+	if err == nil && len(raw) < n*h*w {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("data: reading IDX pixels: %w", err)
 	}
 	t := tensor.New(n, 1, h, w)

@@ -143,7 +143,7 @@ func TestWRNFullSizeForwardStep(t *testing.T) {
 
 func TestVGGSVariationalFactory(t *testing.T) {
 	m := NewVGGS(VGGSReduced(8, 2, 9, prune.Variational{}))
-	vd := prune.NewVD(m.Net, 1e-4)
+	vd := prune.NewVD(m.Set, m.Net, 1e-4)
 	if vd.LayerCount() == 0 {
 		t.Fatal("variational factory produced no VD layers")
 	}

@@ -19,8 +19,8 @@ func TestDSDSparsePhaseMasksLowest(t *testing.T) {
 	for g := 0; g < set.Total(); g++ {
 		set.Set(g, float32(g)) // magnitude == index
 	}
-	d := NewDSD(set, 0.5)
-	d.BeginSparsePhase()
+	d := NewDSD(set, 0.5, 0, 1)
+	d.BeginEpoch(0)
 	if !d.Sparse() {
 		t.Fatal("sparse phase not active")
 	}
@@ -44,10 +44,10 @@ func TestDSDAfterStepKeepsMaskInSparsePhase(t *testing.T) {
 	for g := 0; g < set.Total(); g++ {
 		set.Set(g, float32(g))
 	}
-	d := NewDSD(set, 0.5)
-	d.BeginSparsePhase()
+	d := NewDSD(set, 0.5, 0, 1)
+	d.BeginEpoch(0)
 	set.Set(0, 99) // optimizer "revives" a masked weight
-	d.AfterStep()
+	d.afterStep()
 	if set.Get(0) != 0 {
 		t.Fatal("masked weight must stay zero during the sparse phase")
 	}
@@ -58,11 +58,11 @@ func TestDSDDensePhaseReleasesMask(t *testing.T) {
 	for g := 0; g < set.Total(); g++ {
 		set.Set(g, float32(g))
 	}
-	d := NewDSD(set, 0.5)
-	d.BeginSparsePhase()
-	d.EndSparsePhase()
+	d := NewDSD(set, 0.5, 0, 1)
+	d.BeginEpoch(0)
+	d.BeginEpoch(1)
 	set.Set(0, 99)
-	d.AfterStep()
+	d.afterStep()
 	if set.Get(0) != 99 {
 		t.Fatal("dense phase must not reapply the mask")
 	}
@@ -73,7 +73,7 @@ func TestDSDDensePhaseReleasesMask(t *testing.T) {
 
 func TestDSDCompressionIsOne(t *testing.T) {
 	set, _ := dsdSet()
-	d := NewDSD(set, 0.3)
+	d := NewDSD(set, 0.3, 0, 1)
 	if d.CompressionRatio() != 1 {
 		t.Fatal("DSD's final model is dense: compression must be 1 (the §2.2 contrast)")
 	}
@@ -88,7 +88,7 @@ func TestDSDBadFractionPanics(t *testing.T) {
 					t.Fatalf("expected panic for fraction %v", f)
 				}
 			}()
-			NewDSD(set, f)
+			NewDSD(set, f, 0, 1)
 		}()
 	}
 }
@@ -101,7 +101,7 @@ func TestDSDTrainingCycleLearns(t *testing.T) {
 		nn.NewLinear("dsdt/fc2", 33, 12, 2),
 	)
 	m := nn.NewModel(net, 33)
-	d := NewDSD(m.Set, 0.3)
+	d := NewDSD(m.Set, 0.3, 1, 2)
 	x := tensor.New(16, 2)
 	labels := make([]int, 16)
 	for i := range labels {
@@ -109,18 +109,16 @@ func TestDSDTrainingCycleLearns(t *testing.T) {
 		x.Set(1+0.1*xorshift.IndexedNormal(1, uint64(i)), i, i%2)
 	}
 	sgd := optim.NewSGD(0.3)
-	phase := func(steps int) {
-		for s := 0; s < steps; s++ {
+	phase := func(epoch int) {
+		d.BeginEpoch(epoch)
+		for s := 0; s < 100; s++ {
 			m.Step(x, labels)
-			sgd.Step(m.Set)
-			d.AfterStep()
+			d.Update(sgd)
 		}
 	}
-	phase(100) // dense
-	d.BeginSparsePhase()
-	phase(100) // sparse
-	d.EndSparsePhase()
-	phase(100) // dense refinement
+	phase(0) // dense
+	phase(1) // sparse
+	phase(2) // dense refinement
 	if _, acc := m.Eval(x, labels); acc != 1 {
 		t.Fatalf("DSD cycle failed to fit the toy task (acc %v)", acc)
 	}

@@ -9,12 +9,20 @@
 // variational dropout perturbs the loss surface (diffusing much faster and
 // failing to converge on dense networks), and network slimming requires a
 // full train-prune-retrain cycle with dense training-time memory traffic.
+//
+// Magnitude, VD, Slimming and DSD all plug into the trainer through the
+// same four hooks: BeginEpoch before an epoch's first step; Update after
+// each backward pass, for the method's gradient terms, the optimizer step
+// and the method's projection; EndEpoch after an epoch's last step; and
+// Resume to re-derive state a checkpoint does not carry.
 package prune
 
 import (
 	"fmt"
 
+	"dropback/internal/core"
 	"dropback/internal/nn"
+	"dropback/internal/optim"
 )
 
 // Magnitude is the paper's "straightforward magnitude-based pruning
@@ -41,10 +49,7 @@ func NewMagnitude(set *nn.ParamSet, pruneFraction float64) *Magnitude {
 		panic(fmt.Sprintf("prune: prune fraction %v out of [0,1)", pruneFraction))
 	}
 	n := set.Total()
-	keep := int(float64(n) * (1 - pruneFraction))
-	if keep < 1 {
-		keep = 1
-	}
+	keep := max(int(float64(n)*(1-pruneFraction)), 1)
 	return &Magnitude{
 		set:           set,
 		PruneFraction: pruneFraction,
@@ -76,7 +81,7 @@ func (m *Magnitude) Apply() {
 			m.scores[base+e] = v
 		}
 	}
-	selectTopKInto(m.mask, m.scores, m.keep)
+	core.SelectTopKInto(m.mask, m.scores, m.keep, core.StrategyQuickselect)
 	for i, p := range m.set.Params() {
 		base := m.set.Offset(i)
 		for e := range p.Value.Data {
@@ -88,6 +93,23 @@ func (m *Magnitude) Apply() {
 	}
 }
 
+// BeginEpoch is a no-op.
+func (m *Magnitude) BeginEpoch(int) {}
+
+// Update applies opt's step, then Apply. It returns −1: there is no tracked
+// set to report swaps for.
+func (m *Magnitude) Update(opt *optim.SGD) int {
+	opt.Step(m.set)
+	m.Apply()
+	return -1
+}
+
+// EndEpoch is a no-op.
+func (m *Magnitude) EndEpoch(int) {}
+
+// Resume is a no-op: the next Apply re-derives the mask from the weights.
+func (m *Magnitude) Resume(int) {}
+
 // Zeroed returns the cumulative number of weight-zeroing writes performed.
 func (m *Magnitude) Zeroed() int64 { return m.zeroed }
 
@@ -96,90 +118,4 @@ func (m *Magnitude) Mask() []bool {
 	out := make([]bool, len(m.mask))
 	copy(out, m.mask)
 	return out
-}
-
-// selectTopKInto mirrors core.SelectTopKInto (quickselect with
-// deterministic tie-breaking) without importing the core package, keeping
-// the baseline self-contained the way an independent implementation would
-// be.
-func selectTopKInto(mask []bool, scores []float32, k int) {
-	for i := range mask {
-		mask[i] = false
-	}
-	if k <= 0 {
-		return
-	}
-	if k >= len(scores) {
-		for i := range mask {
-			mask[i] = true
-		}
-		return
-	}
-	buf := make([]float32, len(scores))
-	copy(buf, scores)
-	target := len(buf) - k
-	lo, hi := 0, len(buf)-1
-	for lo < hi {
-		// Three-way partitioning: magnitude score vectors carry huge runs
-		// of exact zeros (previously pruned weights), which would degrade
-		// a two-way quickselect to O(n²).
-		ltEnd, gtStart := partition3(buf, lo, hi)
-		switch {
-		case target < ltEnd:
-			hi = ltEnd - 1
-		case target >= gtStart:
-			lo = gtStart
-		default:
-			lo, hi = target, target
-		}
-	}
-	thresh := buf[target]
-	count := 0
-	for i, s := range scores {
-		if s > thresh {
-			mask[i] = true
-			count++
-		}
-	}
-	for i, s := range scores {
-		if count == k {
-			break
-		}
-		if s == thresh && !mask[i] {
-			mask[i] = true
-			count++
-		}
-	}
-}
-
-// partition3 partitions a[lo..hi] into (< pivot | == pivot | > pivot) with
-// a median-of-three pivot, returning (ltEnd, gtStart): the equal run
-// occupies a[ltEnd:gtStart].
-func partition3(a []float32, lo, hi int) (ltEnd, gtStart int) {
-	mid := lo + (hi-lo)/2
-	if a[mid] < a[lo] {
-		a[mid], a[lo] = a[lo], a[mid]
-	}
-	if a[hi] < a[lo] {
-		a[hi], a[lo] = a[lo], a[hi]
-	}
-	if a[hi] < a[mid] {
-		a[hi], a[mid] = a[mid], a[hi]
-	}
-	pivot := a[mid]
-	lt, i, gt := lo, lo, hi
-	for i <= gt {
-		switch {
-		case a[i] < pivot:
-			a[lt], a[i] = a[i], a[lt]
-			lt++
-			i++
-		case a[i] > pivot:
-			a[i], a[gt] = a[gt], a[i]
-			gt--
-		default:
-			i++
-		}
-	}
-	return lt, gt + 1
 }

@@ -204,7 +204,7 @@ func TestVDCoordinatorFindsNestedLayers(t *testing.T) {
 		nn.NewReLU("v/r"),
 		nn.NewSequential("v/inner", NewVDLinear("v/fc2", 1, 4, 2)),
 	)
-	vd := NewVD(net, 1e-4)
+	vd := NewVD(nn.NewParamSet(net), net, 1e-4)
 	if vd.LayerCount() != 2 {
 		t.Fatalf("found %d VD layers, want 2", vd.LayerCount())
 	}
@@ -213,7 +213,7 @@ func TestVDCoordinatorFindsNestedLayers(t *testing.T) {
 func TestVDSparsityAndCompression(t *testing.T) {
 	l := NewVDLinear("vs/fc", 1, 4, 2) // 8 weights
 	net := nn.NewSequential("vs", l)
-	vd := NewVD(net, 1e-4)
+	vd := NewVD(nn.NewParamSet(net), net, 1e-4)
 	// Prune half the weights.
 	for i := 0; i < 4; i++ {
 		l.noise.LogAlpha.Value.Data[i] = 4
@@ -229,11 +229,9 @@ func TestVDSparsityAndCompression(t *testing.T) {
 
 func TestVDClamp(t *testing.T) {
 	l := NewVDLinear("vc/fc", 1, 2, 2)
-	net := nn.NewSequential("vc", l)
-	vd := NewVD(net, 1e-4)
 	l.noise.LogAlpha.Value.Data[0] = 100
 	l.noise.LogAlpha.Value.Data[1] = -100
-	vd.AfterStep()
+	l.noise.clamp()
 	if l.noise.LogAlpha.Value.Data[0] != 4 || l.noise.LogAlpha.Value.Data[1] != -10 {
 		t.Fatalf("clamp failed: %v", l.noise.LogAlpha.Value.Data[:2])
 	}
@@ -275,7 +273,7 @@ func buildBNNet() (*nn.Sequential, []*nn.BatchNorm) {
 
 func TestSlimmingFindsBatchNorms(t *testing.T) {
 	net, _ := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.5, 0)
 	if s.BatchNormCount() != 2 {
 		t.Fatalf("found %d BNs, want 2", s.BatchNormCount())
 	}
@@ -283,12 +281,12 @@ func TestSlimmingFindsBatchNorms(t *testing.T) {
 
 func TestSlimmingL1Grads(t *testing.T) {
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 0.01, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 0.01, 0.5, 0)
 	bns[0].Gamma.Value.Data[0] = 2
 	bns[0].Gamma.Value.Data[1] = -2
 	bns[0].Gamma.Value.Data[2] = 0
 	nn.NewParamSet(net).ZeroGrads()
-	s.AddL1Grads()
+	s.addL1Grads()
 	if bns[0].Gamma.Grad.Data[0] != 0.01 {
 		t.Fatalf("positive gamma grad = %v, want 0.01", bns[0].Gamma.Grad.Data[0])
 	}
@@ -302,11 +300,11 @@ func TestSlimmingL1Grads(t *testing.T) {
 
 func TestSlimmingPruneRemovesSmallestChannels(t *testing.T) {
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.5, 0)
 	// Smallest four |γ| are split across both layers: bn1 {1,2}, bn2 {3,4}.
 	copy(bns[0].Gamma.Value.Data, []float32{1, 2, 10, 11})
 	copy(bns[1].Gamma.Value.Data, []float32{3, 4, 12, 13})
-	pruned := s.Prune()
+	pruned := s.prune()
 	if pruned != 4 {
 		t.Fatalf("pruned %d channels, want 4", pruned)
 	}
@@ -332,10 +330,10 @@ func TestSlimmingLayerGuardKeepsOneChannel(t *testing.T) {
 	// When the global threshold would kill every channel of a layer, the
 	// largest-|γ| channel is kept alive so the network can still compute.
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.5, 0)
 	copy(bns[0].Gamma.Value.Data, []float32{1, 2, 3, 4})
 	copy(bns[1].Gamma.Value.Data, []float32{10, 11, 12, 13})
-	pruned := s.Prune()
+	pruned := s.prune()
 	if pruned != 3 {
 		t.Fatalf("pruned %d channels, want 3 (guard saves one)", pruned)
 	}
@@ -348,12 +346,12 @@ func TestSlimmingNeverPrunesWholeLayerToZero(t *testing.T) {
 	// Wait — pruning all of bn1 is allowed (4 of 8 = 0.5) but masks must
 	// keep at least one channel alive when a layer would lose everything.
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.6) // would prune 4.8 -> cut inside bn1
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.6, 0) // would prune 4.8 -> cut inside bn1
 	for i := 0; i < 4; i++ {
 		bns[0].Gamma.Value.Data[i] = 0.001 * float32(i+1)
 		bns[1].Gamma.Value.Data[i] = 10
 	}
-	s.Prune()
+	s.prune()
 	alive := 0
 	for _, g := range bns[0].Gamma.Value.Data {
 		if g != 0 {
@@ -367,39 +365,39 @@ func TestSlimmingNeverPrunesWholeLayerToZero(t *testing.T) {
 
 func TestSlimmingAfterStepKeepsChannelsDead(t *testing.T) {
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.5, 0)
 	for i := 0; i < 4; i++ {
 		bns[0].Gamma.Value.Data[i] = float32(i + 1)
 		bns[1].Gamma.Value.Data[i] = float32(10 + i)
 	}
-	s.Prune()
+	s.prune()
 	// Fine-tune step "accidentally" revives a pruned channel.
 	bns[0].Gamma.Value.Data[0] = 5
-	s.AfterStep()
+	s.killPruned()
 	if bns[0].Gamma.Value.Data[0] != 0 {
-		t.Fatal("AfterStep must re-kill pruned channels")
+		t.Fatal("killPruned must re-kill pruned channels")
 	}
 }
 
 func TestSlimmingAfterStepNoopBeforePrune(t *testing.T) {
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.5, 0)
 	bns[0].Gamma.Value.Data[0] = 7
-	s.AfterStep()
+	s.killPruned()
 	if bns[0].Gamma.Value.Data[0] != 7 {
-		t.Fatal("AfterStep before Prune must be a no-op")
+		t.Fatal("killPruned before the prune must be a no-op")
 	}
 }
 
 func TestSlimmingCompression(t *testing.T) {
 	net, bns := buildBNNet()
-	s := NewSlimming(net, 1e-4, 0.5)
+	s := NewSlimming(nn.NewParamSet(net), net, 1e-4, 0.5, 0)
 	copy(bns[0].Gamma.Value.Data, []float32{1, 2, 10, 11})
 	copy(bns[1].Gamma.Value.Data, []float32{3, 4, 12, 13})
 	if s.CompressionRatio() != 1 {
 		t.Fatal("compression before prune must be 1")
 	}
-	s.Prune()
+	s.prune()
 	if got := s.CompressionRatio(); got != 2 {
 		t.Fatalf("compression = %v, want 2 (8 channels / 4 kept)", got)
 	}
@@ -412,7 +410,7 @@ func TestSlimmingBadFractionPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSlimming(net, 1e-4, 1.0)
+	NewSlimming(nn.NewParamSet(net), net, 1e-4, 1.0, 0)
 }
 
 func TestFactories(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dropback/internal/nn"
+	"dropback/internal/optim"
 )
 
 // Slimming implements network slimming (Liu et al. 2017), the paper's
@@ -19,22 +20,27 @@ import (
 type Slimming struct {
 	// Lambda is the L1 penalty strength on γ.
 	Lambda float32
-	// PruneFraction is the fraction of BN channels removed at Prune time;
+	// PruneFraction is the fraction of BN channels removed at the prune;
 	// the paper's "Slimming .75" rows use 0.75.
 	PruneFraction float64
+	// PruneAtEpoch is the zero-based epoch whose end triggers the prune
+	// and the switch to fine-tuning.
+	PruneAtEpoch int
 
+	set    *nn.ParamSet
 	bns    []*nn.BatchNorm
 	pruned bool
 	// masks[i][c] is true when channel c of bns[i] survives pruning.
 	masks [][]bool
 }
 
-// NewSlimming collects every BatchNorm in the layer tree.
-func NewSlimming(root nn.Layer, lambda float32, pruneFraction float64) *Slimming {
+// NewSlimming collects every BatchNorm in the layer tree; set is the
+// model's full parameter set, which Update steps.
+func NewSlimming(set *nn.ParamSet, root nn.Layer, lambda float32, pruneFraction float64, pruneAtEpoch int) *Slimming {
 	if pruneFraction < 0 || pruneFraction >= 1 {
 		panic(fmt.Sprintf("prune: slimming fraction %v out of [0,1)", pruneFraction))
 	}
-	s := &Slimming{Lambda: lambda, PruneFraction: pruneFraction}
+	s := &Slimming{Lambda: lambda, PruneFraction: pruneFraction, PruneAtEpoch: pruneAtEpoch, set: set}
 	nn.Walk(root, func(l nn.Layer) {
 		if bn, ok := l.(*nn.BatchNorm); ok {
 			s.bns = append(s.bns, bn)
@@ -46,10 +52,23 @@ func NewSlimming(root nn.Layer, lambda float32, pruneFraction float64) *Slimming
 // BatchNormCount returns the number of BN layers under management.
 func (s *Slimming) BatchNormCount() int { return len(s.bns) }
 
-// AddL1Grads injects λ·sign(γ) into every γ gradient buffer; call between
-// the backward pass and the optimizer step during the sparsity-training
-// phase.
-func (s *Slimming) AddL1Grads() {
+// BeginEpoch is a no-op.
+func (s *Slimming) BeginEpoch(int) {}
+
+// Update adds the L1 gradient until the prune, applies opt's step, then
+// re-zeroes the pruned channels. It returns −1: there is no tracked set to
+// report swaps for.
+func (s *Slimming) Update(opt *optim.SGD) int {
+	if !s.pruned {
+		s.addL1Grads()
+	}
+	opt.Step(s.set)
+	s.killPruned()
+	return -1
+}
+
+// addL1Grads injects λ·sign(γ) into every γ gradient buffer.
+func (s *Slimming) addL1Grads() {
 	for _, bn := range s.bns {
 		for i, g := range bn.Gamma.Value.Data {
 			switch {
@@ -62,10 +81,36 @@ func (s *Slimming) AddL1Grads() {
 	}
 }
 
-// Prune selects the global |γ| threshold removing PruneFraction of all
+// EndEpoch prunes once PruneAtEpoch has completed.
+func (s *Slimming) EndEpoch(epoch int) {
+	if !s.pruned && epoch >= s.PruneAtEpoch {
+		s.prune()
+	}
+}
+
+// Resume re-derives the channel masks, which checkpoints do not carry, when
+// the run resumes after its prune (epochs completed epochs > PruneAtEpoch).
+// Pruned channels hold exactly zero (γ, β), since Update re-zeroes them after
+// every step, so the masks are read back from the restored weights.
+func (s *Slimming) Resume(epochs int) {
+	if epochs <= s.PruneAtEpoch {
+		return
+	}
+	s.masks = s.masks[:0]
+	for _, bn := range s.bns {
+		mask := make([]bool, bn.C)
+		for c := range mask {
+			mask[c] = bn.Gamma.Value.Data[c] != 0 || bn.Beta.Value.Data[c] != 0
+		}
+		s.masks = append(s.masks, mask)
+	}
+	s.pruned = true
+}
+
+// prune selects the global |γ| threshold removing PruneFraction of all
 // channels, zeroes (γ, β) for pruned channels, and records the channel
 // masks used during fine-tuning. It returns the number of channels pruned.
-func (s *Slimming) Prune() int {
+func (s *Slimming) prune() int {
 	var all []float32
 	for _, bn := range s.bns {
 		for _, g := range bn.Gamma.Value.Data {
@@ -129,12 +174,9 @@ func (s *Slimming) Prune() int {
 	return prunedCount
 }
 
-// Pruned reports whether Prune has run.
-func (s *Slimming) Pruned() bool { return s.pruned }
-
-// AfterStep keeps pruned channels dead during fine-tuning by re-zeroing
-// their (γ, β) after every optimizer step. Before Prune it is a no-op.
-func (s *Slimming) AfterStep() {
+// killPruned keeps pruned channels dead during fine-tuning by re-zeroing
+// their (γ, β). Before the prune it is a no-op.
+func (s *Slimming) killPruned() {
 	if !s.pruned {
 		return
 	}
@@ -148,7 +190,7 @@ func (s *Slimming) AfterStep() {
 	}
 }
 
-// ChannelCounts returns (pruned, total) channel counts after Prune.
+// ChannelCounts returns (pruned, total) channel counts after the prune.
 func (s *Slimming) ChannelCounts() (pruned, total int) {
 	for i, bn := range s.bns {
 		total += bn.C

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dropback/internal/nn"
+	"dropback/internal/optim"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
 )
@@ -92,16 +93,12 @@ func (v *vdNoise) accumulateGrads(dNoisy []float32) {
 	}
 }
 
-// addKLGrads adds scale·dDKL/dlogα to the logα gradients and returns the
-// summed scaled KL value.
-func (v *vdNoise) addKLGrads(scale float32) float64 {
-	var total float64
+// addKLGrads adds scale·dDKL/dlogα to the logα gradients.
+func (v *vdNoise) addKLGrads(scale float32) {
 	for i := range v.LogAlpha.Value.Data {
-		kl, grad := vdKLAndGrad(float64(v.LogAlpha.Value.Data[i]))
-		total += float64(scale) * kl
+		_, grad := vdKLAndGrad(float64(v.LogAlpha.Value.Data[i]))
 		v.LogAlpha.Grad.Data[i] += scale * float32(grad)
 	}
-	return total
 }
 
 // clamp bounds logα to [-10, 4] for numerical stability, as is standard in
@@ -176,6 +173,13 @@ func (l *VDLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (l *VDLinear) Params() []*nn.Param {
 	return []*nn.Param{l.noise.Theta, l.noise.LogAlpha, l.B}
 }
+
+// RNGState implements nn.RNGStateful: the noise stream's current position,
+// so checkpoints and rollback snapshots rewind the ε draws with the weights.
+func (l *VDLinear) RNGState() uint64 { return l.noise.rng.State() }
+
+// SetRNGState implements nn.RNGStateful.
+func (l *VDLinear) SetRNGState(s uint64) { l.noise.rng.SetState(s) }
 
 // VDConv2D is a 2-D convolution with variational-dropout weights.
 type VDConv2D struct {
@@ -269,6 +273,12 @@ func (l *VDConv2D) Params() []*nn.Param {
 	return []*nn.Param{l.noise.Theta, l.noise.LogAlpha, l.B}
 }
 
+// RNGState implements nn.RNGStateful (see VDLinear.RNGState).
+func (l *VDConv2D) RNGState() uint64 { return l.noise.rng.State() }
+
+// SetRNGState implements nn.RNGStateful.
+func (l *VDConv2D) SetRNGState(s uint64) { l.noise.rng.SetState(s) }
+
 // vdLayer is the coordination surface the VD controller needs.
 type vdLayer interface {
 	klNoise() *vdNoise
@@ -284,16 +294,16 @@ func (l *VDConv2D) threshold() float32 { return l.PruneThreshold }
 // KL gradients before each optimizer step, clamps logα after it, and
 // reports the achieved sparsity.
 type VD struct {
+	set    *nn.ParamSet
 	layers []vdLayer
 	// KLScale multiplies the KL penalty (1/dataset-size in the ELBO).
 	KLScale float32
-	// LastKL is the KL term of the most recent AddKLGrads call.
-	LastKL float64
 }
 
-// NewVD collects every VD layer found in the (possibly nested) layer tree.
-func NewVD(root nn.Layer, klScale float32) *VD {
-	v := &VD{KLScale: klScale}
+// NewVD collects every VD layer found in the (possibly nested) layer tree;
+// set is the model's full parameter set, which Update steps.
+func NewVD(set *nn.ParamSet, root nn.Layer, klScale float32) *VD {
+	v := &VD{set: set, KLScale: klScale}
 	nn.Walk(root, func(l nn.Layer) {
 		if t, ok := l.(vdLayer); ok {
 			v.layers = append(v.layers, t)
@@ -305,23 +315,29 @@ func NewVD(root nn.Layer, klScale float32) *VD {
 // LayerCount returns the number of VD layers under coordination.
 func (v *VD) LayerCount() int { return len(v.layers) }
 
-// AddKLGrads injects the KL gradient into every VD layer's logα gradient
-// buffer; call between Model.Step and the optimizer step.
-func (v *VD) AddKLGrads() float64 {
-	var total float64
-	for _, l := range v.layers {
-		total += l.klNoise().addKLGrads(v.KLScale)
-	}
-	v.LastKL = total
-	return total
-}
+// BeginEpoch is a no-op.
+func (v *VD) BeginEpoch(int) {}
 
-// AfterStep clamps logα in every layer.
-func (v *VD) AfterStep() {
+// Update injects the KL gradient into every VD layer's logα gradient
+// buffer, applies opt's step, then clamps logα in every layer. It returns
+// −1: there is no tracked set to report swaps for.
+func (v *VD) Update(opt *optim.SGD) int {
+	for _, l := range v.layers {
+		l.klNoise().addKLGrads(v.KLScale)
+	}
+	opt.Step(v.set)
 	for _, l := range v.layers {
 		l.klNoise().clamp()
 	}
+	return -1
 }
+
+// EndEpoch is a no-op.
+func (v *VD) EndEpoch(int) {}
+
+// Resume is a no-op: the noise streams are nn.RNGStateful, so the
+// checkpoint's layer RNG map already restored them.
+func (v *VD) Resume(int) {}
 
 // Sparsity returns the pruned and total weight counts across all VD layers.
 func (v *VD) Sparsity() (pruned, total int) {

@@ -2,6 +2,10 @@ package sparse_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 
 	"dropback/internal/sparse"
@@ -70,5 +74,27 @@ func TestReadNeverPanicsOnCorruptInput(t *testing.T) {
 			junk[i] = byte(rng.Next())
 		}
 		check(junk, "garbage")
+	}
+}
+
+// TestReadAllocatesOnlyWhatArrives feeds a header that claims 2³⁰ entries
+// (an 8 GiB entry block) over a stream that ends right after it. Read must
+// fail with io.ErrUnexpectedEOF without first allocating the claimed size.
+func TestReadAllocatesOnlyWhatArrives(t *testing.T) {
+	var hdr bytes.Buffer
+	for _, v := range []any{sparse.Magic, sparse.Version, uint64(1), uint64(1) << 33, uint32(1) << 30} {
+		if err := binary.Write(&hdr, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := sparse.Read(bytes.NewReader(hdr.Bytes()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Read error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte stream", grew, hdr.Len())
 	}
 }

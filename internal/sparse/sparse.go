@@ -294,8 +294,8 @@ func readBody(br io.Reader) (*Artifact, error) {
 	if uint64(nEntries) > total {
 		return nil, fmt.Errorf("sparse: %d entries exceed %d parameters", nEntries, total)
 	}
-	buf := make([]byte, 8*int(nEntries))
-	if _, err := io.ReadFull(br, buf); err != nil {
+	buf, err := readN(br, 8*int(nEntries))
+	if err != nil {
 		return nil, fmt.Errorf("sparse: reading entries: %w", err)
 	}
 	a.Entries = make([]Entry, nEntries)
@@ -329,8 +329,8 @@ func readBody(br io.Reader) (*Artifact, error) {
 		if c == 0 || c > 1<<24 {
 			return nil, fmt.Errorf("sparse: implausible BN channels %d", c)
 		}
-		statBuf := make([]byte, 8*int(c))
-		if _, err := io.ReadFull(br, statBuf); err != nil {
+		statBuf, err := readN(br, 8*int(c))
+		if err != nil {
 			return nil, fmt.Errorf("sparse: reading BN stats: %w", err)
 		}
 		b := BNStats{
@@ -345,6 +345,17 @@ func readBody(br io.Reader) (*Artifact, error) {
 		a.BNs = append(a.BNs, b)
 	}
 	return a, nil
+}
+
+// readN reads exactly n bytes. The buffer grows as bytes arrive, so a
+// corrupt count in a short stream fails with io.ErrUnexpectedEOF instead of
+// first allocating the size it claims.
+func readN(r io.Reader, n int) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(buf) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
 }
 
 // Save writes the artifact to a file atomically: the bytes land in a

@@ -12,7 +12,6 @@ import (
 	"dropback/internal/metrics"
 	"dropback/internal/nn"
 	"dropback/internal/optim"
-	"dropback/internal/prune"
 	"dropback/internal/sparsenn"
 	"dropback/internal/stats"
 	"dropback/internal/telemetry"
@@ -82,7 +81,9 @@ type CheckpointSpec struct {
 
 // TrainConfig parameterizes a Train run.
 type TrainConfig struct {
-	// Method selects the regime; method-specific fields below.
+	// Method selects the regime. The method-specific fields below are read
+	// once, when TrainE builds the method's constraint; the training loop
+	// itself never branches on the method.
 	Method Method
 	// Epochs is the training length; BatchSize the mini-batch size.
 	Epochs    int
@@ -182,8 +183,10 @@ type TrainConfig struct {
 	Checkpoint *CheckpointSpec
 	// ResumeFrom resumes training from a TrainState returned by
 	// LoadTrainCheckpoint (which also restores the weights). The run
-	// continues from the state's epoch up to Epochs total. Mutually
-	// exclusive with Checkpoint.Resume.
+	// continues from the state's epoch up to Epochs total, bit-identical to
+	// the uninterrupted run for every method (DSD re-selects its sparse mask
+	// from the restored weights, which differs only if a kept weight is
+	// exactly zero). Mutually exclusive with Checkpoint.Resume.
 	ResumeFrom *checkpoint.TrainState
 
 	// GradHook, if non-nil, runs after every backward pass with the
@@ -334,23 +337,6 @@ func (c TrainConfig) Validate() error {
 	return nil
 }
 
-// dropBackConstraint is the surface the trainer needs from a DropBack
-// implementation, satisfied by both the dense *core.DropBack and the
-// sparse-native *core.TrackedTrainer — resumable state, epoch-end freezing,
-// and the telemetry the Result and the gauges report.
-type dropBackConstraint interface {
-	MaybeFreezeAtEpochEnd(epoch int)
-	State() core.State
-	RestoreState(core.State) error
-	TrackedCount() int
-	Regenerations() int64
-	TrackedWrites() int64
-	CompressionRatio() float64
-	SwapHistory() []int
-	AccumulatedGradients() []float32
-	RetentionByLayer() []core.LayerRetention
-}
-
 // EpochStats records one epoch of training.
 type EpochStats struct {
 	Epoch     int
@@ -412,9 +398,12 @@ func Train(m *Model, train, val *Dataset, cfg TrainConfig) *Result {
 }
 
 // TrainE runs the configured regime on the model and returns the result.
-// The model must be built with variational layers when Method is
-// MethodVariational. Configuration problems, resume-state mismatches, and
-// checkpoint I/O failures are returned as errors.
+// Every method runs the same loop: the method's constraint (newConstraint)
+// contributes its hooks at epoch start, as the optimizer update, at epoch
+// end, and on resume. The model must be built with variational
+// layers when Method is MethodVariational. Configuration problems,
+// resume-state mismatches, and checkpoint I/O failures are returned as
+// errors.
 func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -424,55 +413,22 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 		// over the configured epochs, at an initial rate suited to the
 		// synthetic datasets. Pass optim.PaperMNIST()/PaperCIFAR() to use
 		// the paper's exact schedules.
-		every := cfg.Epochs / 5
-		if every < 1 {
-			every = 1
-		}
-		cfg.Schedule = optim.StepDecay{Initial: 0.1, Factor: 0.5, Every: every, MaxDecays: 4}
+		cfg.Schedule = optim.StepDecay{Initial: 0.1, Factor: 0.5, Every: max(cfg.Epochs/5, 1), MaxDecays: 4}
 	}
 	res := &Result{Method: cfg.Method, Compression: 1, LRScale: 1}
 
-	var (
-		db   *core.DropBack
-		eng  *core.TrackedTrainer
-		dbc  dropBackConstraint
-		mag  *prune.Magnitude
-		vd   *prune.VD
-		slim *prune.Slimming
-		dsd  *prune.DSD
-	)
+	c, err := newConstraint(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	dbc, _ := c.(dropBackConstraint)
+	// SparseTrain (Validate admits it for DropBack only) steps a sparse
+	// mirror of the model that computes over the engine's CSR state.
 	var mirror nn.Layer
-	switch cfg.Method {
-	case MethodDropBack:
-		ccfg := core.Config{
-			Budget:             cfg.Budget,
-			FreezeAfterEpoch:   cfg.FreezeAfterEpoch,
-			Strategy:           cfg.Strategy,
-			DisableSwapHistory: cfg.DisableSwapHistory,
+	if cfg.SparseTrain {
+		if mirror, err = sparsenn.NewTrainingMirror(m, c.(*core.TrackedTrainer)); err != nil {
+			return nil, err
 		}
-		if cfg.SparseTrain {
-			eng = core.NewTrackedTrainer(m.Set, ccfg)
-			var err error
-			mirror, err = sparsenn.NewTrainingMirror(m, eng)
-			if err != nil {
-				return nil, err
-			}
-			dbc = eng
-		} else {
-			db = core.New(m.Set, ccfg)
-			dbc = db
-		}
-	case MethodMagnitude:
-		mag = prune.NewMagnitude(m.Set, cfg.PruneFraction)
-	case MethodVariational:
-		vd = prune.NewVD(m.Net, cfg.KLScale)
-		if vd.LayerCount() == 0 {
-			return nil, fmt.Errorf("MethodVariational requires a model built with variational layers")
-		}
-	case MethodSlimming:
-		slim = prune.NewSlimming(m.Net, cfg.SlimLambda, cfg.SlimPruneFraction)
-	case MethodDSD:
-		dsd = prune.NewDSD(m.Set, cfg.DSDSparseFraction)
 	}
 
 	rec := telemetry.OrNop(cfg.Telemetry)
@@ -496,19 +452,15 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	// reduction — GradHook, divergence checks, the optimizer, and the
 	// method constraint — runs unchanged on the primary model, once per
 	// minibatch, exactly as in the sequential path.
-	var pexec *parallelExecutor
+	stepFn := m.Step
 	if cfg.Workers > 1 {
-		var err error
-		pexec, err = newParallelExecutor(m, cfg.Workers, cfg.WorkerModel, cfg.Telemetry)
+		pexec, err := newParallelExecutor(m, cfg.Workers, cfg.WorkerModel, cfg.Telemetry)
 		if err != nil {
 			return nil, err
 		}
-	}
-	stepFn := m.Step
-	if pexec != nil {
 		stepFn = pexec.Step
 	}
-	if eng != nil {
+	if mirror != nil {
 		stepFn = func(x *tensor.Tensor, labels []int) (loss, acc float64) {
 			return sparsenn.TrainStep(m, mirror, x, labels)
 		}
@@ -555,19 +507,7 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 			bestSnapshot = resume.BestParams
 			bestBNState = resume.BestBN
 		}
-		// DSD phase transitions are epoch-driven; replay the ones the
-		// captured run had already crossed (the mask is recomputed from
-		// the restored weights — DSD resume is best-effort, see DESIGN.md).
-		if dsd != nil {
-			for e := 0; e < startEpoch; e++ {
-				if e == cfg.DSDSparseStart && !dsd.Sparse() {
-					dsd.BeginSparsePhase()
-				}
-				if e == cfg.DSDSparseEnd && dsd.Sparse() {
-					dsd.EndSparsePhase()
-				}
-			}
-		}
+		c.Resume(startEpoch)
 	}
 
 	// The multi-node executor joins the cluster only after the resume state
@@ -584,7 +524,7 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 			Batch:       uint32(cfg.BatchSize),
 			StartStep:   uint64(step),
 		}
-		var err error
+		db, _ := c.(*core.DropBack) // Validate admits only DropBack and the baseline
 		dexec, err = newDistExecutor(m, db, *cfg.Dist, hs, cfg.Telemetry)
 		if err != nil {
 			return nil, err
@@ -598,22 +538,12 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	maybeSnapshot(res, cfg, step, m.Set)
 
 	recoveryOn := cfg.MaxRecoveryRetries > 0
-	snapEvery := cfg.RecoverySnapshotEvery
-	if snapEvery <= 0 {
-		snapEvery = 1
-	}
+	snapEvery := max(cfg.RecoverySnapshotEvery, 1)
 
 epochs:
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		sgd.LR = cfg.Schedule.At(epoch) * lrScale
-		if dsd != nil {
-			if epoch == cfg.DSDSparseStart && !dsd.Sparse() {
-				dsd.BeginSparsePhase()
-			}
-			if epoch == cfg.DSDSparseEnd && dsd.Sparse() {
-				dsd.EndSparsePhase()
-			}
-		}
+		c.BeginEpoch(epoch)
 		var lossSum, accSum float64
 		var epochStart time.Time
 		epochExamples := 0
@@ -623,7 +553,7 @@ epochs:
 		nb := batcher.BatchesPerEpoch()
 		var snap *recoverySnap
 		if recoveryOn {
-			snap = captureRecoverySnap(m, batcher, db, step, 0, 0, 0, 0)
+			snap = captureRecoverySnap(m, batcher, dbc, step, 0, 0, 0, 0)
 		}
 		for b := 0; b < nb; b++ {
 			var stepStart time.Time
@@ -649,33 +579,7 @@ epochs:
 			}
 			swaps := -1
 			if !diverged {
-				if vd != nil {
-					vd.AddKLGrads()
-				}
-				if slim != nil && !slim.Pruned() {
-					slim.AddL1Grads()
-				}
-				if eng != nil {
-					// The engine fuses the SGD update with selection and
-					// regeneration over the tracked representation; the
-					// dense sgd.Step must not run (the model's dense big
-					// tensors are stale between epoch boundaries).
-					swaps = eng.Apply(sgd.LR)
-				} else {
-					sgd.Step(m.Set)
-					switch {
-					case db != nil:
-						swaps = db.Apply()
-					case mag != nil:
-						mag.Apply()
-					case vd != nil:
-						vd.AfterStep()
-					case slim != nil:
-						slim.AfterStep()
-					case dsd != nil:
-						dsd.AfterStep()
-					}
-				}
+				swaps = c.Update(sgd)
 				if recoveryOn && !paramsFinite(m.Set) {
 					diverged = true
 				}
@@ -695,7 +599,7 @@ epochs:
 				sgd.LR = cfg.Schedule.At(epoch) * lrScale
 				step = snap.step
 				lossSum, accSum, epochExamples = snap.lossSum, snap.accSum, snap.examples
-				restoreRecoverySnap(m, batcher, db, snap)
+				restoreRecoverySnap(m, batcher, dbc, snap)
 				b = snap.nextB - 1
 				if telemetryOn {
 					rec.Counter("recovery/rollbacks", 1)
@@ -711,7 +615,7 @@ epochs:
 			}
 			step++
 			if recoveryOn && step%snapEvery == 0 {
-				snap = captureRecoverySnap(m, batcher, db, step, b+1, lossSum, accSum, epochExamples)
+				snap = captureRecoverySnap(m, batcher, dbc, step, b+1, lossSum, accSum, epochExamples)
 			}
 			if cfg.SnapshotEvery > 0 && step%cfg.SnapshotEvery == 0 {
 				diff.Record(step, filteredSnapshot(m.Set, cfg.SnapshotParams))
@@ -729,18 +633,7 @@ epochs:
 		if telemetryOn {
 			epochTrainDur = time.Since(epochStart)
 		}
-		if dbc != nil {
-			dbc.MaybeFreezeAtEpochEnd(epoch)
-		}
-		if eng != nil {
-			// Refresh the model's dense tensors from the tracked state so
-			// evaluation, best-snapshot capture, and checkpoints see exactly
-			// the values the dense trainer holds here.
-			eng.Densify()
-		}
-		if slim != nil && !slim.Pruned() && epoch >= cfg.SlimPruneAtEpoch {
-			slim.Prune()
-		}
+		c.EndEpoch(epoch)
 		valLoss, valAcc := Evaluate(m, val, cfg.BatchSize)
 		if math.IsNaN(valLoss) || math.IsInf(valLoss, 0) {
 			res.Diverged = true
@@ -758,18 +651,14 @@ epochs:
 				rec.Gauge("dropback/regenerations", float64(dbc.Regenerations()))
 				rec.Gauge("dropback/tracked_writes", float64(dbc.TrackedWrites()))
 			}
-			if eng != nil {
-				rec.Gauge("dropback/weight_state_bytes", float64(eng.WeightStateBytes()))
+			if ws, ok := c.(interface{ WeightStateBytes() int64 }); ok {
+				rec.Gauge("dropback/weight_state_bytes", float64(ws.WeightStateBytes()))
 			}
 			wsHits, wsMisses, wsBytes := tensor.WorkspaceStats()
 			rec.Gauge(telemetry.GaugeWorkspaceHits, float64(wsHits))
 			rec.Gauge(telemetry.GaugeWorkspaceMisses, float64(wsMisses))
 			rec.Gauge(telemetry.GaugeWorkspaceBytesReused, float64(wsBytes))
-			workers := cfg.Workers
-			if workers < 1 {
-				workers = 1
-			}
-			rec.Gauge(telemetry.GaugeTrainWorkers, float64(workers))
+			rec.Gauge(telemetry.GaugeTrainWorkers, float64(max(cfg.Workers, 1)))
 			if dexec != nil {
 				dexec.recordEpochTelemetry()
 			}
@@ -794,11 +683,7 @@ epochs:
 			sinceBest++
 		}
 		if mgr != nil {
-			every := cfg.Checkpoint.Every
-			if every < 1 {
-				every = 1
-			}
-			if (epoch+1-startEpoch)%every == 0 || epoch+1 == cfg.Epochs {
+			if (epoch+1-startEpoch)%max(cfg.Checkpoint.Every, 1) == 0 || epoch+1 == cfg.Epochs {
 				ts := captureTrainState(epoch+1, step, lrScale, retries, sinceBest,
 					res, bestSnapshot, bestBNState, m, batcher, sgd, dbc)
 				if _, err := mgr.Save(m, ts); err != nil {
@@ -823,21 +708,12 @@ epochs:
 	res.LRScale = lrScale
 
 	res.DiffusionSteps, res.DiffusionDist = diff.Series()
-	switch {
-	case dbc != nil:
-		res.Compression = dbc.CompressionRatio()
+	res.Compression = c.CompressionRatio()
+	if dbc != nil {
 		res.SwapHistory = dbc.SwapHistory()
 		res.AccumulatedGradients = dbc.AccumulatedGradients()
 		res.Retention = dbc.RetentionByLayer()
 		res.Regenerations = dbc.Regenerations()
-	case mag != nil:
-		res.Compression = mag.CompressionRatio()
-	case vd != nil:
-		res.Compression = vd.CompressionRatio()
-	case slim != nil:
-		res.Compression = slim.CompressionRatio()
-	case dsd != nil:
-		res.Compression = dsd.CompressionRatio()
 	}
 	return res, nil
 }
@@ -952,7 +828,7 @@ type recoverySnap struct {
 	examples int
 }
 
-func captureRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack,
+func captureRecoverySnap(m *Model, batcher *data.Batcher, db dropBackConstraint,
 	step, nextB int, lossSum, accSum float64, examples int) *recoverySnap {
 	s := &recoverySnap{
 		params:   m.Set.Snapshot(),
@@ -972,7 +848,7 @@ func captureRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack,
 	return s
 }
 
-func restoreRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack, s *recoverySnap) {
+func restoreRecoverySnap(m *Model, batcher *data.Batcher, db dropBackConstraint, s *recoverySnap) {
 	m.Set.Restore(s.params)
 	nn.RestoreBNState(m.Net, s.bn)
 	nn.RestoreLayerRNG(m.Net, s.layerRNG)

@@ -36,21 +36,18 @@ import (
 // step, so no observable state (params, masks, swap history, checkpoints)
 // can depend on them.
 type distExecutor struct {
+	shardBuffers
 	m       *Model
 	db      *core.DropBack // nil for the SGD baseline
 	cluster *dist.Cluster
 	rank    int
 	world   int
-	total   int // ParamSet.Total()
 	step    uint64
 
-	slab       []float32 // per-sample gradient rows, sample s at s*total
-	perLoss    []float64
-	perCorrect []uint8
-	ranges     []shardRange
-	view       *tensor.Tensor
-	scratch    *tensor.Workspace
-	sendBuf    []byte
+	ranges  []shardRange
+	view    *tensor.Tensor
+	scratch *tensor.Workspace
+	sendBuf []byte
 
 	hasRNG bool
 	// carrySkip counts dropout samples owed from steps where this node's
@@ -100,18 +97,18 @@ func newDistExecutor(m *Model, db *core.DropBack, dcfg dist.Config, hs dist.Hand
 		return nil, err
 	}
 	e := &distExecutor{
-		m:       m,
-		db:      db,
-		cluster: cluster,
-		rank:    cluster.Rank(),
-		world:   cluster.World(),
-		total:   m.Set.Total(),
-		step:    hs.StartStep,
-		ranges:  make([]shardRange, cluster.World()),
-		view:    &tensor.Tensor{},
-		scratch: tensor.NewWorkspace(),
-		hasRNG:  len(nn.CaptureLayerRNG(m.Net)) > 0,
-		rec:     telemetry.OrNop(rec),
+		shardBuffers: shardBuffers{total: m.Set.Total()},
+		m:            m,
+		db:           db,
+		cluster:      cluster,
+		rank:         cluster.Rank(),
+		world:        cluster.World(),
+		step:         hs.StartStep,
+		ranges:       make([]shardRange, cluster.World()),
+		view:         &tensor.Tensor{},
+		scratch:      tensor.NewWorkspace(),
+		hasRNG:       len(nn.CaptureLayerRNG(m.Net)) > 0,
+		rec:          telemetry.OrNop(rec),
 	}
 	e.lastSent = cluster.BytesSent()
 	e.lastRecv = cluster.BytesReceived()
@@ -164,15 +161,7 @@ func (e *distExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64) 
 		return math.NaN(), 0
 	}
 	n := x.Shape[0]
-	if need := n * e.total; cap(e.slab) < need {
-		e.slab = make([]float32, need)
-	}
-	if cap(e.perLoss) < n {
-		e.perLoss = make([]float64, n)
-		e.perCorrect = make([]uint8, n)
-	}
-	perLoss, perCorrect := e.perLoss[:n], e.perCorrect[:n]
-
+	e.size(n)
 	ranges := shardRangesInto(e.ranges, n)
 	r := ranges[e.rank]
 
@@ -189,7 +178,7 @@ func (e *distExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64) 
 		e.carrySkip += n
 	}
 	if r.Lo < r.Hi {
-		e.runShard(r, x, labels, n, perLoss, perCorrect)
+		e.runShard(e.m, e.view, e.scratch, r, x, labels)
 		if e.hasRNG && n-r.Hi > 0 {
 			nn.AdvanceDropoutSamples(e.m.Net, n-r.Hi)
 		}
@@ -206,7 +195,7 @@ func (e *distExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64) 
 		Lo: uint32(r.Lo), Hi: uint32(r.Hi), Active: uint32(active),
 	})
 	for s := r.Lo; s < r.Hi; s++ {
-		buf = dist.AppendSample(buf, perLoss[s], perCorrect[s])
+		buf = dist.AppendSample(buf, e.perLoss[s], e.perCorrect[s])
 	}
 	for s := r.Lo; s < r.Hi; s++ {
 		buf = dist.AppendSampleValues(buf, e.slab[s*e.total:(s+1)*e.total], idx)
@@ -245,24 +234,14 @@ func (e *distExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64) 
 		}
 		for i := 0; i < sp.Samples(); i++ {
 			g := int(sp.Hdr.Lo) + i
-			perLoss[g], perCorrect[g] = sp.Sample(i)
+			e.perLoss[g], e.perCorrect[g] = sp.Sample(i)
 			sp.CopyValues(i, e.slab[g*e.total:(g+1)*e.total], idx)
 		}
 	}
 
 	// Deterministic reduction and the sequential loss/accuracy arithmetic —
 	// identical on every node, so the optimizer updates stay in lockstep.
-	e.m.Set.ZeroGrads()
-	e.m.Set.ReduceGradSlab(e.slab, n)
-	for s := 0; s < n; s++ {
-		loss += perLoss[s]
-	}
-	loss /= float64(n)
-	correct := 0
-	for s := 0; s < n; s++ {
-		correct += int(perCorrect[s])
-	}
-	acc = float64(correct) / float64(n)
+	loss, acc = e.fold(e.m.Set)
 
 	e.step++
 	if e.rec.Enabled() {
@@ -290,37 +269,4 @@ func (e *distExecutor) recordEpochTelemetry() {
 		e.rec.Gauge(telemetry.DistPeerCounter(r, "sent"), float64(sent))
 		e.rec.Gauge(telemetry.DistPeerCounter(r, "received"), float64(recv))
 	}
-}
-
-// runShard processes this node's rows [r.Lo, r.Hi) as ONE batched
-// forward/backward, emitting per-sample gradient rows into the slab — the
-// same kernel sequence parallelExecutor.runShard runs for an in-process
-// worker, on the node's own model.
-func (e *distExecutor) runShard(r shardRange, x *tensor.Tensor, labels []int, batch int, perLoss []float64, perCorrect []uint8) {
-	sub := r.Hi - r.Lo
-	xs := tensor.ViewRowsInto(e.view, x, r.Lo, r.Hi)
-	e.m.Set.BindSampleSlab(e.slab, r.Lo)
-	defer e.m.Set.UnbindSampleSlab()
-	logits := e.m.Net.Forward(xs, true)
-	classes := logits.Shape[1]
-	probs := tensor.SoftmaxRowsInto(e.scratch.GetRaw("probs", sub, classes), logits)
-	dlogits := e.scratch.GetRaw("dlogits", sub, classes)
-	// The global batch size is the denominator, so each row's dlogits and
-	// −log term are bit-identical to the full-batch pass's row.
-	tensor.CrossEntropyFromProbsDenomInto(dlogits, perLoss[r.Lo:r.Hi], probs, labels[r.Lo:r.Hi], batch)
-	for i := 0; i < sub; i++ {
-		row := logits.Data[i*classes : (i+1)*classes]
-		best := 0
-		for j := 1; j < classes; j++ {
-			if row[j] > row[best] {
-				best = j
-			}
-		}
-		if best == labels[r.Lo+i] {
-			perCorrect[r.Lo+i] = 1
-		} else {
-			perCorrect[r.Lo+i] = 0
-		}
-	}
-	e.m.Net.Backward(dlogits)
 }

@@ -67,14 +67,10 @@ func shardRangesInto(out []shardRange, n int) []shardRange {
 // the primary's (read-only during the pass; the join provides the
 // happens-before edge the post-reduction optimizer update needs).
 type parallelExecutor struct {
+	shardBuffers
 	primary  *Model
 	replicas []*Model // replicas[0] == primary
 	workers  int
-	total    int // ParamSet.Total()
-
-	slab       []float32 // per-sample gradient rows, sample s at s*total
-	perLoss    []float64 // per-sample −log-likelihood contributions
-	perCorrect []uint8   // per-sample argmax-correct flags
 
 	ranges  []shardRange        // cached per-step shard partition
 	views   []*tensor.Tensor    // per-worker sub-batch view headers
@@ -100,16 +96,16 @@ func newParallelExecutor(m *Model, workers int, factory func() (*Model, error), 
 		return nil, fmt.Errorf("dropback: model is not shard-parallel safe: %w", err)
 	}
 	e := &parallelExecutor{
-		primary:  m,
-		replicas: make([]*Model, workers),
-		workers:  workers,
-		total:    m.Set.Total(),
-		ranges:   make([]shardRange, workers),
-		views:    make([]*tensor.Tensor, workers),
-		scratch:  make([]*tensor.Workspace, workers),
-		hasRNG:   len(nn.CaptureLayerRNG(m.Net)) > 0,
-		rec:      telemetry.OrNop(rec),
-		shardDur: make([]time.Duration, workers),
+		shardBuffers: shardBuffers{total: m.Set.Total()},
+		primary:      m,
+		replicas:     make([]*Model, workers),
+		workers:      workers,
+		ranges:       make([]shardRange, workers),
+		views:        make([]*tensor.Tensor, workers),
+		scratch:      make([]*tensor.Workspace, workers),
+		hasRNG:       len(nn.CaptureLayerRNG(m.Net)) > 0,
+		rec:          telemetry.OrNop(rec),
+		shardDur:     make([]time.Duration, workers),
 	}
 	e.replicas[0] = m
 	primaryParams := m.Set.Params()
@@ -153,15 +149,7 @@ func newParallelExecutor(m *Model, workers int, factory func() (*Model, error), 
 // and accuracy that Model.Step would have produced.
 func (e *parallelExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	n := x.Shape[0]
-	if need := n * e.total; cap(e.slab) < need {
-		e.slab = make([]float32, need)
-	}
-	if cap(e.perLoss) < n {
-		e.perLoss = make([]float64, n)
-		e.perCorrect = make([]uint8, n)
-	}
-	perLoss, perCorrect := e.perLoss[:n], e.perCorrect[:n]
-
+	e.size(n)
 	ranges := shardRangesInto(e.ranges, n)
 	// Position each replica's stochastic streams where the sequential pass
 	// would be at its shard's first sample: same state as the primary, then
@@ -190,7 +178,7 @@ func (e *parallelExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float
 			if timing {
 				start = time.Now()
 			}
-			e.runShard(w, ranges[w], x, labels, n, perLoss, perCorrect)
+			e.runShard(e.replicas[w], e.views[w], e.scratch[w], ranges[w], x, labels)
 			if timing {
 				e.shardDur[w] = time.Since(start)
 			}
@@ -200,7 +188,7 @@ func (e *parallelExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float
 	if timing {
 		start = time.Now()
 	}
-	e.runShard(0, ranges[0], x, labels, n, perLoss, perCorrect)
+	e.runShard(e.primary, e.views[0], e.scratch[0], ranges[0], x, labels)
 	if timing {
 		e.shardDur[0] = time.Since(start)
 	}
@@ -219,24 +207,7 @@ func (e *parallelExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float
 		}
 	}
 
-	// Deterministic reduction, ascending sample order per element — the
-	// exact zero-then-accumulate sequence of the sequential backward pass.
-	e.primary.Set.ZeroGrads()
-	e.primary.Set.ReduceGradSlab(e.slab, n)
-
-	// Loss: the sequential path folds −log(p_s+ε) into a float64 ascending
-	// s and divides once; perLoss already holds each sample's −log term, so
-	// this loop replays the identical float64 operation sequence.
-	for s := 0; s < n; s++ {
-		loss += perLoss[s]
-	}
-	loss /= float64(n)
-	correct := 0
-	for s := 0; s < n; s++ {
-		correct += int(perCorrect[s])
-	}
-	acc = float64(correct) / float64(n)
-
+	loss, acc = e.fold(e.primary.Set)
 	if timing {
 		for w := 0; w < e.workers; w++ {
 			if ranges[w].Lo < ranges[w].Hi {
@@ -247,20 +218,43 @@ func (e *parallelExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float
 	return loss, acc
 }
 
-// runShard processes rows [r.Lo, r.Hi) on worker w's replica as ONE batched
-// forward/backward: the sub-batch is a zero-copy view of the input rows, the
-// loss head reuses worker-local workspace buffers, and the backward pass
-// emits each sample's parameter-gradient partials into its global slab row
-// (ParamSet.BindSampleSlab). Emission fully overwrites every (sample,
-// parameter) slab segment, so rows are not cleared first.
-func (e *parallelExecutor) runShard(w int, r shardRange, x *tensor.Tensor, labels []int, batch int, perLoss []float64, perCorrect []uint8) {
+// shardBuffers is the batch-wide state both shard executors share: the
+// per-sample gradient slab and the per-sample loss and correctness rows
+// that shards fill in disjoint ranges and fold reduces.
+type shardBuffers struct {
+	total      int       // ParamSet.Total()
+	slab       []float32 // per-sample gradient rows, sample s at s*total
+	perLoss    []float64 // per-sample −log-likelihood contributions
+	perCorrect []uint8   // per-sample argmax-correct flags
+}
+
+// size grows the buffers to an n-sample batch and trims the per-sample
+// rows to exactly n.
+func (b *shardBuffers) size(n int) {
+	if need := n * b.total; cap(b.slab) < need {
+		b.slab = make([]float32, need)
+	}
+	if cap(b.perLoss) < n {
+		b.perLoss = make([]float64, n)
+		b.perCorrect = make([]uint8, n)
+	}
+	b.perLoss, b.perCorrect = b.perLoss[:n], b.perCorrect[:n]
+}
+
+// runShard processes rows [r.Lo, r.Hi) on model m as ONE batched
+// forward/backward: the sub-batch is a zero-copy view of the input rows
+// (built in view), the loss head reuses the workspace sc, and the backward
+// pass emits each sample's parameter-gradient partials into its global slab
+// row (ParamSet.BindSampleSlab). Emission fully overwrites every (sample,
+// parameter) slab segment, so rows are not cleared first. Shards of one
+// batch may run concurrently: each writes only its own rows.
+func (b *shardBuffers) runShard(m *Model, view *tensor.Tensor, sc *tensor.Workspace, r shardRange, x *tensor.Tensor, labels []int) {
 	if r.Lo >= r.Hi {
 		return
 	}
-	m, sc := e.replicas[w], e.scratch[w]
 	sub := r.Hi - r.Lo
-	xs := tensor.ViewRowsInto(e.views[w], x, r.Lo, r.Hi)
-	m.Set.BindSampleSlab(e.slab, r.Lo)
+	xs := tensor.ViewRowsInto(view, x, r.Lo, r.Hi)
+	m.Set.BindSampleSlab(b.slab, r.Lo)
 	defer m.Set.UnbindSampleSlab()
 	logits := m.Net.Forward(xs, true)
 	classes := logits.Shape[1]
@@ -268,7 +262,7 @@ func (e *parallelExecutor) runShard(w int, r shardRange, x *tensor.Tensor, label
 	dlogits := sc.GetRaw("dlogits", sub, classes)
 	// The global batch size is the denominator, so each row's dlogits and
 	// −log term are bit-identical to the full-batch pass's row.
-	tensor.CrossEntropyFromProbsDenomInto(dlogits, perLoss[r.Lo:r.Hi], probs, labels[r.Lo:r.Hi], batch)
+	tensor.CrossEntropyFromProbsDenomInto(dlogits, b.perLoss[r.Lo:r.Hi], probs, labels[r.Lo:r.Hi], len(b.perLoss))
 	for i := 0; i < sub; i++ {
 		row := logits.Data[i*classes : (i+1)*classes]
 		best := 0
@@ -278,10 +272,31 @@ func (e *parallelExecutor) runShard(w int, r shardRange, x *tensor.Tensor, label
 			}
 		}
 		if best == labels[r.Lo+i] {
-			perCorrect[r.Lo+i] = 1
+			b.perCorrect[r.Lo+i] = 1
 		} else {
-			perCorrect[r.Lo+i] = 0
+			b.perCorrect[r.Lo+i] = 0
 		}
 	}
 	m.Net.Backward(dlogits)
+}
+
+// fold reduces the complete slab into set's gradient buffers in ascending
+// sample order per element — the exact zero-then-accumulate sequence of the
+// sequential backward pass — and returns the batch loss and accuracy. The
+// sequential path folds −log(p_s+ε) into a float64 ascending s and divides
+// once; perLoss already holds each sample's −log term, so the loss loop
+// replays the identical float64 operation sequence.
+func (b *shardBuffers) fold(set *nn.ParamSet) (loss, acc float64) {
+	n := len(b.perLoss)
+	set.ZeroGrads()
+	set.ReduceGradSlab(b.slab, n)
+	for s := 0; s < n; s++ {
+		loss += b.perLoss[s]
+	}
+	loss /= float64(n)
+	correct := 0
+	for s := 0; s < n; s++ {
+		correct += int(b.perCorrect[s])
+	}
+	return loss, float64(correct) / float64(n)
 }
