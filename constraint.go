@@ -12,8 +12,8 @@ import (
 // constraint is the one seam between TrainE and a training method. Every
 // method is a rule applied around the same SGD step, so the trainer calls
 // the same hooks in the same order for all of them: BeginEpoch, Update once
-// per step, then EndEpoch. *core.DropBack, *core.TrackedTrainer and the
-// internal/prune types implement it directly; sgdOnly is MethodBaseline's.
+// per step, then EndEpoch. *core.DropBack and the internal/prune types
+// implement it directly; sgdOnly is MethodBaseline's.
 type constraint interface {
 	// BeginEpoch runs before the first step of the zero-based epoch.
 	BeginEpoch(epoch int)
@@ -36,16 +36,14 @@ type constraint interface {
 func newConstraint(m *Model, cfg TrainConfig) (constraint, error) {
 	switch cfg.Method {
 	case MethodDropBack:
-		ccfg := core.Config{
+		// Every tensor starts on dense storage; SparseTrain's mirror moves
+		// the weight matrices to CSR storage.
+		return core.New(m.Set, core.Config{
 			Budget:             cfg.Budget,
 			FreezeAfterEpoch:   cfg.FreezeAfterEpoch,
 			Strategy:           cfg.Strategy,
 			DisableSwapHistory: cfg.DisableSwapHistory,
-		}
-		if cfg.SparseTrain {
-			return core.NewTrackedTrainer(m.Set, ccfg), nil
-		}
-		return core.New(m.Set, ccfg), nil
+		}), nil
 	case MethodMagnitude:
 		return prune.NewMagnitude(m.Set, cfg.PruneFraction), nil
 	case MethodVariational:
@@ -74,18 +72,3 @@ func (c sgdOnly) Update(opt *optim.SGD) int {
 func (sgdOnly) EndEpoch(int)              {}
 func (sgdOnly) Resume(int)                {}
 func (sgdOnly) CompressionRatio() float64 { return 1 }
-
-// dropBackConstraint is what the trainer needs beyond the constraint seam
-// from a DropBack implementation, satisfied by both the dense *core.DropBack
-// and the sparse-native *core.TrackedTrainer: resumable state, and the
-// telemetry the Result and the gauges report.
-type dropBackConstraint interface {
-	State() core.State
-	RestoreState(core.State) error
-	TrackedCount() int
-	Regenerations() int64
-	TrackedWrites() int64
-	SwapHistory() []int
-	AccumulatedGradients() []float32
-	RetentionByLayer() []core.LayerRetention
-}

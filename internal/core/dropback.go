@@ -1,6 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+
 	"dropback/internal/nn"
 	"dropback/internal/optim"
 )
@@ -52,37 +57,151 @@ type Config struct {
 // the magnitude of the sum of all applied updates, and for a previously
 // untracked weight it is exactly |α·∂f/∂w| from the current step, its bid
 // to enter the tracked set.
+//
+// Each parameter tensor has one of two storages. By default it stays dense
+// in the model: the optimizer steps it in place and the constraint resets
+// its untracked entries. Virtualize moves a tensor to CSR storage
+// (TrackedTensor), which holds only the tracked entries; Update fuses their
+// SGD step into the selection pass, so untracked values are never stored.
+// Both storages feed one global score vector and one selection, with
+// bit-identical arithmetic: CSR values step by optim.TrackedSGD's
+// v + (-lr)·g, the dense AXPY expression. Before the freeze every weight is
+// a candidate, so scoring is O(n); Freeze drops the global masks, after
+// which a CSR tensor costs only its tracked values, indices and gradients —
+// the steady state WeightStateBytes reports.
 type DropBack struct {
-	tracking
+	cfg Config
+	set *nn.ParamSet
+	sgd optim.TrackedSGD // the rate of the latest Update, for CSR tensors
 
-	// shares is the per-tensor budget scratch for the PerLayerBudget path,
-	// reused across steps so selection stays allocation-free.
+	// csr is aligned with set.Params(); nil entries are dense tensors.
+	csr []*TrackedTensor
+
+	scores []float32
+	// mask and prevMask are the global selections while the set is live;
+	// after an Apply the latest one is prevMask. Both are nil once frozen:
+	// a dense tensor then keeps its own frozenMask, and a CSR tensor's
+	// membership is its index array.
+	mask, prevMask []bool
+	frozenMask     [][]bool
+	frozenTracked  int
+	havePrev       bool
+	frozen         bool
+	// shares is the PerLayerBudget per-tensor budget scratch, reused across
+	// steps so selection stays allocation-free.
 	shares []int
+
+	stepCount     int
+	swapHistory   []int
+	swapSummary   SwapSummary
+	regenerations int64
+	trackedWrites int64
 }
 
-// New builds a DropBack constraint over the given parameter set. Budget
-// must be positive and is clamped to the parameter count.
+// New builds a DropBack constraint over the given parameter set, with every
+// tensor on dense storage. Budget must be positive and is clamped to the
+// parameter count.
 func New(set *nn.ParamSet, cfg Config) *DropBack {
-	return &DropBack{tracking: newTracking(set, cfg)}
+	if cfg.Budget <= 0 {
+		panic(fmt.Sprintf("core: budget must be positive, got %d", cfg.Budget))
+	}
+	n := set.Total()
+	cfg.Budget = min(cfg.Budget, n)
+	return &DropBack{
+		cfg:        cfg,
+		set:        set,
+		csr:        make([]*TrackedTensor, len(set.Params())),
+		frozenMask: make([][]bool, len(set.Params())),
+		scores:     make([]float32, n),
+		mask:       make([]bool, n),
+		prevMask:   make([]bool, n),
+	}
 }
 
-// Apply enforces the DropBack constraint after an SGD update: it recomputes
-// accumulated gradients, selects the top-k set (unless frozen), and
-// regenerates every untracked weight to its initialization value. It
-// returns the number of weights that entered the tracked set this step.
+// Virtualize moves one parameter tensor to CSR storage, viewed as a
+// rows×(Len/rows) matrix. The current dense values seed the tracked set:
+// every element whose bits differ from its regenerated init becomes a
+// tracked delta (a fresh model seeds an empty CSR). Must be called before
+// the first step; returns the CSR handle the sparse kernels close over. The
+// ablation switches exist on dense storage only, so an engine configured
+// with any of them refuses.
+func (d *DropBack) Virtualize(p *nn.Param, rows int) (*TrackedTensor, error) {
+	if c := d.cfg; c.DryRun || c.ZeroUntracked || c.SelectByMagnitude || c.PerLayerBudget {
+		return nil, fmt.Errorf("core: parameter %q: the ablation switches run on dense storage only", p.Name)
+	}
+	idx := -1
+	for i, q := range d.set.Params() {
+		if q == p {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		return nil, fmt.Errorf("core: parameter %q is not in the engine's set", p.Name)
+	}
+	if d.csr[idx] != nil {
+		return nil, fmt.Errorf("core: parameter %q virtualized twice", p.Name)
+	}
+	if rows <= 0 || p.Len()%rows != 0 {
+		return nil, fmt.Errorf("core: parameter %q (%d weights) cannot be viewed as %d rows", p.Name, p.Len(), rows)
+	}
+	t := NewTrackedTensor(p.Init, rows, p.Len()/rows, nil, nil)
+	t.load(p.Value.Data, nil)
+	d.csr[idx] = t
+	return t, nil
+}
+
+// Update is the per-step entry: it applies opt's step to the dense tensors,
+// then runs the constraint pass, which steps the CSR tensors at opt's rate
+// (plain SGD: optim.TrackedSGD has no weight decay) as part of selection.
+// It returns the number of weights that entered the tracked set this step.
+func (d *DropBack) Update(opt *optim.SGD) int {
+	d.sgd.LR = opt.LR
+	for i, p := range d.set.Params() {
+		if d.csr[i] == nil {
+			opt.StepParam(p)
+		}
+	}
+	return d.pass()
+}
+
+// Apply is Update's constraint pass without the optimizer step, for callers
+// that stepped the weights themselves (the ablation studies, Fig 2's dry-run
+// observer). CSR tensors are stepped only inside Update, so Apply panics
+// once any tensor is virtualized.
 func (d *DropBack) Apply() int {
+	for _, t := range d.csr {
+		if t != nil {
+			panic("core: Apply cannot step CSR storage; use Update")
+		}
+	}
+	return d.pass()
+}
+
+// pass enforces the constraint on weights whose dense tensors are already
+// stepped: it recomputes accumulated gradients, selects the top-k set
+// (unless frozen), writes the CSR tensors' stepped tracked values, and
+// regenerates every untracked dense weight to its initialization value. It
+// returns the number of weights that entered the tracked set.
+func (d *DropBack) pass() int {
 	d.stepCount++
 	if d.frozen {
-		// Selection is fixed; only the regeneration of untracked weights
-		// remains (their gradients no longer need to be computed at all —
-		// the compute/energy saving the paper freezes for).
-		if !d.cfg.DryRun {
-			d.regenerateUntracked()
+		// Selection is fixed: CSR tensors step their tracked values from
+		// the tracked gradients, and dense tensors reset what the dense
+		// step touched outside the set.
+		for i, p := range d.set.Params() {
+			if t := d.csr[i]; t != nil {
+				d.sgd.StepTracked(t.Val, t.TGrad)
+				d.trackedWrites += int64(len(t.Idx))
+				d.regenerations += int64(p.Len() - len(t.Idx))
+			} else if !d.cfg.DryRun {
+				d.reset(p, d.frozenMask[i])
+			}
 		}
 		d.recordSwaps(0)
 		return 0
 	}
-	d.computeScores()
+	d.score(true)
 	d.selectMask()
 	swaps := 0
 	if d.havePrev {
@@ -93,35 +212,46 @@ func (d *DropBack) Apply() int {
 		}
 	}
 	d.recordSwaps(swaps)
-	if !d.cfg.DryRun {
-		d.regenerateUntracked()
+	for i, p := range d.set.Params() {
+		keep := d.mask[d.set.Offset(i):][:p.Len()]
+		if t := d.csr[i]; t != nil {
+			t.commitStep(keep, p.Grad.Data, d.sgd)
+			d.trackedWrites += int64(len(t.Idx))
+			d.regenerations += int64(p.Len() - len(t.Idx))
+		} else if !d.cfg.DryRun {
+			d.reset(p, keep)
+		}
 	}
+	// After the swap, prevMask holds the current selection.
 	d.mask, d.prevMask = d.prevMask, d.mask
 	d.havePrev = true
-	// After the swap, prevMask holds the current selection.
 	return swaps
 }
 
-// computeScores fills d.scores with |W_t − W_0| for every global index.
-// Under the SelectByMagnitude ablation the score is |W_t| instead; the
-// ZeroUntracked ablation also scores against zero, because zero is the
-// reset point untracked weights accumulate from there.
-func (d *DropBack) computeScores() {
-	if d.cfg.SelectByMagnitude || d.cfg.ZeroUntracked {
-		for i, p := range d.set.Params() {
-			base := d.set.Offset(i)
-			for e, v := range p.Value.Data {
-				if v < 0 {
-					v = -v
-				}
-				d.scores[base+e] = v
-			}
+// score fills d.scores with |W_t − W_0| for every global index. Under the
+// SelectByMagnitude ablation the score is |W_t| instead; the ZeroUntracked
+// ablation also scores against zero, because zero is the reset point
+// untracked weights accumulate from there. With step set, a CSR tensor
+// scores the value its pending SGD step produces; otherwise every tensor
+// scores the model's dense values.
+func (d *DropBack) score(step bool) {
+	byValue := d.cfg.SelectByMagnitude || d.cfg.ZeroUntracked
+	for i, p := range d.set.Params() {
+		s := d.scores[d.set.Offset(i):][:p.Len()]
+		if t := d.csr[i]; t != nil && step {
+			t.scoreStep(s, p.Grad.Data, d.sgd)
+			continue
 		}
-		return
+		for e, v := range p.Value.Data {
+			if !byValue {
+				v -= p.Init.Regenerate(e)
+			}
+			if v < 0 {
+				v = -v
+			}
+			s[e] = v
+		}
 	}
-	d.set.VisitDiffFromInit(func(g int, diff float32) {
-		d.scores[g] = diff
-	})
 }
 
 // selectMask writes the current top-k selection into d.mask: one global
@@ -146,12 +276,7 @@ func (d *DropBack) selectMask() {
 		if i == len(params)-1 {
 			share = remaining
 		}
-		if share > p.Len() {
-			share = p.Len()
-		}
-		if share < 0 {
-			share = 0
-		}
+		share = max(min(share, p.Len()), 0)
 		remaining -= share
 		shares[i] = share
 	}
@@ -160,14 +285,8 @@ func (d *DropBack) selectMask() {
 	// headroom. Budget <= Total guarantees the headroom sum covers it, so
 	// the overall allocation is exact rather than silently short.
 	for i, p := range params {
-		if remaining <= 0 {
-			break
-		}
-		if head := p.Len() - shares[i]; head > 0 {
-			give := head
-			if give > remaining {
-				give = remaining
-			}
+		give := min(p.Len()-shares[i], remaining)
+		if give > 0 {
 			shares[i] += give
 			remaining -= give
 		}
@@ -178,43 +297,74 @@ func (d *DropBack) selectMask() {
 	}
 }
 
-// regenerateUntracked resets every weight outside d.mask to its regenerated
-// initialization value (or zero under the ZeroUntracked ablation).
-func (d *DropBack) regenerateUntracked() {
-	for i, p := range d.set.Params() {
-		base := d.set.Offset(i)
-		for e := range p.Value.Data {
-			if d.mask[base+e] {
-				d.trackedWrites++
-				continue
-			}
-			if d.cfg.ZeroUntracked {
-				p.Value.Data[e] = 0
-			} else {
-				p.Value.Data[e] = p.Init.Regenerate(e)
-			}
-			d.regenerations++
+// reset regenerates every entry of dense tensor p outside keep to its
+// initialization value (zero under the ZeroUntracked ablation).
+func (d *DropBack) reset(p *nn.Param, keep []bool) {
+	for e := range p.Value.Data {
+		if keep[e] {
+			d.trackedWrites++
+			continue
 		}
+		if d.cfg.ZeroUntracked {
+			p.Value.Data[e] = 0
+		} else {
+			p.Value.Data[e] = p.Init.Regenerate(e)
+		}
+		d.regenerations++
 	}
 }
 
-// Freeze fixes the tracked set from this point on. If called before the
-// first Apply, the initial selection happens on the next Apply and then
-// freezes (mask would otherwise be empty).
+// recordSwaps folds one step's swap count into the O(1) summary and, unless
+// the series is disabled, appends it to the full per-step history.
+func (d *DropBack) recordSwaps(swaps int) {
+	d.swapSummary.Add(swaps)
+	if !d.cfg.DisableSwapHistory {
+		d.swapHistory = append(d.swapHistory, swaps)
+	}
+}
+
+// Freeze fixes the tracked set from this point on, switching to the steady
+// state: CSR tensors gain tracked gradients in place of dense ones, the
+// global masks are freed, and selection never runs again. If called before
+// the first step, it selects once rather than freeze the empty set.
 func (d *DropBack) Freeze() {
+	if d.frozen {
+		return
+	}
+	d.Densify() // freezeTransition rebuilds CSR tensors from the model's values
+	sel := d.prevMask
 	if !d.havePrev {
-		// No selection yet: run one selection so the frozen set is the
-		// current top-k rather than the empty set. The frozen path reads
-		// d.mask directly, so select straight into it.
-		d.computeScores()
+		d.score(false)
 		d.selectMask()
-		copy(d.prevMask, d.mask)
+		sel = d.mask
 		d.havePrev = true
-	} else {
-		// prevMask holds the latest selection; copy it into the active mask.
-		copy(d.mask, d.prevMask)
+	}
+	d.freezeTransition(sel)
+}
+
+// freezeTransition converts the masked representation into the frozen one
+// from the model's dense values: CSR tensors are rebuilt at the selected
+// entries, dense tensors keep their own slice of the selection.
+func (d *DropBack) freezeTransition(sel []bool) {
+	d.frozenTracked = 0
+	for i, p := range d.set.Params() {
+		keep := sel[d.set.Offset(i):][:p.Len()]
+		if t := d.csr[i]; t != nil {
+			t.load(p.Value.Data, keep)
+			t.TGrad = make([]float32, len(t.Idx))
+			t.idx2, t.val2 = nil, nil
+			d.frozenTracked += len(t.Idx)
+			continue
+		}
+		d.frozenMask[i] = append([]bool(nil), keep...)
+		for _, m := range keep {
+			if m {
+				d.frozenTracked++
+			}
+		}
 	}
 	d.frozen = true
+	d.mask, d.prevMask = nil, nil
 }
 
 // MaybeFreezeAtEpochEnd freezes the tracked set if the configured freeze
@@ -225,15 +375,244 @@ func (d *DropBack) MaybeFreezeAtEpochEnd(epoch int) {
 	}
 }
 
-// Update applies opt's step to the parameter set, then the constraint, and
-// returns Apply's swap count.
-func (d *DropBack) Update(opt *optim.SGD) int {
-	opt.Step(d.set)
-	return d.Apply()
+// EndEpoch runs MaybeFreezeAtEpochEnd, then Densify, so evaluation,
+// best-snapshot capture and checkpoints see every tensor's current values.
+func (d *DropBack) EndEpoch(epoch int) {
+	d.MaybeFreezeAtEpochEnd(epoch)
+	d.Densify()
 }
 
-// EndEpoch runs MaybeFreezeAtEpochEnd.
-func (d *DropBack) EndEpoch(epoch int) { d.MaybeFreezeAtEpochEnd(epoch) }
+// BeginEpoch is a no-op: DropBack has no epoch-start work.
+func (d *DropBack) BeginEpoch(int) {}
+
+// Resume is a no-op: RestoreState already rewound everything.
+func (d *DropBack) Resume(int) {}
+
+// Densify writes every CSR tensor's values (tracked values over
+// regenerated gaps) into the model's dense parameter tensor, which is
+// otherwise stale between epoch boundaries.
+func (d *DropBack) Densify() {
+	for i, p := range d.set.Params() {
+		if t := d.csr[i]; t != nil {
+			for r := 0; r < t.Rows; r++ {
+				t.FillRow(p.Value.Data[r*t.RowLen:(r+1)*t.RowLen], r)
+			}
+		}
+	}
+}
+
+// Budget returns k, the tracked-weight budget.
+func (d *DropBack) Budget() int { return d.cfg.Budget }
+
+// CompressionRatio returns total parameters divided by the budget — the
+// "weight compression" column of the paper's tables.
+func (d *DropBack) CompressionRatio() float64 {
+	return float64(d.set.Total()) / float64(d.cfg.Budget)
+}
+
+// Frozen reports whether the tracked set is frozen.
+func (d *DropBack) Frozen() bool { return d.frozen }
+
+// AccumulatedGradients returns a copy of the most recent |W_t − W_0| score
+// vector (Fig 1's distribution). Call after at least one step. The final
+// pre-freeze scores are retained after a freeze.
+func (d *DropBack) AccumulatedGradients() []float32 {
+	return append([]float32(nil), d.scores...)
+}
+
+// SwapHistory returns the number of weights that entered the tracked set at
+// each step (Fig 2's series). Empty when Config.DisableSwapHistory is set —
+// use Swaps for the bounded summary.
+func (d *DropBack) SwapHistory() []int {
+	return append(make([]int, 0, len(d.swapHistory)), d.swapHistory...)
+}
+
+// Swaps returns the bounded swap-telemetry summary, available regardless of
+// whether the full series is kept.
+func (d *DropBack) Swaps() SwapSummary { return d.swapSummary }
+
+// Regenerations returns the total number of untracked-weight regenerations
+// performed — each one replacing what would otherwise be an off-chip weight
+// store+load pair (the energy model consumes this).
+func (d *DropBack) Regenerations() int64 { return d.regenerations }
+
+// TrackedWrites returns the total number of tracked-weight writes retained.
+func (d *DropBack) TrackedWrites() int64 { return d.trackedWrites }
+
+// TrackedCount returns the number of currently tracked weights. It counts
+// in place — the trainer polls this per step for the tracked gauge, so it
+// must not copy the n-element mask.
+func (d *DropBack) TrackedCount() int {
+	if d.frozen {
+		return d.frozenTracked
+	}
+	n := 0
+	for _, m := range d.liveMask() {
+		if m {
+			n++
+		}
+	}
+	return n
+}
+
+// liveMask is the latest selection while unfrozen: after a step it lives
+// in prevMask, before any selection in mask.
+func (d *DropBack) liveMask() []bool {
+	if d.havePrev {
+		return d.prevMask
+	}
+	return d.mask
+}
+
+// AppendTrackedIndices appends the ascending global indices of the current
+// tracked set to dst and returns the extended slice. Every node of a
+// multi-node run derives the identical list from its own (bit-identical)
+// constraint state, which is what lets the frozen-phase wire frames carry k
+// values with no index side-band. Once frozen it walks the CSR index arrays
+// and dense-tensor masks — for CSR storage O(k) work with no n-length scan.
+func (d *DropBack) AppendTrackedIndices(dst []int32) []int32 {
+	if !d.frozen {
+		for i, m := range d.liveMask() {
+			if m {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for i := range d.set.Params() {
+		base := int32(d.set.Offset(i))
+		if t := d.csr[i]; t != nil {
+			for _, e := range t.Idx {
+				dst = append(dst, base+e)
+			}
+			continue
+		}
+		for e, m := range d.frozenMask[i] {
+			if m {
+				dst = append(dst, base+int32(e))
+			}
+		}
+	}
+	return dst
+}
+
+// Mask returns the current tracked-set mask over global indices.
+func (d *DropBack) Mask() []bool {
+	out := make([]bool, d.set.Total())
+	for _, g := range d.AppendTrackedIndices(nil) {
+		out[g] = true
+	}
+	return out
+}
+
+// WeightStateBytes reports the engine's weight-state size: CSR arrays plus
+// tracked gradients for CSR tensors, dense values + gradients + mask for
+// dense tensors. After Freeze this scales with the budget k (plus the
+// dense tensors), not with n — the measured claim BENCH_train.json gates.
+// The retained telemetry score vector and the model's host-side copies of
+// CSR tensors (used only at epoch boundaries) are deliberately excluded;
+// DESIGN.md §11 spells out the accounting.
+func (d *DropBack) WeightStateBytes() int64 {
+	var b int64
+	for i, p := range d.set.Params() {
+		if t := d.csr[i]; t != nil {
+			b += int64(len(t.Val)+len(t.TGrad)+len(t.Idx)+len(t.RowPtr)) * 4
+			b += int64(cap(t.idx2)+cap(t.val2)) * 4
+			if !d.frozen {
+				b += int64(p.Len()) * 4 // every weight is a candidate: dense gradient
+			}
+			continue
+		}
+		b += int64(p.Len())*8 + int64(len(d.frozenMask[i])) // value + gradient, frozen mask
+	}
+	if !d.frozen {
+		b += 2 * int64(d.set.Total()) // mask + prevMask
+	}
+	return b
+}
+
+// DenseWeightStateBytes is the all-dense equivalent: every weight stores a
+// value and a gradient.
+func (d *DropBack) DenseWeightStateBytes() int64 {
+	return int64(d.set.Total()) * 8
+}
+
+// State captures the constraint's resumable state. It is the same for both
+// storages, so checkpoints cross-resume between dense and CSR runs.
+func (d *DropBack) State() State {
+	st := State{
+		Frozen:        d.frozen,
+		HaveSelection: d.havePrev,
+		StepCount:     d.stepCount,
+		Regenerations: d.regenerations,
+		TrackedWrites: d.trackedWrites,
+		Swaps:         d.swapSummary,
+	}
+	if d.havePrev {
+		st.Mask = d.Mask()
+	}
+	return st
+}
+
+// RestoreState rewinds the constraint to a previously captured state. The
+// mask length must match the parameter space (or be empty when no selection
+// had happened yet). The model's dense values must already hold the
+// checkpointed weights (the trainer restores them first): CSR tensors are
+// rebuilt from them, after checking that every untracked entry equals its
+// regenerated init — the invariant both storages maintain. On error the
+// engine is untouched.
+func (d *DropBack) RestoreState(st State) error {
+	if st.HaveSelection && len(st.Mask) != d.set.Total() {
+		return fmt.Errorf("core: state mask covers %d weights, parameter space has %d", len(st.Mask), d.set.Total())
+	}
+	for i, p := range d.set.Params() {
+		if d.csr[i] == nil || !st.HaveSelection {
+			continue
+		}
+		base := d.set.Offset(i)
+		for e, v := range p.Value.Data {
+			if !st.Mask[base+e] && math.Float32bits(v) != math.Float32bits(p.Init.Regenerate(e)) {
+				return fmt.Errorf("core: untracked weight %s[%d] deviates from its regenerated init", p.Name, e)
+			}
+		}
+	}
+	d.frozen = st.Frozen
+	d.havePrev = st.HaveSelection
+	d.stepCount = st.StepCount
+	d.regenerations = st.Regenerations
+	d.trackedWrites = st.TrackedWrites
+	d.swapSummary = st.Swaps
+	// The in-memory series is deterministic, so any prefix of it is exact:
+	// a rollback (series longer than the restored step count) truncates to
+	// the captured prefix; a resume into a fresh engine (series shorter)
+	// keeps what it has and the series covers post-resume steps only.
+	if len(d.swapHistory) > st.Swaps.Steps {
+		d.swapHistory = d.swapHistory[:st.Swaps.Steps]
+	}
+	if d.mask == nil {
+		d.mask = make([]bool, d.set.Total())
+		d.prevMask = make([]bool, d.set.Total())
+	}
+	clear(d.mask)
+	copy(d.mask, st.Mask)
+	copy(d.prevMask, d.mask)
+	if st.Frozen {
+		d.freezeTransition(d.mask)
+		return nil
+	}
+	clear(d.frozenMask)
+	d.frozenTracked = 0
+	for i, p := range d.set.Params() {
+		if t := d.csr[i]; t != nil {
+			var keep []bool // no selection yet: seed from the deviating entries
+			if st.HaveSelection {
+				keep = d.mask[d.set.Offset(i):][:p.Len()]
+			}
+			t.load(p.Value.Data, keep)
+		}
+	}
+	return nil
+}
 
 // SwapSummary is the bounded form of the swap-history telemetry: the
 // per-step series collapsed to four scalars. It is what checkpoints store —
@@ -271,8 +650,8 @@ func SummarizeSwaps(series []int) SwapSummary {
 	return s
 }
 
-// State is DropBack's resumable constraint state: everything Apply's
-// behavior depends on beyond the weights themselves (which the caller
+// State is DropBack's resumable constraint state: everything the constraint
+// pass depends on beyond the weights themselves (which the caller
 // checkpoints separately), plus the telemetry counters so a resumed run
 // reports the same totals an uninterrupted run would.
 type State struct {
@@ -289,61 +668,6 @@ type State struct {
 	Regenerations int64
 	TrackedWrites int64
 	Swaps         SwapSummary
-}
-
-// State captures the constraint's resumable state.
-func (d *DropBack) State() State { return d.state(d.Mask) }
-
-// RestoreState rewinds the constraint to a previously captured state. The
-// mask length must match the parameter space (or be empty when no selection
-// had happened yet).
-func (d *DropBack) RestoreState(st State) error {
-	if err := d.restore(st); err != nil {
-		return err
-	}
-	if st.HaveSelection {
-		// After Apply the latest selection lives in prevMask; the frozen
-		// path reads mask directly. Restore both so either path resumes
-		// exactly where the captured run stood.
-		copy(d.prevMask, st.Mask)
-		copy(d.mask, st.Mask)
-	} else {
-		clear(d.mask)
-		clear(d.prevMask)
-	}
-	return nil
-}
-
-// Mask returns a copy of the current tracked-set mask over global indices.
-func (d *DropBack) Mask() []bool {
-	return append([]bool(nil), d.liveMask()...)
-}
-
-// TrackedCount returns the number of currently tracked weights. It counts
-// the live mask in place — the trainer polls this per step for the tracked
-// gauge, so it must not copy the n-element mask.
-func (d *DropBack) TrackedCount() int {
-	n := 0
-	for _, m := range d.liveMask() {
-		if m {
-			n++
-		}
-	}
-	return n
-}
-
-// AppendTrackedIndices appends the ascending global indices of the current
-// tracked set to dst and returns the extended slice. Every node of a
-// multi-node run derives the identical list from its own (bit-identical)
-// constraint state, which is what lets the frozen-phase wire frames carry
-// k values with no index side-band.
-func (d *DropBack) AppendTrackedIndices(dst []int32) []int32 {
-	for i, m := range d.liveMask() {
-		if m {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
 }
 
 // LayerRetention describes how many of a parameter tensor's weights are in
@@ -366,17 +690,17 @@ func (r LayerRetention) Compression() float64 {
 // RetentionByParam returns the tracked count for every parameter tensor, in
 // registration order.
 func (d *DropBack) RetentionByParam() []LayerRetention {
-	mask := d.Mask()
-	out := make([]LayerRetention, 0, len(d.set.Params()))
-	for i, p := range d.set.Params() {
-		base := d.set.Offset(i)
-		r := LayerRetention{Name: p.Name, Total: p.Len()}
-		for e := 0; e < p.Len(); e++ {
-			if mask[base+e] {
-				r.Retained++
-			}
+	params := d.set.Params()
+	out := make([]LayerRetention, len(params))
+	for i, p := range params {
+		out[i] = LayerRetention{Name: p.Name, Total: p.Len()}
+	}
+	i := 0
+	for _, g := range d.AppendTrackedIndices(nil) {
+		for int(g) >= d.set.Offset(i)+params[i].Len() {
+			i++
 		}
-		out = append(out, r)
+		out[i].Retained++
 	}
 	return out
 }
@@ -384,14 +708,26 @@ func (d *DropBack) RetentionByParam() []LayerRetention {
 // RetentionByLayer aggregates RetentionByParam by layer name (the parameter
 // name up to the final '/'), sorted by name for stable output.
 func (d *DropBack) RetentionByLayer() []LayerRetention {
-	return aggregateRetention(d.RetentionByParam())
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
+	byLayer := map[string]*LayerRetention{}
+	var order []string
+	for _, r := range d.RetentionByParam() {
+		layer := r.Name
+		if i := strings.LastIndexByte(layer, '/'); i >= 0 {
+			layer = layer[:i]
 		}
+		agg, ok := byLayer[layer]
+		if !ok {
+			agg = &LayerRetention{Name: layer}
+			byLayer[layer] = agg
+			order = append(order, layer)
+		}
+		agg.Total += r.Total
+		agg.Retained += r.Retained
 	}
-	return -1
+	sort.Strings(order)
+	out := make([]LayerRetention, 0, len(order))
+	for _, n := range order {
+		out = append(out, *byLayer[n])
+	}
+	return out
 }

@@ -76,6 +76,32 @@ func TestApplyKeepsHighestAccumulated(t *testing.T) {
 	}
 }
 
+// TestScoresAreAbsoluteDiffFromInit pins the score definition on dense
+// storage: |W_t − W_0| per weight, zero for an unmoved weight and positive
+// for one moved below its init.
+func TestScoresAreAbsoluteDiffFromInit(t *testing.T) {
+	set, _, _ := makeSet()
+	db := New(set, Config{Budget: 2})
+	perturb(set, map[int]float32{3: -4, 5: 2})
+	db.Apply()
+	for g, d := range db.AccumulatedGradients() {
+		switch g {
+		case 3:
+			if d < 3.99 || d > 4.01 {
+				t.Fatalf("score of a weight moved by -4 = %v, want ~4", d)
+			}
+		case 5:
+			if d < 1.99 || d > 2.01 {
+				t.Fatalf("score of a weight moved by +2 = %v, want ~2", d)
+			}
+		default:
+			if d != 0 {
+				t.Fatalf("unmoved weight %d scored %v", g, d)
+			}
+		}
+	}
+}
+
 func TestAccumulatedGradientGrowsAcrossSteps(t *testing.T) {
 	set, _, _ := makeSet()
 	db := New(set, Config{Budget: 2})

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dropback/internal/nn"
@@ -23,9 +25,9 @@ func fillGrads(set *nn.ParamSet, step int) {
 
 // syncTrackedGrads simulates a perfect sparse backward pass: the tracked
 // gradients are the dense gradients at the tracked indices.
-func syncTrackedGrads(eng *TrackedTrainer, set *nn.ParamSet) {
+func syncTrackedGrads(eng *DropBack, set *nn.ParamSet) {
 	for i, p := range set.Params() {
-		t := eng.big[i]
+		t := eng.csr[i]
 		if t == nil || t.TGrad == nil {
 			continue
 		}
@@ -48,163 +50,218 @@ func assertSetsBitEqual(t *testing.T, ctx string, a, b *nn.ParamSet) {
 	}
 }
 
-func assertEngineMatchesDense(t *testing.T, ctx string, eng *TrackedTrainer, db *DropBack) {
+// engineCase is one engine configuration checked against the oracle.
+type engineCase struct {
+	name string
+	cfg  Config
+	csr  bool // fc1.W and fc2.W on CSR storage
+}
+
+// ablations are the four Config switches that exist on dense storage only.
+var ablations = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"dry-run", func(c *Config) { c.DryRun = true }},
+	{"zero-untracked", func(c *Config) { c.ZeroUntracked = true }},
+	{"select-by-magnitude", func(c *Config) { c.SelectByMagnitude = true }},
+	{"per-layer-budget", func(c *Config) { c.PerLayerBudget = true }},
+}
+
+// engineCases sweeps freeze ∈ {never, 0, 1} over both storages (plus the
+// heap top-k engine on CSR storage) and over each ablation, which runs on
+// dense storage only.
+func engineCases(budget int) []engineCase {
+	var out []engineCase
+	for _, freeze := range []int{-1, 0, 1} {
+		cfg := Config{Budget: budget, FreezeAfterEpoch: freeze}
+		tag := fmt.Sprintf("k=%d/freeze=%d/", budget, freeze)
+		out = append(out, engineCase{tag + "dense", cfg, false}, engineCase{tag + "csr", cfg, true})
+		heap := cfg
+		heap.Strategy = StrategyHeap
+		out = append(out, engineCase{tag + "csr-heap", heap, true})
+		for _, a := range ablations {
+			c := cfg
+			a.set(&c)
+			out = append(out, engineCase{tag + a.name, c, false})
+		}
+	}
+	return out
+}
+
+func newOracleFor(c engineCase) (*denseOracle, *nn.ParamSet) {
+	set, _, _ := makeSet()
+	return newDenseOracle(set, c.cfg), set
+}
+
+// newEngine builds the engine for c over a fresh set, virtualizing both
+// weight matrices when c.csr is set.
+func newEngine(t *testing.T, c engineCase) (*DropBack, *nn.ParamSet) {
 	t.Helper()
-	assertEngineStateMatchesDense(t, ctx, eng, db)
-	ea, da := eng.AccumulatedGradients(), db.AccumulatedGradients()
-	for i := range da {
-		if math.Float32bits(ea[i]) != math.Float32bits(da[i]) {
-			t.Fatalf("%s: scores[%d] = %x vs dense %x", ctx, i,
-				math.Float32bits(ea[i]), math.Float32bits(da[i]))
+	set, fc1, fc2 := makeSet()
+	eng := New(set, c.cfg)
+	if c.csr {
+		for _, l := range []*nn.Linear{fc1, fc2} {
+			if _, err := eng.Virtualize(l.W, l.Out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return eng, set
+}
+
+// stepLockstep feeds one step's gradients to the oracle pipeline (sgd.Step
+// then Apply) and to the engine (Update), and requires equal swap counts.
+func stepLockstep(t *testing.T, ctx string, step int, sgd *optim.SGD, o *denseOracle, oset *nn.ParamSet, eng *DropBack, eset *nn.ParamSet) {
+	t.Helper()
+	fillGrads(oset, step)
+	fillGrads(eset, step)
+	syncTrackedGrads(eng, eset)
+	sgd.Step(oset)
+	want := o.Apply()
+	if got := eng.Update(sgd); got != want {
+		t.Fatalf("%s step %d: swaps %d, oracle %d", ctx, step, got, want)
+	}
+}
+
+// assertEngineMatchesOracle compares the weights and everything State
+// carries; withScores adds the live score vector, which is telemetry and
+// not part of resumable state.
+func assertEngineMatchesOracle(t *testing.T, ctx string, eng *DropBack, eset *nn.ParamSet, o *denseOracle, oset *nn.ParamSet, withScores bool) {
+	t.Helper()
+	eng.Densify()
+	assertSetsBitEqual(t, ctx, oset, eset)
+	if eng.Frozen() != o.frozen {
+		t.Fatalf("%s: frozen %v, oracle %v", ctx, eng.Frozen(), o.frozen)
+	}
+	want := maskIndices(o.mask)
+	if eng.TrackedCount() != len(want) {
+		t.Fatalf("%s: tracked count %d, oracle %d", ctx, eng.TrackedCount(), len(want))
+	}
+	em := eng.Mask()
+	for g := range o.mask {
+		if em[g] != o.mask[g] {
+			t.Fatalf("%s: mask[%d] = %v, oracle %v", ctx, g, em[g], o.mask[g])
+		}
+	}
+	if eng.Regenerations() != o.regenerations || eng.TrackedWrites() != o.trackedWrites {
+		t.Fatalf("%s: counters (%d,%d), oracle (%d,%d)", ctx,
+			eng.Regenerations(), eng.TrackedWrites(), o.regenerations, o.trackedWrites)
+	}
+	if eng.Swaps() != o.swaps {
+		t.Fatalf("%s: swap summary %+v, oracle %+v", ctx, eng.Swaps(), o.swaps)
+	}
+	if !withScores {
+		return
+	}
+	for g, s := range eng.AccumulatedGradients() {
+		if math.Float32bits(s) != math.Float32bits(o.scores[g]) {
+			t.Fatalf("%s: scores[%d] = %x, oracle %x", ctx, g, math.Float32bits(s), math.Float32bits(o.scores[g]))
 		}
 	}
 }
 
-// assertEngineStateMatchesDense compares everything State carries (scores
-// are live-only telemetry and not part of resumable state).
-func assertEngineStateMatchesDense(t *testing.T, ctx string, eng *TrackedTrainer, db *DropBack) {
-	t.Helper()
-	if eng.TrackedCount() != db.TrackedCount() {
-		t.Fatalf("%s: tracked count %d vs dense %d", ctx, eng.TrackedCount(), db.TrackedCount())
-	}
-	em, dm := eng.Mask(), db.Mask()
-	for i := range dm {
-		if em[i] != dm[i] {
-			t.Fatalf("%s: mask[%d] = %v vs dense %v", ctx, i, em[i], dm[i])
-		}
-	}
-	if eng.Regenerations() != db.Regenerations() || eng.TrackedWrites() != db.TrackedWrites() {
-		t.Fatalf("%s: counters (%d,%d) vs dense (%d,%d)", ctx,
-			eng.Regenerations(), eng.TrackedWrites(), db.Regenerations(), db.TrackedWrites())
-	}
-	if eng.Swaps() != db.Swaps() {
-		t.Fatalf("%s: swap summary %+v vs dense %+v", ctx, eng.Swaps(), db.Swaps())
-	}
-}
-
-// TestTrackedTrainerMatchesDensePipeline drives the engine and the dense
-// sgd.Step+DropBack.Apply pipeline with identical gradient streams through
-// fresh selection, freezing, and post-freeze steps, asserting bit-equal
-// values and identical masks, counters, and swap telemetry at every step.
+// TestTrackedTrainerMatchesDensePipeline drives the engine — on dense and
+// on CSR storage, and under each ablation — and the dense oracle pipeline
+// with identical gradient streams through fresh selection, freezing, and
+// post-freeze steps, asserting bit-equal values and identical masks,
+// counters, scores and swap telemetry at every step.
 func TestTrackedTrainerMatchesDensePipeline(t *testing.T) {
 	for _, budget := range []int{5, 7, 20, 53} {
-		denseSet, _, _ := makeSet()
-		sparseSet, sfc1, sfc2 := makeSet()
-
-		db := New(denseSet, Config{Budget: budget, FreezeAfterEpoch: 1})
-		eng := NewTrackedTrainer(sparseSet, Config{Budget: budget, FreezeAfterEpoch: 1})
-		if _, err := eng.Virtualize(sfc1.W, sfc1.Out); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Virtualize(sfc2.W, sfc2.Out); err != nil {
-			t.Fatal(err)
-		}
-
-		sgd := optim.NewSGD(0)
-		const stepsPerEpoch = 4
-		step := 0
-		for epoch := 0; epoch < 4; epoch++ {
-			lr := float32(0.25) / float32(epoch+1)
-			sgd.LR = lr
-			for s := 0; s < stepsPerEpoch; s++ {
-				fillGrads(denseSet, step)
-				fillGrads(sparseSet, step)
-				syncTrackedGrads(eng, sparseSet)
-
-				sgd.Step(denseSet)
-				denseSwaps := db.Apply()
-				sparseSwaps := eng.Apply(lr)
-				if denseSwaps != sparseSwaps {
-					t.Fatalf("budget %d step %d: swaps %d vs dense %d", budget, step, sparseSwaps, denseSwaps)
+		for _, c := range engineCases(budget) {
+			o, oset := newOracleFor(c)
+			eng, eset := newEngine(t, c)
+			sgd := optim.NewSGD(0)
+			step := 0
+			for epoch := 0; epoch < 4; epoch++ {
+				sgd.LR = float32(0.25) / float32(epoch+1)
+				for s := 0; s < 4; s++ {
+					stepLockstep(t, c.name, step, sgd, o, oset, eng, eset)
+					assertEngineMatchesOracle(t, fmt.Sprintf("%s step %d", c.name, step), eng, eset, o, oset, true)
+					step++
 				}
-				step++
-			}
-			db.MaybeFreezeAtEpochEnd(epoch)
-			eng.MaybeFreezeAtEpochEnd(epoch)
-			eng.Densify()
-			assertSetsBitEqual(t, "epoch end", denseSet, sparseSet)
-			assertEngineMatchesDense(t, "epoch end", eng, db)
-			if eng.Frozen() != db.Frozen() {
-				t.Fatalf("budget %d epoch %d: frozen %v vs dense %v", budget, epoch, eng.Frozen(), db.Frozen())
+				o.MaybeFreezeAtEpochEnd(epoch)
+				eng.EndEpoch(epoch)
+				assertEngineMatchesOracle(t, fmt.Sprintf("%s epoch %d end", c.name, epoch), eng, eset, o, oset, true)
 			}
 		}
 	}
 }
 
-// TestTrackedTrainerCrossRestore proves state captured from the dense
-// constraint resumes the engine bit-identically, and vice versa.
+// TestTrackedTrainerCrossRestore proves State is storage-independent: the
+// oracle's state resumes a fresh engine, and the engine's state resumes a
+// fresh oracle, both continuing bit-identically — on either side of the
+// freeze, for both storages and each ablation.
 func TestTrackedTrainerCrossRestore(t *testing.T) {
-	denseSet, _, _ := makeSet()
-	sparseSet, sfc1, sfc2 := makeSet()
-	db := New(denseSet, Config{Budget: 9, FreezeAfterEpoch: 0})
-	eng := NewTrackedTrainer(sparseSet, Config{Budget: 9, FreezeAfterEpoch: 0})
-	if _, err := eng.Virtualize(sfc1.W, sfc1.Out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Virtualize(sfc2.W, sfc2.Out); err != nil {
-		t.Fatal(err)
-	}
-	sgd := optim.NewSGD(0.3)
+	for _, c := range engineCases(9) {
+		o, oset := newOracleFor(c)
+		eng, eset := newEngine(t, c)
+		sgd := optim.NewSGD(0.3)
+		// One three-step epoch, so freeze 0 falls before the restore and
+		// freeze 1 after it.
+		for step := 0; step < 3; step++ {
+			stepLockstep(t, c.name, step, sgd, o, oset, eng, eset)
+		}
+		o.MaybeFreezeAtEpochEnd(0)
+		eng.EndEpoch(0)
+		assertEngineMatchesOracle(t, c.name+" pre-restore", eng, eset, o, oset, true)
 
-	// Run both three steps, freeze, then three more.
-	for step := 0; step < 3; step++ {
-		fillGrads(denseSet, step)
-		fillGrads(sparseSet, step)
-		syncTrackedGrads(eng, sparseSet)
-		sgd.Step(denseSet)
-		db.Apply()
-		eng.Apply(0.3)
-	}
-	db.MaybeFreezeAtEpochEnd(0)
-	eng.MaybeFreezeAtEpochEnd(0)
-	for step := 3; step < 6; step++ {
-		fillGrads(denseSet, step)
-		fillGrads(sparseSet, step)
-		syncTrackedGrads(eng, sparseSet)
-		sgd.Step(denseSet)
-		db.Apply()
-		eng.Apply(0.3)
-	}
-	eng.Densify()
-	assertSetsBitEqual(t, "pre-restore", denseSet, sparseSet)
+		// Oracle -> engine: a fresh engine over the oracle's values and state.
+		eng2, eset2 := newEngine(t, c)
+		eset2.Restore(oset.Snapshot())
+		if err := eng2.RestoreState(o.State()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		assertEngineMatchesOracle(t, c.name+" oracle->engine", eng2, eset2, o, oset, false)
 
-	// Dense -> sparse: a fresh engine over the dense run's values and state.
-	resumeSet, rfc1, rfc2 := makeSet()
-	resumeSet.Restore(denseSet.Snapshot())
-	eng2 := NewTrackedTrainer(resumeSet, Config{Budget: 9, FreezeAfterEpoch: 0})
-	if _, err := eng2.Virtualize(rfc1.W, rfc1.Out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng2.Virtualize(rfc2.W, rfc2.Out); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.RestoreState(db.State()); err != nil {
-		t.Fatal(err)
-	}
-	assertEngineStateMatchesDense(t, "dense->sparse restore", eng2, db)
+		// Engine -> oracle: a fresh oracle over the engine's values and state.
+		o2, oset2 := newOracleFor(c)
+		oset2.Restore(eset.Snapshot())
+		if err := o2.RestoreState(eng.State()); err != nil {
+			t.Fatal(err)
+		}
 
-	// Sparse -> dense: a fresh dense constraint over the engine's state.
-	denseSet2, _, _ := makeSet()
-	eng.Densify()
-	denseSet2.Restore(sparseSet.Snapshot())
-	db2 := New(denseSet2, Config{Budget: 9, FreezeAfterEpoch: 0})
-	if err := db2.RestoreState(eng.State()); err != nil {
-		t.Fatal(err)
+		// Continue both pairs in lockstep for three more epochs.
+		for step := 3; step < 12; step++ {
+			stepLockstep(t, c.name+" resumed engine", step, sgd, o, oset, eng2, eset2)
+			stepLockstep(t, c.name+" resumed oracle", step, sgd, o2, oset2, eng, eset)
+			if step%3 == 2 {
+				o.MaybeFreezeAtEpochEnd(step / 3)
+				eng2.EndEpoch(step / 3)
+				o2.MaybeFreezeAtEpochEnd(step / 3)
+				eng.EndEpoch(step / 3)
+			}
+		}
+		assertEngineMatchesOracle(t, c.name+" resumed engine", eng2, eset2, o, oset, false)
+		assertEngineMatchesOracle(t, c.name+" resumed oracle", eng, eset, o2, oset2, false)
 	}
+}
 
-	// Continue both pairs in lockstep and compare values.
-	for step := 6; step < 9; step++ {
-		fillGrads(denseSet, step)
-		fillGrads(resumeSet, step)
-		fillGrads(denseSet2, step)
-		syncTrackedGrads(eng2, resumeSet)
-		sgd.Step(denseSet)
-		db.Apply()
-		eng2.Apply(0.3)
-		sgd.Step(denseSet2)
-		db2.Apply()
+// TestVirtualizeRejectsAblations pins that the ablation switches stay on
+// dense storage: virtualizing a tensor of an engine configured with any of
+// them is an error, and the engine keeps running densely.
+func TestVirtualizeRejectsAblations(t *testing.T) {
+	for _, a := range ablations {
+		cfg := Config{Budget: 9}
+		a.set(&cfg)
+		set, fc1, _ := makeSet()
+		eng := New(set, cfg)
+		if _, err := eng.Virtualize(fc1.W, fc1.Out); err == nil || !strings.Contains(err.Error(), "dense storage only") {
+			t.Fatalf("%s: Virtualize error = %v, want the dense-storage-only rejection", a.name, err)
+		}
+		perturbAll(set, 0.01)
+		eng.Apply() // nothing was virtualized: Apply must still run
 	}
-	eng2.Densify()
-	assertSetsBitEqual(t, "resumed sparse vs dense", denseSet, resumeSet)
-	assertSetsBitEqual(t, "resumed dense vs dense", denseSet, denseSet2)
+}
+
+// TestApplyPanicsOnCSRStorage: Apply skips the optimizer step, which CSR
+// tensors take only inside Update, so it must refuse once one exists.
+func TestApplyPanicsOnCSRStorage(t *testing.T) {
+	eng, _ := newEngine(t, engineCase{cfg: Config{Budget: 9}, csr: true})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Apply on CSR storage did not panic")
+		}
+	}()
+	eng.Apply()
 }

@@ -89,49 +89,28 @@ func TestDropBackAppendTrackedIndicesFrozen(t *testing.T) {
 	assertIndicesEqual(t, "freeze before apply", idx, maskIndices(db2.Mask()))
 }
 
-// TestTrackedTrainerAppendTrackedIndicesMatchesDense drives the sparse
-// engine and the dense constraint in lockstep and requires identical index
-// lists at every step — through live selection, the freeze, and the frozen
-// CSR-walking O(k) path.
+// TestTrackedTrainerAppendTrackedIndicesMatchesDense drives the engine on
+// both storages (and each ablation on dense storage) in lockstep with the
+// dense oracle and requires identical index lists at every step — through
+// live selection, the freeze, and the frozen path, which for CSR storage
+// walks the index arrays in O(k).
 func TestTrackedTrainerAppendTrackedIndicesMatchesDense(t *testing.T) {
-	denseSet, _, _ := makeSet()
-	sparseSet, sfc1, sfc2 := makeSet()
-	db := New(denseSet, Config{Budget: 9, FreezeAfterEpoch: 0})
-	eng := NewTrackedTrainer(sparseSet, Config{Budget: 9, FreezeAfterEpoch: 0})
-	if _, err := eng.Virtualize(sfc1.W, sfc1.Out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Virtualize(sfc2.W, sfc2.Out); err != nil {
-		t.Fatal(err)
-	}
-	sgd := optim.NewSGD(0.3)
-
-	compare := func(ctx string) {
-		t.Helper()
-		d := db.AppendTrackedIndices(nil)
-		assertIndicesEqual(t, ctx+" (dense vs mask)", d, maskIndices(db.Mask()))
-		assertIndicesEqual(t, ctx+" (engine vs dense)", eng.AppendTrackedIndices(nil), d)
-	}
-
-	for step := 0; step < 3; step++ {
-		fillGrads(denseSet, step)
-		fillGrads(sparseSet, step)
-		syncTrackedGrads(eng, sparseSet)
-		sgd.Step(denseSet)
-		db.Apply()
-		eng.Apply(0.3)
-		compare("live step")
-	}
-	db.MaybeFreezeAtEpochEnd(0)
-	eng.MaybeFreezeAtEpochEnd(0)
-	compare("at freeze")
-	for step := 3; step < 6; step++ {
-		fillGrads(denseSet, step)
-		fillGrads(sparseSet, step)
-		syncTrackedGrads(eng, sparseSet)
-		sgd.Step(denseSet)
-		db.Apply()
-		eng.Apply(0.3)
-		compare("frozen step")
+	for _, c := range engineCases(9) {
+		o, oset := newOracleFor(c)
+		eng, eset := newEngine(t, c)
+		sgd := optim.NewSGD(0.3)
+		compare := func(ctx string) {
+			t.Helper()
+			assertIndicesEqual(t, c.name+" "+ctx, eng.AppendTrackedIndices(nil), maskIndices(o.mask))
+		}
+		for step := 0; step < 6; step++ {
+			stepLockstep(t, c.name, step, sgd, o, oset, eng, eset)
+			compare("step")
+			if step%3 == 2 {
+				o.MaybeFreezeAtEpochEnd(step / 3)
+				eng.EndEpoch(step / 3)
+				compare("epoch end")
+			}
+		}
 	}
 }

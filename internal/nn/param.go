@@ -208,21 +208,3 @@ func (ps *ParamSet) ZeroGrads() {
 		p.ZeroGrad()
 	}
 }
-
-// VisitDiffFromInit calls fn(globalIndex, |value - initial|) for every
-// scalar. Because untracked weights are regenerated to their initial values
-// after every DropBack step, |W_t − W_0| is exactly the magnitude of the
-// accumulated gradient the paper tracks (Algorithm 1: the tracked set is
-// recomputed "when needed from W_{t−1} − W^{(0)}").
-func (ps *ParamSet) VisitDiffFromInit(fn func(global int, absDiff float32)) {
-	for i, p := range ps.params {
-		base := ps.offsets[i]
-		for e, v := range p.Value.Data {
-			d := v - p.Init.Regenerate(e)
-			if d < 0 {
-				d = -d
-			}
-			fn(base+e, d)
-		}
-	}
-}

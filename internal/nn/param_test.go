@@ -151,37 +151,6 @@ func TestZeroGrads(t *testing.T) {
 	}
 }
 
-func TestVisitDiffFromInit(t *testing.T) {
-	ps, _, _ := buildTestSet()
-	// Perturb one scalar and confirm only it reports a non-zero diff.
-	target := 5
-	ps.Set(target, ps.InitialValue(target)+2)
-	count := 0
-	ps.VisitDiffFromInit(func(g int, d float32) {
-		if g == target {
-			if d < 1.99 || d > 2.01 {
-				t.Fatalf("diff at target = %v, want ~2", d)
-			}
-			count++
-		} else if d != 0 {
-			t.Fatalf("unexpected diff %v at %d", d, g)
-		}
-	})
-	if count != 1 {
-		t.Fatal("target index never visited")
-	}
-}
-
-func TestVisitDiffIsAbsolute(t *testing.T) {
-	ps, _, _ := buildTestSet()
-	ps.Set(3, ps.InitialValue(3)-4)
-	ps.VisitDiffFromInit(func(g int, d float32) {
-		if g == 3 && (d < 3.99 || d > 4.01) {
-			t.Fatalf("negative diff not folded: %v", d)
-		}
-	})
-}
-
 func TestNameIDStable(t *testing.T) {
 	if NameID("layer/W") != NameID("layer/W") {
 		t.Fatal("NameID must be deterministic")

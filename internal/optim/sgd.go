@@ -27,11 +27,16 @@ func NewSGD(lr float32) *SGD { return &SGD{LR: lr} }
 // accumulated by the latest backward pass.
 func (o *SGD) Step(set *nn.ParamSet) {
 	for _, p := range set.Params() {
-		if o.WeightDecay != 0 {
-			tensor.AXPY(o.WeightDecay, p.Value, p.Grad)
-		}
-		tensor.AXPY(-o.LR, p.Grad, p.Value)
+		o.StepParam(p)
 	}
+}
+
+// StepParam applies one update to a single parameter.
+func (o *SGD) StepParam(p *nn.Param) {
+	if o.WeightDecay != 0 {
+		tensor.AXPY(o.WeightDecay, p.Value, p.Grad)
+	}
+	tensor.AXPY(-o.LR, p.Grad, p.Value)
 }
 
 // Schedule maps an epoch index to a learning rate.

@@ -166,7 +166,7 @@ type linearOp struct {
 
 	// Training state, nil in inference-only mode.
 	layer *nn.Linear
-	eng   *core.TrackedTrainer
+	eng   *core.DropBack
 }
 
 func (op *linearOp) Name() string { return op.spec.name }
@@ -257,7 +257,7 @@ type convOp struct {
 
 	// Training state, nil in inference-only mode.
 	layer *nn.Conv2D
-	eng   *core.TrackedTrainer
+	eng   *core.DropBack
 }
 
 func (op *convOp) Name() string { return op.spec.name }

@@ -3,7 +3,7 @@
 // (the same core.TrackedTensor form a compiled Plan serves from),
 // regenerating untracked weights inside the kernel loops per minibatch. The
 // model's dense weight tensors are never read during a training step — they
-// are refreshed only at epoch boundaries via TrackedTrainer.Densify for
+// are refreshed only at epoch boundaries via DropBack.Densify for
 // evaluation and checkpointing.
 //
 // Correctness contract (the training half of the package contract): every
@@ -51,11 +51,11 @@ import (
 // shared with the original tree so its internal state (BN statistics,
 // dropout RNG) advances exactly as in a dense run. The mirror and m.Net must not run concurrently; the trainer
 // uses the mirror for steps and the densified m.Net for evaluation.
-func NewTrainingMirror(m *nn.Model, eng *core.TrackedTrainer) (nn.Layer, error) {
+func NewTrainingMirror(m *nn.Model, eng *core.DropBack) (nn.Layer, error) {
 	return mirrorLayer(m.Net, eng)
 }
 
-func mirrorLayer(l nn.Layer, eng *core.TrackedTrainer) (nn.Layer, error) {
+func mirrorLayer(l nn.Layer, eng *core.DropBack) (nn.Layer, error) {
 	switch t := l.(type) {
 	case *nn.Sequential:
 		children := make([]nn.Layer, 0, len(t.Layers()))

@@ -9,7 +9,12 @@
 #   3. require every node's checkpoint to be byte-identical to the
 #      sequential one — the tentpole bit-identity claim, end to end;
 #   4. rerun with the tracked set frozen from epoch 0 so the exchange runs
-#      in its O(k) phase, and require byte-identity again.
+#      in its O(k) phase, and require byte-identity again;
+#   5. storage leg: in both cases, rerun as one process with -sparse-train,
+#      which keeps the weight matrices on the DropBack engine's CSR storage
+#      instead of dense storage, and require its checkpoint to be
+#      byte-identical to the sequential dense one — one engine, two
+#      storages, proven at the CLI.
 #
 # The CLI processes build their synthetic dataset from -samples/-seed, so
 # every process sees identical data with no files to distribute.
@@ -49,6 +54,11 @@ run_case() {
     echo "==> [$name] checkpoints must be byte-identical to the sequential run"
     cmp "$TMP/$name-seq.ckpt" "$TMP/$name-node0.ckpt"
     cmp "$TMP/$name-seq.ckpt" "$TMP/$name-node1.ckpt"
+
+    echo "==> [$name] CSR storage (-sparse-train) must match dense storage"
+    "$TMP/dropback" "$@" -sparse-train \
+        -save-checkpoint "$TMP/$name-sparse.ckpt" >"$TMP/$name-sparse.log"
+    cmp "$TMP/$name-seq.ckpt" "$TMP/$name-sparse.ckpt"
     echo "==> [$name] OK ($(wc -c <"$TMP/$name-seq.ckpt") byte checkpoint)"
 }
 

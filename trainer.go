@@ -293,9 +293,6 @@ func (c TrainConfig) Validate() error {
 		if c.MaxRecoveryRetries > 0 {
 			return fmt.Errorf("dropback: SparseTrain does not support divergence recovery (per-step snapshots read dense weights)")
 		}
-		if c.SnapshotEvery > 0 {
-			return fmt.Errorf("dropback: SparseTrain does not support per-step weight snapshots (dense values exist only at epoch boundaries)")
-		}
 		if c.GradHook != nil {
 			return fmt.Errorf("dropback: SparseTrain does not support GradHook (frozen big-tensor gradients live in the tracked set, not dense buffers)")
 		}
@@ -421,12 +418,14 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dbc, _ := c.(dropBackConstraint)
+	// db is nil for every method but DropBack, whose engine the resume
+	// state, the telemetry, the sparse mirror and the dist executor read.
+	db, _ := c.(*core.DropBack)
 	// SparseTrain (Validate admits it for DropBack only) steps a sparse
-	// mirror of the model that computes over the engine's CSR state.
+	// mirror of the model that computes over the engine's CSR storage.
 	var mirror nn.Layer
 	if cfg.SparseTrain {
-		if mirror, err = sparsenn.NewTrainingMirror(m, c.(*core.TrackedTrainer)); err != nil {
+		if mirror, err = sparsenn.NewTrainingMirror(m, db); err != nil {
 			return nil, err
 		}
 	}
@@ -493,7 +492,7 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	var bestBNState [][]float32
 
 	if resume != nil {
-		if err := applyResume(resume, m, train, batcher, sgd, dbc, res); err != nil {
+		if err := applyResume(resume, m, train, batcher, sgd, db, res); err != nil {
 			return nil, err
 		}
 		startEpoch = resume.Epoch
@@ -524,7 +523,6 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 			Batch:       uint32(cfg.BatchSize),
 			StartStep:   uint64(step),
 		}
-		db, _ := c.(*core.DropBack) // Validate admits only DropBack and the baseline
 		dexec, err = newDistExecutor(m, db, *cfg.Dist, hs, cfg.Telemetry)
 		if err != nil {
 			return nil, err
@@ -553,7 +551,7 @@ epochs:
 		nb := batcher.BatchesPerEpoch()
 		var snap *recoverySnap
 		if recoveryOn {
-			snap = captureRecoverySnap(m, batcher, dbc, step, 0, 0, 0, 0)
+			snap = captureRecoverySnap(m, batcher, db, step, 0, 0, 0, 0)
 		}
 		for b := 0; b < nb; b++ {
 			var stepStart time.Time
@@ -599,7 +597,7 @@ epochs:
 				sgd.LR = cfg.Schedule.At(epoch) * lrScale
 				step = snap.step
 				lossSum, accSum, epochExamples = snap.lossSum, snap.accSum, snap.examples
-				restoreRecoverySnap(m, batcher, dbc, snap)
+				restoreRecoverySnap(m, batcher, db, snap)
 				b = snap.nextB - 1
 				if telemetryOn {
 					rec.Counter("recovery/rollbacks", 1)
@@ -615,9 +613,12 @@ epochs:
 			}
 			step++
 			if recoveryOn && step%snapEvery == 0 {
-				snap = captureRecoverySnap(m, batcher, dbc, step, b+1, lossSum, accSum, epochExamples)
+				snap = captureRecoverySnap(m, batcher, db, step, b+1, lossSum, accSum, epochExamples)
 			}
 			if cfg.SnapshotEvery > 0 && step%cfg.SnapshotEvery == 0 {
+				if mirror != nil {
+					db.Densify() // CSR tensors' model copies are stale mid-epoch
+				}
 				diff.Record(step, filteredSnapshot(m.Set, cfg.SnapshotParams))
 				maybeSnapshot(res, cfg, step, m.Set)
 			}
@@ -646,13 +647,14 @@ epochs:
 		}
 		res.History = append(res.History, es)
 		if telemetryOn {
-			if dbc != nil {
-				rec.Gauge("dropback/tracked_set_size", float64(dbc.TrackedCount()))
-				rec.Gauge("dropback/regenerations", float64(dbc.Regenerations()))
-				rec.Gauge("dropback/tracked_writes", float64(dbc.TrackedWrites()))
+			if db != nil {
+				rec.Gauge("dropback/tracked_set_size", float64(db.TrackedCount()))
+				rec.Gauge("dropback/regenerations", float64(db.Regenerations()))
+				rec.Gauge("dropback/tracked_writes", float64(db.TrackedWrites()))
 			}
-			if ws, ok := c.(interface{ WeightStateBytes() int64 }); ok {
-				rec.Gauge("dropback/weight_state_bytes", float64(ws.WeightStateBytes()))
+			if mirror != nil {
+				// Its presence marks a run on CSR storage.
+				rec.Gauge("dropback/weight_state_bytes", float64(db.WeightStateBytes()))
 			}
 			wsHits, wsMisses, wsBytes := tensor.WorkspaceStats()
 			rec.Gauge(telemetry.GaugeWorkspaceHits, float64(wsHits))
@@ -685,7 +687,7 @@ epochs:
 		if mgr != nil {
 			if (epoch+1-startEpoch)%max(cfg.Checkpoint.Every, 1) == 0 || epoch+1 == cfg.Epochs {
 				ts := captureTrainState(epoch+1, step, lrScale, retries, sinceBest,
-					res, bestSnapshot, bestBNState, m, batcher, sgd, dbc)
+					res, bestSnapshot, bestBNState, m, batcher, sgd, db)
 				if _, err := mgr.Save(m, ts); err != nil {
 					return nil, fmt.Errorf("saving checkpoint after epoch %d: %w", epoch+1, err)
 				}
@@ -709,11 +711,11 @@ epochs:
 
 	res.DiffusionSteps, res.DiffusionDist = diff.Series()
 	res.Compression = c.CompressionRatio()
-	if dbc != nil {
-		res.SwapHistory = dbc.SwapHistory()
-		res.AccumulatedGradients = dbc.AccumulatedGradients()
-		res.Retention = dbc.RetentionByLayer()
-		res.Regenerations = dbc.Regenerations()
+	if db != nil {
+		res.SwapHistory = db.SwapHistory()
+		res.AccumulatedGradients = db.AccumulatedGradients()
+		res.Retention = db.RetentionByLayer()
+		res.Regenerations = db.Regenerations()
 	}
 	return res, nil
 }
@@ -721,7 +723,7 @@ epochs:
 // applyResume restores the loop state a TrainState captures into the
 // freshly constructed training objects. The weights and batch-norm
 // statistics were already applied when the checkpoint was loaded.
-func applyResume(ts *checkpoint.TrainState, m *Model, train *data.Dataset, batcher *data.Batcher, sgd *optim.SGD, dbc dropBackConstraint, res *Result) error {
+func applyResume(ts *checkpoint.TrainState, m *Model, train *data.Dataset, batcher *data.Batcher, sgd *optim.SGD, db *core.DropBack, res *Result) error {
 	if ts.Epoch < 0 || ts.Step < 0 {
 		return fmt.Errorf("resume state has negative counters (epoch %d, step %d)", ts.Epoch, ts.Step)
 	}
@@ -761,13 +763,13 @@ func applyResume(ts *checkpoint.TrainState, m *Model, train *data.Dataset, batch
 		return err
 	}
 	if ts.DropBack != nil {
-		if dbc == nil {
+		if db == nil {
 			return fmt.Errorf("resume state carries DropBack state but the method is %v", res.Method)
 		}
-		if err := dbc.RestoreState(*ts.DropBack); err != nil {
+		if err := db.RestoreState(*ts.DropBack); err != nil {
 			return err
 		}
-	} else if dbc != nil && ts.Step > 0 {
+	} else if db != nil && ts.Step > 0 {
 		return fmt.Errorf("resume state carries no DropBack state but the method is DropBack")
 	}
 	return nil
@@ -777,7 +779,7 @@ func applyResume(ts *checkpoint.TrainState, m *Model, train *data.Dataset, batch
 // boundary: epochsDone epochs and step optimizer steps are complete.
 func captureTrainState(epochsDone, step int, lrScale float32, retries, sinceBest int,
 	res *Result, bestSnapshot []float32, bestBNState [][]float32,
-	m *Model, batcher *data.Batcher, sgd *optim.SGD, dbc dropBackConstraint) *checkpoint.TrainState {
+	m *Model, batcher *data.Batcher, sgd *optim.SGD, db *core.DropBack) *checkpoint.TrainState {
 	ts := &checkpoint.TrainState{
 		Epoch:      epochsDone,
 		Step:       step,
@@ -805,8 +807,8 @@ func captureTrainState(epochsDone, step int, lrScale float32, retries, sinceBest
 			ValLoss: h.ValLoss, ValAcc: h.ValAcc,
 		})
 	}
-	if dbc != nil {
-		st := dbc.State()
+	if db != nil {
+		st := db.State()
 		ts.DropBack = &st
 	}
 	return ts
@@ -828,7 +830,7 @@ type recoverySnap struct {
 	examples int
 }
 
-func captureRecoverySnap(m *Model, batcher *data.Batcher, db dropBackConstraint,
+func captureRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack,
 	step, nextB int, lossSum, accSum float64, examples int) *recoverySnap {
 	s := &recoverySnap{
 		params:   m.Set.Snapshot(),
@@ -848,7 +850,7 @@ func captureRecoverySnap(m *Model, batcher *data.Batcher, db dropBackConstraint,
 	return s
 }
 
-func restoreRecoverySnap(m *Model, batcher *data.Batcher, db dropBackConstraint, s *recoverySnap) {
+func restoreRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack, s *recoverySnap) {
 	m.Set.Restore(s.params)
 	nn.RestoreBNState(m.Net, s.bn)
 	nn.RestoreLayerRNG(m.Net, s.layerRNG)

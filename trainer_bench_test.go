@@ -64,7 +64,7 @@ func BenchmarkSparseTrainStep(b *testing.B) {
 	const batch = 32
 	const budget = 8961 // 10% of the 89610-parameter MLP
 	m := MNIST100100(1)
-	eng := core.NewTrackedTrainer(m.Set, core.Config{Budget: budget, FreezeAfterEpoch: 0})
+	eng := core.New(m.Set, core.Config{Budget: budget, FreezeAfterEpoch: 0})
 	mirror, err := sparsenn.NewTrainingMirror(m, eng)
 	if err != nil {
 		b.Fatal(err)
@@ -77,20 +77,20 @@ func BenchmarkSparseTrainStep(b *testing.B) {
 	for i := range labels {
 		labels[i] = i % 10
 	}
-	const lr = 0.1
+	sgd := optim.NewSGD(0.1)
 	// One pre-freeze step selects the tracked set, then freezing drops the
 	// dense candidate state; one frozen step warms the steady-state
 	// workspaces the loop reuses.
 	sparsenn.TrainStep(m, mirror, x, labels)
-	eng.Apply(lr)
+	eng.Update(sgd)
 	eng.MaybeFreezeAtEpochEnd(0)
 	sparsenn.TrainStep(m, mirror, x, labels)
-	eng.Apply(lr)
+	eng.Update(sgd)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sparsenn.TrainStep(m, mirror, x, labels)
-		eng.Apply(lr)
+		eng.Update(sgd)
 	}
 	b.StopTimer()
 	tracked := float64(eng.WeightStateBytes())

@@ -4,9 +4,12 @@ import (
 	"runtime"
 	"testing"
 
+	"dropback/internal/checkpoint"
+	"dropback/internal/core"
 	"dropback/internal/data"
 	"dropback/internal/models"
 	"dropback/internal/nn"
+	"dropback/internal/sparsenn"
 	"dropback/internal/telemetry"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
@@ -314,13 +317,115 @@ func TestSparseTrainValidation(t *testing.T) {
 			return c
 		}(),
 		func() TrainConfig { c := valid; c.MaxRecoveryRetries = 1; return c }(),
-		func() TrainConfig { c := valid; c.SnapshotEvery = 1; return c }(),
 		func() TrainConfig { c := valid; c.GradHook = func(int, *nn.ParamSet) {}; return c }(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("bad sparse config %d accepted", i)
 		}
+	}
+}
+
+// TestSparseTrainSnapshotsMatchDense closes the SparseTrain × SnapshotEvery
+// cell: the per-step weight snapshots and the diffusion series of a sparse
+// run are bit-identical to the dense run's, with the set never frozen,
+// frozen after epoch 0, and frozen after epoch 1.
+func TestSparseTrainSnapshotsMatchDense(t *testing.T) {
+	train, val := synthTrainVal(48, 12, 4, 53)
+	for _, freeze := range []int{-1, 0, 1} {
+		cfg := TrainConfig{
+			Method: MethodDropBack, Budget: 80, FreezeAfterEpoch: freeze,
+			Epochs: 3, BatchSize: 4, Seed: 59, SnapshotEvery: 2, MaxSnapshots: 20,
+		}
+		ref, refParams := runSparseOrDense(t, parTestMLP, 7, false, cfg, train, val)
+		got, gotParams := runSparseOrDense(t, parTestMLP, 7, true, cfg, train, val)
+		ctx := "snapshots/freeze=" + itoa(freeze)
+		assertSparseRunMatchesDense(t, ctx, ref, got, refParams, gotParams)
+		if len(ref.Snapshots) < 2 || len(got.Snapshots) != len(ref.Snapshots) {
+			t.Fatalf("%s: %d sparse snapshots, %d dense", ctx, len(got.Snapshots), len(ref.Snapshots))
+		}
+		for i := range ref.Snapshots {
+			if got.SnapshotSteps[i] != ref.SnapshotSteps[i] {
+				t.Fatalf("%s: snapshot %d at step %d, dense at %d", ctx, i, got.SnapshotSteps[i], ref.SnapshotSteps[i])
+			}
+			assertF32BitsEqual(t, ctx+": snapshot "+itoa(i), ref.Snapshots[i], got.Snapshots[i])
+		}
+		if len(got.DiffusionDist) != len(ref.DiffusionDist) {
+			t.Fatalf("%s: %d diffusion points, dense %d", ctx, len(got.DiffusionDist), len(ref.DiffusionDist))
+		}
+		for i := range ref.DiffusionDist {
+			assertF64BitsEqual(t, ctx+": diffusion "+itoa(i), ref.DiffusionDist[i], got.DiffusionDist[i])
+		}
+	}
+}
+
+// gaugeLog is an enabled recorder that keeps every gauge observation.
+type gaugeLog struct {
+	telemetry.Nop
+	vals map[string][]float64
+}
+
+func (g *gaugeLog) Enabled() bool { return true }
+
+func (g *gaugeLog) Gauge(name string, v float64) { g.vals[name] = append(g.vals[name], v) }
+
+// TestWeightStateGaugeOnlyOnCSRStorage pins the telemetry contract the
+// benchmark reads: the dropback/weight_state_bytes gauge marks a run on CSR
+// storage. A dense run emits none; a SparseTrain run emits the engine's
+// WeightStateBytes at every epoch end. With the set frozen from epoch 0 the
+// weight state is fixed, so each epoch's figure must equal that of a fresh
+// engine restored from the final checkpoint.
+func TestWeightStateGaugeOnlyOnCSRStorage(t *testing.T) {
+	const gauge = "dropback/weight_state_bytes"
+	train, val := synthTrainVal(48, 12, 4, 61)
+	cfg := TrainConfig{
+		Method: MethodDropBack, Budget: 80, FreezeAfterEpoch: 0,
+		Epochs: 3, BatchSize: 4, Seed: 67,
+	}
+	dense := &gaugeLog{vals: map[string][]float64{}}
+	cfg.Telemetry = dense
+	if _, err := TrainE(parTestMLP(7), train, val, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(dense.vals["dropback/tracked_set_size"]) != cfg.Epochs {
+		t.Fatalf("dense run emitted %d tracked-set gauges, want one per epoch", len(dense.vals["dropback/tracked_set_size"]))
+	}
+	if v, ok := dense.vals[gauge]; ok {
+		t.Fatalf("dense run emitted %s = %v", gauge, v)
+	}
+
+	sparse := &gaugeLog{vals: map[string][]float64{}}
+	dir := t.TempDir()
+	cfg.Telemetry = sparse
+	cfg.SparseTrain = true
+	cfg.Checkpoint = &CheckpointSpec{Dir: dir, Every: 1}
+	if _, err := TrainE(parTestMLP(7), train, val, cfg); err != nil {
+		t.Fatal(err)
+	}
+	m := parTestMLP(7)
+	ts, _, err := (&checkpoint.Manager{Dir: dir}).LoadLatestValid(m)
+	if err != nil || ts == nil || ts.DropBack == nil {
+		t.Fatalf("final checkpoint: state %v, err %v", ts, err)
+	}
+	eng := core.New(m.Set, core.Config{Budget: cfg.Budget, FreezeAfterEpoch: cfg.FreezeAfterEpoch})
+	if _, err := sparsenn.NewTrainingMirror(m, eng); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RestoreState(*ts.DropBack); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(eng.WeightStateBytes())
+	got := sparse.vals[gauge]
+	if len(got) != cfg.Epochs {
+		t.Fatalf("sparse run emitted %s %d times, want once per epoch (%d)", gauge, len(got), cfg.Epochs)
+	}
+	for i, v := range got {
+		if v != want {
+			t.Fatalf("epoch %d: %s = %v, engine reports %v", i+1, gauge, v, want)
+		}
+	}
+	if want >= float64(eng.DenseWeightStateBytes()) {
+		t.Fatalf("frozen CSR weight state %v B is not below dense %d B", want, eng.DenseWeightStateBytes())
 	}
 }
 
