@@ -67,10 +67,12 @@ bench-guard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_kernels.json -input bench_guard.out
 
 # Training-step gate: BenchmarkTrainStep (sequential + shard-parallel
-# executor) must stay under the allocs/op ceilings and within max_ns_ratio
-# of the ns/op baselines in BENCH_train.json.
+# executor), BenchmarkSparseTrainStep and BenchmarkDropBackUpdate (the
+# DropBack engine alone, live and frozen) must stay under the allocs/op
+# ceilings and within max_ns_ratio of the ns/op baselines in
+# BENCH_train.json.
 bench-guard-train:
-	$(GO) test -bench 'BenchmarkTrainStep|BenchmarkSparseTrainStep' -benchmem -benchtime 20x \
+	$(GO) test -bench 'BenchmarkTrainStep|BenchmarkSparseTrainStep|BenchmarkDropBackUpdate' -benchmem -benchtime 20x \
 		-run '^$$' . > bench_train.out
 	$(GO) run ./cmd/benchguard -baseline BENCH_train.json -input bench_train.out
 

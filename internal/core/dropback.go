@@ -59,8 +59,12 @@ type Config struct {
 // to enter the tracked set.
 //
 // Each parameter tensor has one of two storages. By default it stays dense
-// in the model: the optimizer steps it in place and the constraint resets
-// its untracked entries. Virtualize moves a tensor to CSR storage
+// in the model next to a w0 slab of its initialization values, filled once
+// by Init.Fill: the optimizer steps it in place and the constraint scores
+// and resets it against the slab. Once the set is frozen and the untracked
+// entries are known to sit at W_0, Update steps only the tracked entries
+// and skips the reset, which would restore exactly the bits they already
+// hold. Virtualize moves a tensor to CSR storage
 // (TrackedTensor), which holds only the tracked entries; Update fuses their
 // SGD step into the selection pass, so untracked values are never stored.
 // Both storages feed one global score vector and one selection, with
@@ -76,50 +80,73 @@ type DropBack struct {
 
 	// csr is aligned with set.Params(); nil entries are dense tensors.
 	csr []*TrackedTensor
+	// w0 is aligned with set.Params(): a dense tensor's initialization
+	// values, the reset point of its untracked entries. Entries are nil on
+	// CSR storage, which regenerates them instead, and under the
+	// ZeroUntracked ablation, whose reset point is zero.
+	w0 [][]float32
 
 	scores []float32
 	// mask and prevMask are the global selections while the set is live;
 	// after an Apply the latest one is prevMask. Both are nil once frozen:
-	// a dense tensor then keeps its own frozenMask, and a CSR tensor's
-	// membership is its index array.
+	// a dense tensor then keeps its own ascending frozenIdx, and a CSR
+	// tensor's membership is its index array.
 	mask, prevMask []bool
-	frozenMask     [][]bool
+	frozenIdx      [][]int32
 	frozenTracked  int
 	havePrev       bool
 	frozen         bool
-	// shares is the PerLayerBudget per-tensor budget scratch, reused across
-	// steps so selection stays allocation-free.
+	// settled is set by the first frozen pass that resets dense storage:
+	// from then on every untracked dense weight holds its reset value, so
+	// Update steps dense tensors at their tracked indices only.
+	settled bool
+	// shares is the PerLayerBudget per-tensor budget scratch and selBuf the
+	// top-k scratch, reused across steps so selection stays allocation-free.
+	// selBuf is freed at the freeze.
 	shares []int
+	selBuf []float32
 
-	stepCount     int
-	swapHistory   []int
-	swapSummary   SwapSummary
+	stepCount   int
+	swapHistory []int
+	swapSummary SwapSummary
+	// regenerations and trackedWrites count the modelled per-step work,
+	// n−k and k per step, not Init.Regenerate calls (see Regenerations).
 	regenerations int64
 	trackedWrites int64
 }
 
 // New builds a DropBack constraint over the given parameter set, with every
-// tensor on dense storage. Budget must be positive and is clamped to the
-// parameter count.
+// tensor on dense storage and its w0 slab filled by Init.Fill, which is
+// defined through Regenerate, so the slab is byte-equal to regeneration.
+// Budget must be positive and is clamped to the parameter count.
 func New(set *nn.ParamSet, cfg Config) *DropBack {
 	if cfg.Budget <= 0 {
 		panic(fmt.Sprintf("core: budget must be positive, got %d", cfg.Budget))
 	}
 	n := set.Total()
 	cfg.Budget = min(cfg.Budget, n)
-	return &DropBack{
-		cfg:        cfg,
-		set:        set,
-		csr:        make([]*TrackedTensor, len(set.Params())),
-		frozenMask: make([][]bool, len(set.Params())),
-		scores:     make([]float32, n),
-		mask:       make([]bool, n),
-		prevMask:   make([]bool, n),
+	d := &DropBack{
+		cfg:       cfg,
+		set:       set,
+		csr:       make([]*TrackedTensor, len(set.Params())),
+		w0:        make([][]float32, len(set.Params())),
+		frozenIdx: make([][]int32, len(set.Params())),
+		scores:    make([]float32, n),
+		mask:      make([]bool, n),
+		prevMask:  make([]bool, n),
 	}
+	if !cfg.ZeroUntracked {
+		for i, p := range set.Params() {
+			d.w0[i] = make([]float32, p.Len())
+			p.Init.Fill(d.w0[i])
+		}
+	}
+	return d
 }
 
 // Virtualize moves one parameter tensor to CSR storage, viewed as a
-// rows×(Len/rows) matrix. The current dense values seed the tracked set:
+// rows×(Len/rows) matrix, and drops its w0 slab. The current dense values
+// seed the tracked set:
 // every element whose bits differ from its regenerated init becomes a
 // tracked delta (a fresh model seeds an empty CSR). Must be called before
 // the first step; returns the CSR handle the sparse kernels close over. The
@@ -148,21 +175,33 @@ func (d *DropBack) Virtualize(p *nn.Param, rows int) (*TrackedTensor, error) {
 	t := NewTrackedTensor(p.Init, rows, p.Len()/rows, nil, nil)
 	t.load(p.Value.Data, nil)
 	d.csr[idx] = t
+	d.w0[idx] = nil
 	return t, nil
 }
 
 // Update is the per-step entry: it applies opt's step to the dense tensors,
 // then runs the constraint pass, which steps the CSR tensors at opt's rate
-// (plain SGD: optim.TrackedSGD has no weight decay) as part of selection.
-// It returns the number of weights that entered the tracked set this step.
+// as part of selection. Once settled, a dense tensor is stepped at its
+// tracked indices only, with optim.TrackedSGD's per-element expression, and
+// the pass skips its reset: the untracked entries already hold their reset
+// values, and stepping then resetting them would write the same bits. It
+// returns the number of weights that entered the tracked set this step.
 func (d *DropBack) Update(opt *optim.SGD) int {
 	d.sgd.LR = opt.LR
+	tracked := d.frozen && d.settled
 	for i, p := range d.set.Params() {
-		if d.csr[i] == nil {
+		switch {
+		case d.csr[i] != nil:
+		case tracked:
+			w, g := p.Value.Data, p.Grad.Data
+			for _, e := range d.frozenIdx[i] {
+				w[e] = d.sgd.Update(w[e], g[e])
+			}
+		default:
 			opt.StepParam(p)
 		}
 	}
-	return d.pass()
+	return d.pass(!tracked)
 }
 
 // Apply is Update's constraint pass without the optimizer step, for callers
@@ -175,29 +214,36 @@ func (d *DropBack) Apply() int {
 			panic("core: Apply cannot step CSR storage; use Update")
 		}
 	}
-	return d.pass()
+	return d.pass(true)
 }
 
 // pass enforces the constraint on weights whose dense tensors are already
 // stepped: it recomputes accumulated gradients, selects the top-k set
-// (unless frozen), writes the CSR tensors' stepped tracked values, and
-// regenerates every untracked dense weight to its initialization value. It
-// returns the number of weights that entered the tracked set.
-func (d *DropBack) pass() int {
+// (unless frozen), writes the CSR tensors' stepped tracked values, and,
+// with reset set, resets every untracked dense weight to its
+// initialization value. It returns the number of weights that entered the
+// tracked set.
+func (d *DropBack) pass(reset bool) int {
 	d.stepCount++
 	if d.frozen {
 		// Selection is fixed: CSR tensors step their tracked values from
-		// the tracked gradients, and dense tensors reset what the dense
+		// the tracked gradients, and dense tensors reset what a full dense
 		// step touched outside the set.
 		for i, p := range d.set.Params() {
-			if t := d.csr[i]; t != nil {
+			k := len(d.frozenIdx[i])
+			switch t := d.csr[i]; {
+			case t != nil:
 				d.sgd.StepTracked(t.Val, t.TGrad)
-				d.trackedWrites += int64(len(t.Idx))
-				d.regenerations += int64(p.Len() - len(t.Idx))
-			} else if !d.cfg.DryRun {
-				d.reset(p, d.frozenMask[i])
+				k = len(t.Idx)
+			case d.cfg.DryRun:
+				continue
+			case reset:
+				d.resetFrozen(i)
 			}
+			d.trackedWrites += int64(k)
+			d.regenerations += int64(p.Len() - k)
 		}
+		d.settled = !d.cfg.DryRun
 		d.recordSwaps(0)
 		return 0
 	}
@@ -219,7 +265,7 @@ func (d *DropBack) pass() int {
 			d.trackedWrites += int64(len(t.Idx))
 			d.regenerations += int64(p.Len() - len(t.Idx))
 		} else if !d.cfg.DryRun {
-			d.reset(p, keep)
+			d.reset(i, keep)
 		}
 	}
 	// After the swap, prevMask holds the current selection.
@@ -232,20 +278,33 @@ func (d *DropBack) pass() int {
 // SelectByMagnitude ablation the score is |W_t| instead; the ZeroUntracked
 // ablation also scores against zero, because zero is the reset point
 // untracked weights accumulate from there. With step set, a CSR tensor
-// scores the value its pending SGD step produces; otherwise every tensor
-// scores the model's dense values.
+// scores the value its pending SGD step produces; otherwise it scores its
+// current values. A dense tensor scores the model's values against its w0
+// slab.
 func (d *DropBack) score(step bool) {
 	byValue := d.cfg.SelectByMagnitude || d.cfg.ZeroUntracked
 	for i, p := range d.set.Params() {
 		s := d.scores[d.set.Offset(i):][:p.Len()]
-		if t := d.csr[i]; t != nil && step {
-			t.scoreStep(s, p.Grad.Data, d.sgd)
+		if t := d.csr[i]; t != nil {
+			if step {
+				t.scoreStep(s, p.Grad.Data, d.sgd)
+			} else {
+				t.scoreValues(s)
+			}
 			continue
 		}
-		for e, v := range p.Value.Data {
-			if !byValue {
-				v -= p.Init.Regenerate(e)
+		if byValue {
+			for e, v := range p.Value.Data {
+				if v < 0 {
+					v = -v
+				}
+				s[e] = v
 			}
+			continue
+		}
+		w0 := d.w0[i]
+		for e, v := range p.Value.Data {
+			v -= w0[e]
 			if v < 0 {
 				v = -v
 			}
@@ -259,7 +318,7 @@ func (d *DropBack) score(step bool) {
 // PerLayerBudget ablation.
 func (d *DropBack) selectMask() {
 	if !d.cfg.PerLayerBudget {
-		SelectTopKInto(d.mask, d.scores, d.cfg.Budget, d.cfg.Strategy)
+		d.selBuf = selectTopK(d.mask, d.scores, d.cfg.Budget, d.cfg.Strategy, d.selBuf)
 		return
 	}
 	total := d.set.Total()
@@ -293,25 +352,47 @@ func (d *DropBack) selectMask() {
 	}
 	for i, p := range params {
 		base := d.set.Offset(i)
-		SelectTopKInto(d.mask[base:base+p.Len()], d.scores[base:base+p.Len()], shares[i], d.cfg.Strategy)
+		d.selBuf = selectTopK(d.mask[base:base+p.Len()], d.scores[base:base+p.Len()], shares[i], d.cfg.Strategy, d.selBuf)
 	}
 }
 
-// reset regenerates every entry of dense tensor p outside keep to its
-// initialization value (zero under the ZeroUntracked ablation).
-func (d *DropBack) reset(p *nn.Param, keep []bool) {
-	for e := range p.Value.Data {
-		if keep[e] {
-			d.trackedWrites++
-			continue
+// reset sets every entry of dense tensor i outside keep to its
+// initialization value from the w0 slab (zero under the ZeroUntracked
+// ablation, which has no slab).
+func (d *DropBack) reset(i int, keep []bool) {
+	w, w0 := d.set.Params()[i].Value.Data, d.w0[i]
+	kept := 0
+	for e, m := range keep {
+		switch {
+		case m:
+			kept++
+		case w0 != nil:
+			w[e] = w0[e]
+		default:
+			w[e] = 0
 		}
-		if d.cfg.ZeroUntracked {
-			p.Value.Data[e] = 0
-		} else {
-			p.Value.Data[e] = p.Init.Regenerate(e)
-		}
-		d.regenerations++
 	}
+	d.trackedWrites += int64(kept)
+	d.regenerations += int64(len(w) - kept)
+}
+
+// resetFrozen is reset over the frozen selection: it restores each gap
+// between dense tensor i's ascending tracked indices in one run.
+func (d *DropBack) resetFrozen(i int) {
+	w, w0 := d.set.Params()[i].Value.Data, d.w0[i]
+	from := 0
+	gap := func(to int) {
+		if w0 != nil {
+			copy(w[from:to], w0[from:to])
+		} else {
+			clear(w[from:to])
+		}
+	}
+	for _, e := range d.frozenIdx[i] {
+		gap(int(e))
+		from = int(e) + 1
+	}
+	gap(len(w))
 }
 
 // recordSwaps folds one step's swap count into the O(1) summary and, unless
@@ -344,7 +425,10 @@ func (d *DropBack) Freeze() {
 
 // freezeTransition converts the masked representation into the frozen one
 // from the model's dense values: CSR tensors are rebuilt at the selected
-// entries, dense tensors keep their own slice of the selection.
+// entries, dense tensors keep the ascending indices of theirs. The engine
+// is not settled until its first frozen pass resets the untracked dense
+// weights: after Freeze before any selection, or RestoreState, nothing
+// proves they sit at W_0.
 func (d *DropBack) freezeTransition(sel []bool) {
 	d.frozenTracked = 0
 	for i, p := range d.set.Params() {
@@ -356,15 +440,18 @@ func (d *DropBack) freezeTransition(sel []bool) {
 			d.frozenTracked += len(t.Idx)
 			continue
 		}
-		d.frozenMask[i] = append([]bool(nil), keep...)
-		for _, m := range keep {
+		idx := d.frozenIdx[i][:0]
+		for e, m := range keep {
 			if m {
-				d.frozenTracked++
+				idx = append(idx, int32(e))
 			}
 		}
+		d.frozenIdx[i] = idx
+		d.frozenTracked += len(idx)
 	}
 	d.frozen = true
-	d.mask, d.prevMask = nil, nil
+	d.settled = false
+	d.mask, d.prevMask, d.selBuf = nil, nil, nil
 }
 
 // MaybeFreezeAtEpochEnd freezes the tracked set if the configured freeze
@@ -431,12 +518,16 @@ func (d *DropBack) SwapHistory() []int {
 // whether the full series is kept.
 func (d *DropBack) Swaps() SwapSummary { return d.swapSummary }
 
-// Regenerations returns the total number of untracked-weight regenerations
-// performed — each one replacing what would otherwise be an off-chip weight
-// store+load pair (the energy model consumes this).
+// Regenerations returns the modelled number of untracked-weight
+// regenerations: n−k per constrained step, each one replacing what would
+// otherwise be an off-chip weight store+load pair (internal/energy prices
+// it). It counts the work the paper's hardware does, not Init.Regenerate
+// calls: dense storage reads its w0 slab, and once settled it touches no
+// untracked weight at all. DryRun steps of dense tensors count nothing.
 func (d *DropBack) Regenerations() int64 { return d.regenerations }
 
-// TrackedWrites returns the total number of tracked-weight writes retained.
+// TrackedWrites returns the modelled number of tracked-weight writes, k per
+// constrained step, counted like Regenerations.
 func (d *DropBack) TrackedWrites() int64 { return d.trackedWrites }
 
 // TrackedCount returns the number of currently tracked weights. It counts
@@ -469,7 +560,7 @@ func (d *DropBack) liveMask() []bool {
 // multi-node run derives the identical list from its own (bit-identical)
 // constraint state, which is what lets the frozen-phase wire frames carry k
 // values with no index side-band. Once frozen it walks the CSR index arrays
-// and dense-tensor masks — for CSR storage O(k) work with no n-length scan.
+// and dense-tensor index lists — O(k) work with no n-length scan.
 func (d *DropBack) AppendTrackedIndices(dst []int32) []int32 {
 	if !d.frozen {
 		for i, m := range d.liveMask() {
@@ -487,10 +578,8 @@ func (d *DropBack) AppendTrackedIndices(dst []int32) []int32 {
 			}
 			continue
 		}
-		for e, m := range d.frozenMask[i] {
-			if m {
-				dst = append(dst, base+int32(e))
-			}
+		for _, e := range d.frozenIdx[i] {
+			dst = append(dst, base+e)
 		}
 	}
 	return dst
@@ -506,11 +595,12 @@ func (d *DropBack) Mask() []bool {
 }
 
 // WeightStateBytes reports the engine's weight-state size: CSR arrays plus
-// tracked gradients for CSR tensors, dense values + gradients + mask for
-// dense tensors. After Freeze this scales with the budget k (plus the
+// tracked gradients for CSR tensors; dense values, gradients, the w0 slab
+// and the frozen index list for dense tensors. After Freeze this scales with the budget k (plus the
 // dense tensors), not with n — the measured claim BENCH_train.json gates.
-// The retained telemetry score vector and the model's host-side copies of
-// CSR tensors (used only at epoch boundaries) are deliberately excluded;
+// The retained telemetry score vector, the live top-k scratch and the
+// model's host-side copies of CSR tensors (used only at epoch boundaries)
+// are deliberately excluded;
 // DESIGN.md §11 spells out the accounting.
 func (d *DropBack) WeightStateBytes() int64 {
 	var b int64
@@ -523,7 +613,7 @@ func (d *DropBack) WeightStateBytes() int64 {
 			}
 			continue
 		}
-		b += int64(p.Len())*8 + int64(len(d.frozenMask[i])) // value + gradient, frozen mask
+		b += int64(p.Len())*8 + int64(len(d.w0[i])+len(d.frozenIdx[i]))*4 // value + gradient, w0, frozen indices
 	}
 	if !d.frozen {
 		b += 2 * int64(d.set.Total()) // mask + prevMask
@@ -600,7 +690,7 @@ func (d *DropBack) RestoreState(st State) error {
 		d.freezeTransition(d.mask)
 		return nil
 	}
-	clear(d.frozenMask)
+	clear(d.frozenIdx)
 	d.frozenTracked = 0
 	for i, p := range d.set.Params() {
 		if t := d.csr[i]; t != nil {

@@ -103,7 +103,15 @@ func (o *denseOracle) selectTopK() {
 }
 
 func (o *denseOracle) MaybeFreezeAtEpochEnd(epoch int) {
-	if o.frozen || o.cfg.FreezeAfterEpoch < 0 || epoch < o.cfg.FreezeAfterEpoch {
+	if o.cfg.FreezeAfterEpoch >= 0 && epoch >= o.cfg.FreezeAfterEpoch {
+		o.Freeze()
+	}
+}
+
+// Freeze fixes the mask, selecting once from the current values if no step
+// has selected yet.
+func (o *denseOracle) Freeze() {
+	if o.frozen {
 		return
 	}
 	if !o.haveSel {

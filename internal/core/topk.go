@@ -5,6 +5,8 @@
 // after a configurable number of epochs.
 package core
 
+import "slices"
+
 // TopKStrategy selects the algorithm used to find the k highest accumulated
 // gradients each step.
 type TopKStrategy int
@@ -43,8 +45,15 @@ func SelectTopK(scores []float32, k int, strategy TopKStrategy) []bool {
 }
 
 // SelectTopKInto is SelectTopK writing into a caller-provided mask (len must
-// equal len(scores)); it avoids per-step allocation in the training loop.
+// equal len(scores)).
 func SelectTopKInto(mask []bool, scores []float32, k int, strategy TopKStrategy) {
+	selectTopK(mask, scores, k, strategy, nil)
+}
+
+// selectTopK is SelectTopKInto drawing its scratch (quickselect's copy of
+// the scores, or the heap) from buf, which it grows when short and returns
+// for the next call, so a training loop selects without allocating.
+func selectTopK(mask []bool, scores []float32, k int, strategy TopKStrategy, buf []float32) []float32 {
 	if len(mask) != len(scores) {
 		panic("core: mask length must equal scores length")
 	}
@@ -52,20 +61,22 @@ func SelectTopKInto(mask []bool, scores []float32, k int, strategy TopKStrategy)
 		mask[i] = false
 	}
 	if k <= 0 {
-		return
+		return buf
 	}
 	if k >= len(scores) {
 		for i := range mask {
 			mask[i] = true
 		}
-		return
+		return buf
 	}
 	var thresh float32
 	switch strategy {
 	case StrategyHeap:
-		thresh = kthLargestHeap(scores, k)
+		buf = slices.Grow(buf[:0], k)
+		thresh = kthLargestHeap(scores, k, buf)
 	default:
-		thresh = kthLargestQuickselect(scores, k)
+		buf = append(buf[:0], scores...)
+		thresh = kthLargestQuickselect(buf, k)
 	}
 	// First pass: everything strictly above the threshold is in.
 	count := 0
@@ -86,16 +97,16 @@ func SelectTopKInto(mask []bool, scores []float32, k int, strategy TopKStrategy)
 			count++
 		}
 	}
+	return buf
 }
 
-// kthLargestQuickselect returns the k-th largest value (1-based) using
-// in-place quickselect with three-way (Dutch national flag) partitioning on
-// a scratch copy. Three-way partitioning matters here: DropBack's score
-// vectors contain huge runs of duplicates (every zero-gradient untracked
-// weight scores exactly 0), which degrade a two-way quickselect to O(n²).
-func kthLargestQuickselect(scores []float32, k int) float32 {
-	buf := make([]float32, len(scores))
-	copy(buf, scores)
+// kthLargestQuickselect returns the k-th largest value (1-based) of buf
+// using in-place quickselect with three-way (Dutch national flag)
+// partitioning, so it reorders buf: callers pass a scratch copy. Three-way
+// partitioning matters here: DropBack's score vectors contain huge runs of
+// duplicates (every zero-gradient untracked weight scores exactly 0), which
+// degrade a two-way quickselect to O(n²).
+func kthLargestQuickselect(buf []float32, k int) float32 {
 	// Select index k-1 in descending order == index n-k in ascending order.
 	target := len(buf) - k
 	lo, hi := 0, len(buf)-1
@@ -149,9 +160,9 @@ func partition3(a []float32, lo, hi int) (ltEnd, gtStart int) {
 // kthLargestHeap returns the k-th largest value by streaming scores through
 // a bounded min-heap of size k — the priority-queue implementation the
 // paper describes for hardware. The heap root after the stream is the
-// selection threshold.
-func kthLargestHeap(scores []float32, k int) float32 {
-	h := make([]float32, 0, k)
+// selection threshold. The heap is built in h's backing array.
+func kthLargestHeap(scores []float32, k int, h []float32) float32 {
+	h = h[:0]
 	for _, s := range scores {
 		if len(h) < k {
 			h = append(h, s)

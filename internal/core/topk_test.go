@@ -179,10 +179,10 @@ func TestKthLargestAgainstSort(t *testing.T) {
 		sort.Slice(sorted, func(a, b int) bool { return sorted[a] > sorted[b] })
 		for _, k := range []int{1, 2, n / 3, n - 1, n} {
 			want := sorted[k-1]
-			if got := kthLargestQuickselect(scores, k); got != want {
+			if got := kthLargestQuickselect(append([]float32(nil), scores...), k); got != want {
 				t.Fatalf("quickselect k=%d: got %v, want %v", k, got, want)
 			}
-			if got := kthLargestHeap(scores, k); got != want {
+			if got := kthLargestHeap(scores, k, nil); got != want {
 				t.Fatalf("heap k=%d: got %v, want %v", k, got, want)
 			}
 		}

@@ -112,6 +112,20 @@ func (t *TrackedTensor) scoreStep(scores, grad []float32, sgd optim.TrackedSGD) 
 	}
 }
 
+// scoreValues writes |v − W_0| for every element into scores without a
+// step: zero at the gaps, which hold W_0 exactly, and the tracked values'
+// distance from their regenerated init elsewhere.
+func (t *TrackedTensor) scoreValues(scores []float32) {
+	clear(scores)
+	for k, e := range t.Idx {
+		diff := t.Val[k] - t.Init.Regenerate(int(e))
+		if diff < 0 {
+			diff = -diff
+		}
+		scores[e] = diff
+	}
+}
+
 // commitStep rebuilds the CSR, through its double buffer, to hold exactly
 // the entries keep marks, each at its stepped value (read from the old CSR
 // walk, or regenerated for a newcomer, then stepped with grad).

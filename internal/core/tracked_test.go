@@ -237,6 +237,96 @@ func TestTrackedTrainerCrossRestore(t *testing.T) {
 	}
 }
 
+// TestFrozenDenseStepMatchesOracle covers the frozen entries into the
+// tracked-only dense step, on dense storage and under each ablation. The
+// weights are perturbed away from init and frozen before the first step,
+// so the first frozen pass must reset the untracked weights before later
+// steps may skip it; a twin engine restored from that frozen state must do
+// the same; and Apply after the freeze, whose caller stepped every weight,
+// must reset in full. Weights, masks, scores and counters must match the
+// oracle bit for bit throughout.
+func TestFrozenDenseStepMatchesOracle(t *testing.T) {
+	for _, c := range engineCases(11) {
+		if c.csr {
+			continue // Virtualize seeds CSR storage from the values it sees
+		}
+		o, oset := newOracleFor(c)
+		eng, eset := newEngine(t, c)
+		perturbAll(oset, 0.01)
+		perturbAll(eset, 0.01)
+		o.Freeze()
+		eng.Freeze()
+		assertEngineMatchesOracle(t, c.name+" frozen before the first step", eng, eset, o, oset, true)
+
+		o2, oset2 := newOracleFor(c)
+		eng2, eset2 := newEngine(t, c)
+		oset2.Restore(eset.Snapshot())
+		eset2.Restore(eset.Snapshot())
+		if err := o2.RestoreState(eng.State()); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng2.RestoreState(eng.State()); err != nil {
+			t.Fatal(err)
+		}
+
+		sgd := optim.NewSGD(0.3)
+		for step := 0; step < 9; step++ {
+			if step >= 3 && step < 6 {
+				for _, s := range []struct {
+					o    *denseOracle
+					oset *nn.ParamSet
+					e    *DropBack
+					eset *nn.ParamSet
+				}{{o, oset, eng, eset}, {o2, oset2, eng2, eset2}} {
+					fillGrads(s.oset, step)
+					fillGrads(s.eset, step)
+					sgd.Step(s.oset)
+					sgd.Step(s.eset)
+					s.o.Apply()
+					s.e.Apply()
+				}
+			} else {
+				stepLockstep(t, c.name, step, sgd, o, oset, eng, eset)
+				stepLockstep(t, c.name+" restored", step, sgd, o2, oset2, eng2, eset2)
+			}
+			assertEngineMatchesOracle(t, fmt.Sprintf("%s step %d", c.name, step), eng, eset, o, oset, true)
+			assertEngineMatchesOracle(t, fmt.Sprintf("%s restored step %d", c.name, step), eng2, eset2, o2, oset2, false)
+		}
+	}
+}
+
+// TestCSRFreezeBeforeFirstStepMatchesOracle: a CSR tensor frozen before any
+// step scores its tracked values straight from the CSR, whose gaps hold
+// W_0 exactly. Scores and selection must equal the oracle's dense scoring
+// of the same perturbed weights, and the frozen steps that follow must
+// match it bit for bit.
+func TestCSRFreezeBeforeFirstStepMatchesOracle(t *testing.T) {
+	c := engineCase{name: "csr", cfg: Config{Budget: 11, FreezeAfterEpoch: -1}, csr: true}
+	o, oset := newOracleFor(c)
+	perturbAll(oset, 0.01)
+	set, fc1, fc2 := makeSet()
+	perturbAll(set, 0.01) // before Virtualize, so the CSR tracks every perturbed weight
+	eng := New(set, c.cfg)
+	for _, l := range []*nn.Linear{fc1, fc2} {
+		if _, err := eng.Virtualize(l.W, l.Out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.Freeze()
+	eng.Freeze()
+	for g, s := range eng.AccumulatedGradients() {
+		if math.Float32bits(s) != math.Float32bits(o.scores[g]) {
+			t.Fatalf("scores[%d] = %x, oracle %x", g, math.Float32bits(s), math.Float32bits(o.scores[g]))
+		}
+	}
+	assertIndicesEqual(t, "frozen selection", eng.AppendTrackedIndices(nil), maskIndices(o.mask))
+	sgd := optim.NewSGD(0.3)
+	for step := 0; step < 3; step++ {
+		stepLockstep(t, c.name, step, sgd, o, oset, eng, set)
+		assertEngineMatchesOracle(t, fmt.Sprintf("%s step %d", c.name, step), eng, set, o, oset, true)
+	}
+}
+
 // TestVirtualizeRejectsAblations pins that the ablation switches stay on
 // dense storage: virtualizing a tensor of an engine configured with any of
 // them is an error, and the engine keeps running densely.

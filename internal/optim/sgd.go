@@ -15,9 +15,6 @@ import (
 type SGD struct {
 	// LR is the current learning rate, usually driven by a Schedule.
 	LR float32
-	// WeightDecay, if non-zero, adds λ·w to each gradient before the
-	// update (L2 regularization). The paper's runs use zero.
-	WeightDecay float32
 }
 
 // NewSGD returns an SGD optimizer with the given learning rate.
@@ -33,9 +30,6 @@ func (o *SGD) Step(set *nn.ParamSet) {
 
 // StepParam applies one update to a single parameter.
 func (o *SGD) StepParam(p *nn.Param) {
-	if o.WeightDecay != 0 {
-		tensor.AXPY(o.WeightDecay, p.Value, p.Grad)
-	}
 	tensor.AXPY(-o.LR, p.Grad, p.Value)
 }
 

@@ -28,20 +28,6 @@ func TestSGDStepDirection(t *testing.T) {
 	}
 }
 
-func TestSGDWeightDecayPullsTowardZero(t *testing.T) {
-	fc := nn.NewLinear("wd/fc", 2, 2, 2)
-	set := nn.NewParamSet(fc)
-	fc.W.Value.Fill(1)
-	set.ZeroGrads()
-	o := NewSGD(0.1)
-	o.WeightDecay = 0.5
-	o.Step(set)
-	// w ← 1 − 0.1·(0.5·1) = 0.95
-	if math.Abs(float64(fc.W.Value.Data[0])-0.95) > 1e-6 {
-		t.Fatalf("decayed weight = %v, want 0.95", fc.W.Value.Data[0])
-	}
-}
-
 func TestStepDecaySchedule(t *testing.T) {
 	s := StepDecay{Initial: 0.4, Factor: 0.5, Every: 20, MaxDecays: 4}
 	cases := []struct {

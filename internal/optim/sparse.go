@@ -7,9 +7,7 @@
 package optim
 
 // TrackedSGD applies w ← w − lr·∇w to explicit value/gradient slices (the
-// tracked set) rather than a dense nn.ParamSet. Like SGD it is stateless;
-// weight decay is intentionally absent because the trainer's DropBack runs
-// never use it.
+// tracked set) rather than a dense nn.ParamSet. Like SGD it is stateless.
 type TrackedSGD struct {
 	// LR is the current learning rate, usually driven by a Schedule.
 	LR float32
