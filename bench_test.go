@@ -205,7 +205,7 @@ func BenchmarkWeightRegeneration(b *testing.B) {
 // BenchmarkDropBackUpdate measures one DropBack Update, the dense SGD step
 // plus the constraint pass, on the MNIST-100-100 MLP's dense storage at a
 // 10% budget (8961 of 89610 weights). Live scores, selects and resets every
-// weight; frozen steps only the tracked weights once the engine is settled.
+// weight; frozen steps only the tracked weights.
 // The gradients are a fixed synthetic stream, so the forward and backward
 // passes stay out of the measurement. The steady state allocates nothing
 // (the swap series, which grows by one int per step, is disabled);

@@ -96,10 +96,6 @@ type DropBack struct {
 	frozenTracked  int
 	havePrev       bool
 	frozen         bool
-	// settled is set by the first frozen pass that resets dense storage:
-	// from then on every untracked dense weight holds its reset value, so
-	// Update steps dense tensors at their tracked indices only.
-	settled bool
 	// shares is the PerLayerBudget per-tensor budget scratch and selBuf the
 	// top-k scratch, reused across steps so selection stays allocation-free.
 	// selBuf is freed at the freeze.
@@ -181,14 +177,15 @@ func (d *DropBack) Virtualize(p *nn.Param, rows int) (*TrackedTensor, error) {
 
 // Update is the per-step entry: it applies opt's step to the dense tensors,
 // then runs the constraint pass, which steps the CSR tensors at opt's rate
-// as part of selection. Once settled, a dense tensor is stepped at its
+// as part of selection. Once frozen, a dense tensor is stepped at its
 // tracked indices only, with optim.TrackedSGD's per-element expression, and
-// the pass skips its reset: the untracked entries already hold their reset
-// values, and stepping then resetting them would write the same bits. It
+// the pass skips its reset: freezeTransition already reset the untracked
+// entries, and stepping then resetting them would write the same bits. The
+// DryRun ablation constrains nothing, so it keeps the full dense step. It
 // returns the number of weights that entered the tracked set this step.
 func (d *DropBack) Update(opt *optim.SGD) int {
 	d.sgd.LR = opt.LR
-	tracked := d.frozen && d.settled
+	tracked := d.frozen && !d.cfg.DryRun
 	for i, p := range d.set.Params() {
 		switch {
 		case d.csr[i] != nil:
@@ -243,7 +240,6 @@ func (d *DropBack) pass(reset bool) int {
 			d.trackedWrites += int64(k)
 			d.regenerations += int64(p.Len() - k)
 		}
-		d.settled = !d.cfg.DryRun
 		d.recordSwaps(0)
 		return 0
 	}
@@ -425,10 +421,12 @@ func (d *DropBack) Freeze() {
 
 // freezeTransition converts the masked representation into the frozen one
 // from the model's dense values: CSR tensors are rebuilt at the selected
-// entries, dense tensors keep the ascending indices of theirs. The engine
-// is not settled until its first frozen pass resets the untracked dense
-// weights: after Freeze before any selection, or RestoreState, nothing
-// proves they sit at W_0.
+// entries, dense tensors keep the ascending indices of theirs and reset
+// every untracked entry from the w0 slab. After Freeze before any
+// selection, or RestoreState, nothing else proves those entries sit at W_0;
+// resetting here leaves both storages reading W_0 in every gap, so every
+// frozen Update may step the tracked entries alone. DryRun constrains
+// nothing and resets nothing.
 func (d *DropBack) freezeTransition(sel []bool) {
 	d.frozenTracked = 0
 	for i, p := range d.set.Params() {
@@ -448,9 +446,11 @@ func (d *DropBack) freezeTransition(sel []bool) {
 		}
 		d.frozenIdx[i] = idx
 		d.frozenTracked += len(idx)
+		if !d.cfg.DryRun {
+			d.resetFrozen(i)
+		}
 	}
 	d.frozen = true
-	d.settled = false
 	d.mask, d.prevMask, d.selBuf = nil, nil, nil
 }
 
@@ -522,7 +522,7 @@ func (d *DropBack) Swaps() SwapSummary { return d.swapSummary }
 // regenerations: n−k per constrained step, each one replacing what would
 // otherwise be an off-chip weight store+load pair (internal/energy prices
 // it). It counts the work the paper's hardware does, not Init.Regenerate
-// calls: dense storage reads its w0 slab, and once settled it touches no
+// calls: dense storage reads its w0 slab, and once frozen it touches no
 // untracked weight at all. DryRun steps of dense tensors count nothing.
 func (d *DropBack) Regenerations() int64 { return d.regenerations }
 

@@ -109,7 +109,10 @@ func (o *denseOracle) MaybeFreezeAtEpochEnd(epoch int) {
 }
 
 // Freeze fixes the mask, selecting once from the current values if no step
-// has selected yet.
+// has selected yet, and resets every untracked weight (unless DryRun), so
+// the frozen model reads W_0 (zero under ZeroUntracked) outside the set
+// from the moment of the freeze. The reset is not counted: it is the
+// transition, not a step.
 func (o *denseOracle) Freeze() {
 	if o.frozen {
 		return
@@ -119,6 +122,18 @@ func (o *denseOracle) Freeze() {
 		o.haveSel = true
 	}
 	o.frozen = true
+	if o.cfg.DryRun {
+		return
+	}
+	for g, m := range o.mask {
+		switch {
+		case m:
+		case o.cfg.ZeroUntracked:
+			o.set.Set(g, 0)
+		default:
+			o.set.Set(g, o.set.InitialValue(g))
+		}
+	}
 }
 
 func (o *denseOracle) State() State {

@@ -240,11 +240,11 @@ func TestTrackedTrainerCrossRestore(t *testing.T) {
 // TestFrozenDenseStepMatchesOracle covers the frozen entries into the
 // tracked-only dense step, on dense storage and under each ablation. The
 // weights are perturbed away from init and frozen before the first step,
-// so the first frozen pass must reset the untracked weights before later
-// steps may skip it; a twin engine restored from that frozen state must do
-// the same; and Apply after the freeze, whose caller stepped every weight,
-// must reset in full. Weights, masks, scores and counters must match the
-// oracle bit for bit throughout.
+// so the freeze itself must reset the untracked weights before every
+// frozen step may skip them; a twin engine restored from that frozen state
+// must do the same; and Apply after the freeze, whose caller stepped every
+// weight, must reset in full. Weights, masks, scores and counters must
+// match the oracle bit for bit throughout.
 func TestFrozenDenseStepMatchesOracle(t *testing.T) {
 	for _, c := range engineCases(11) {
 		if c.csr {
@@ -293,6 +293,31 @@ func TestFrozenDenseStepMatchesOracle(t *testing.T) {
 			assertEngineMatchesOracle(t, fmt.Sprintf("%s restored step %d", c.name, step), eng2, eset2, o2, oset2, false)
 		}
 	}
+}
+
+// TestFreezeBeforeFirstStepStoragesAgree freezes a dense-storage engine and
+// a CSR-storage twin before any step, on weights perturbed away from init.
+// Freezing settles both storages at once: after Densify, each model must
+// hold the tracked weights as perturbed and W_0 in every gap, byte for byte
+// the same, with no frozen step needed to reconcile them.
+func TestFreezeBeforeFirstStepStoragesAgree(t *testing.T) {
+	cfg := Config{Budget: 11, FreezeAfterEpoch: -1}
+	dense, dset := newEngine(t, engineCase{name: "dense", cfg: cfg})
+	perturbAll(dset, 0.01)
+	cset, fc1, fc2 := makeSet()
+	perturbAll(cset, 0.01) // before Virtualize, so the CSR tracks every perturbed weight
+	csr := New(cset, cfg)
+	for _, l := range []*nn.Linear{fc1, fc2} {
+		if _, err := csr.Virtualize(l.W, l.Out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dense.Freeze()
+	csr.Freeze()
+	dense.Densify()
+	csr.Densify()
+	assertIndicesEqual(t, "frozen selection", csr.AppendTrackedIndices(nil), dense.AppendTrackedIndices(nil))
+	assertSetsBitEqual(t, "dense vs CSR storage after Freeze+Densify", dset, cset)
 }
 
 // TestCSRFreezeBeforeFirstStepMatchesOracle: a CSR tensor frozen before any

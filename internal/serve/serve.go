@@ -562,8 +562,9 @@ func (s *Server) dispatchBatch(batch []*request) {
 			if c := s.pinCanary(); c != nil {
 				s.dispatch(c, canBatch, true)
 			} else {
-				// The canary settled between the percent check and the pin:
-				// its share falls back to stable, losing nothing.
+				// The canary was promoted or rolled back between the
+				// percent check and the pin: its share falls back to
+				// stable, losing nothing.
 				stBatch = append(stBatch, canBatch...)
 			}
 		}

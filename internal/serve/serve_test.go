@@ -302,7 +302,7 @@ func TestBackpressureOverflow(t *testing.T) {
 		}(i)
 	}
 	// Rejections are synchronous, so once rejected+accepted accounts for all
-	// extras the errs slice is settled for the rejected ones; wait for the
+	// extras the errs slice is final for the rejected ones; wait for the
 	// counters rather than sleeping.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -233,7 +233,7 @@ func (s *Server) Reload(artifact io.Reader, opts ReloadOptions) (ReloadResult, e
 	// sees the new canary never reads a stale zero percent.
 	s.canaryPct.Store(int64(opts.CanaryPercent))
 	if old := s.canaryV.Swap(v); old != nil {
-		s.retire(old) // a newer canary replaces an unsettled older one
+		s.retire(old) // a newer canary replaces an older one still under trial
 	}
 	s.rec.Gauge(GaugeCanaryPercent, float64(opts.CanaryPercent))
 	return res, nil
@@ -329,7 +329,7 @@ func (s *Server) maybeSettleCanary(v *version) {
 	}
 	defer s.reloadMu.Unlock()
 	if s.canaryV.Load() != v {
-		return // already settled or replaced by a newer reload
+		return // already promoted, rolled back or replaced by a newer reload
 	}
 	st := s.stable.Load()
 	if reason := s.canaryRegression(v, st, rate); reason != "" {

@@ -203,7 +203,8 @@ type TrainConfig struct {
 	// nn.CheckShardable (BatchNorm and PReLU models must train
 	// sequentially). The worker count is an execution detail: it is not
 	// recorded in checkpoints, and a run may resume under a different
-	// Workers value bit-identically.
+	// Workers value bit-identically. With Dist, it is this node's local
+	// width over its share of every minibatch, and nodes may differ.
 	Workers int
 	// WorkerModel builds one structurally identical model replica per extra
 	// worker — in practice the same constructor call that built the primary
@@ -217,16 +218,18 @@ type TrainConfig struct {
 	// and exchanges per-sample gradient rows with every peer over TCP
 	// (tracked-set values only, once DropBack freezes), folding them in the
 	// same ascending order the sequential trainer uses — the run is
-	// bit-identical to Workers = Dist disabled on every node (DESIGN.md
-	// §12). Every node must run the same model, dataset, and TrainConfig
-	// (the connection handshake verifies seed, method, budget, freeze
-	// epoch, batch size, parameter space, and resume step). Supported for
-	// MethodBaseline and MethodDropBack; like the in-process executor it
-	// requires nn.CheckShardable layers, and it excludes Workers > 1,
-	// SparseTrain, divergence recovery, and GradHook. The cluster size is
-	// an execution detail: checkpoints are node-count-free, and a run may
-	// resume under a different world size bit-identically (every node
-	// resumes from the same checkpoint).
+	// bit-identical to a sequential run with Dist disabled on every node
+	// (DESIGN.md §12). Every node must run the same model, dataset, and
+	// TrainConfig except Workers, which splits each node's share across
+	// local workers and may differ between nodes (the connection handshake
+	// verifies seed, method, budget, freeze epoch, batch size, parameter
+	// space, and resume step). Supported for MethodBaseline and
+	// MethodDropBack; like the in-process executor it requires
+	// nn.CheckShardable layers, and it excludes SparseTrain, divergence
+	// recovery, and GradHook. The cluster size is an execution detail:
+	// checkpoints are node-count-free, and a run may resume under a
+	// different world size bit-identically (every node resumes from the
+	// same checkpoint).
 	Dist *dist.Config
 }
 
@@ -303,9 +306,6 @@ func (c TrainConfig) Validate() error {
 		}
 		if c.Method != MethodBaseline && c.Method != MethodDropBack {
 			return fmt.Errorf("dropback: Dist supports MethodBaseline and MethodDropBack, got %v", c.Method)
-		}
-		if c.Workers > 1 {
-			return fmt.Errorf("dropback: Dist and Workers = %d are mutually exclusive (one executor per run)", c.Workers)
 		}
 		if c.SparseTrain {
 			return fmt.Errorf("dropback: Dist does not support SparseTrain (slab gradient emission needs dense tensors)")
@@ -446,18 +446,18 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	batcher := data.NewBatcher(train, cfg.BatchSize, cfg.Seed^0xBA7C4)
 	sgd := optim.NewSGD(0)
 
-	// The data-parallel executor (Workers ≥ 2) replaces only the
+	// The shard executor (Workers ≥ 2, or Dist) replaces only the
 	// forward/backward half of the step; everything after the gradient
 	// reduction — GradHook, divergence checks, the optimizer, and the
 	// method constraint — runs unchanged on the primary model, once per
 	// minibatch, exactly as in the sequential path.
 	stepFn := m.Step
-	if cfg.Workers > 1 {
-		pexec, err := newParallelExecutor(m, cfg.Workers, cfg.WorkerModel, cfg.Telemetry)
-		if err != nil {
+	var exec *shardExecutor
+	if cfg.Workers > 1 || cfg.Dist != nil {
+		if exec, err = newShardExecutor(m, max(cfg.Workers, 1), cfg.WorkerModel, cfg.Telemetry); err != nil {
 			return nil, err
 		}
-		stepFn = pexec.Step
+		stepFn = exec.Step
 	}
 	if mirror != nil {
 		stepFn = func(x *tensor.Tensor, labels []int) (loss, acc float64) {
@@ -509,11 +509,10 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 		c.Resume(startEpoch)
 	}
 
-	// The multi-node executor joins the cluster only after the resume state
-	// is resolved: the handshake verifies every node resumes at the same
-	// step (all nodes must load the same checkpoint), and a resume mismatch
+	// The executor joins the cluster only after the resume state is
+	// resolved: the handshake verifies every node resumes at the same step
+	// (all nodes must load the same checkpoint), and a resume mismatch
 	// should fail before any socket is opened to a healthy peer.
-	var dexec *distExecutor
 	if cfg.Dist != nil {
 		hs := dist.Handshake{
 			Seed:        cfg.Seed,
@@ -523,12 +522,10 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 			Batch:       uint32(cfg.BatchSize),
 			StartStep:   uint64(step),
 		}
-		dexec, err = newDistExecutor(m, db, *cfg.Dist, hs, cfg.Telemetry)
-		if err != nil {
+		if err := exec.join(db, *cfg.Dist, hs); err != nil {
 			return nil, err
 		}
-		defer dexec.Close()
-		stepFn = dexec.Step
+		defer exec.Close()
 	}
 
 	diff := stats.NewDiffusion(filteredSnapshot(m.Set, cfg.SnapshotParams))
@@ -560,11 +557,11 @@ epochs:
 			}
 			x, y := batcher.Next()
 			loss, acc := stepFn(x, y)
-			if dexec != nil {
+			if exec != nil {
 				// A failed exchange must surface as an error BEFORE the
 				// optimizer runs: the weights stay exactly where the last
 				// completed step left them — no torn updates.
-				if derr := dexec.Err(); derr != nil {
+				if derr := exec.Err(); derr != nil {
 					return nil, fmt.Errorf("dropback: dist training step %d: %w", step, derr)
 				}
 			}
@@ -661,8 +658,8 @@ epochs:
 			rec.Gauge(telemetry.GaugeWorkspaceMisses, float64(wsMisses))
 			rec.Gauge(telemetry.GaugeWorkspaceBytesReused, float64(wsBytes))
 			rec.Gauge(telemetry.GaugeTrainWorkers, float64(max(cfg.Workers, 1)))
-			if dexec != nil {
-				dexec.recordEpochTelemetry()
+			if exec != nil {
+				exec.recordEpochTelemetry()
 			}
 			rec.EpochDone(telemetry.EpochSample{
 				Epoch: epoch + 1, TrainLoss: es.TrainLoss, TrainAcc: es.TrainAcc,

@@ -33,13 +33,13 @@ func BenchmarkTrainStep(b *testing.B) {
 			sgd := optim.NewSGD(0.1)
 			stepFn := m.Step
 			if workers > 1 {
-				pexec, err := newParallelExecutor(m, workers, func() (*Model, error) {
+				exec, err := newShardExecutor(m, workers, func() (*Model, error) {
 					return MNIST100100(1), nil
 				}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				stepFn = pexec.Step
+				stepFn = exec.Step
 			}
 			stepFn(x, labels) // warm the workspaces and the gradient slab
 			b.ReportAllocs()

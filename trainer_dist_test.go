@@ -189,6 +189,114 @@ func TestDistTrainerBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDistLocalWorkersBitIdentical covers ranks that each split their rows
+// across W local workers: N ∈ {2, 3} ranks × W ∈ {2, 3} workers per rank,
+// plus ranks that run different worker counts, must match the sequential
+// trainer byte for byte on every rank — an MLP with dropout and a conv/pool
+// stack, DropBack live and frozen after epoch 0. Batch 2 at N = 3 keeps one
+// rank idle every step (its dropout carry-skip must still land right), and
+// batch 3 at W = 3 leaves local workers empty.
+func TestDistLocalWorkersBitIdentical(t *testing.T) {
+	mlpTrain, mlpVal := synthTrainVal(24, 12, 4, 7)
+	convTrain, convVal := synthConvTrainVal(24, 4, 15)
+	models := []struct {
+		name       string
+		factory    func(uint64) *Model
+		train, val *Dataset
+		budget     int
+	}{
+		{"mlp", parTestDropoutMLP, mlpTrain, mlpVal, 60},
+		{"conv", parTestConvModel, convTrain, convVal, 100},
+	}
+	// workers gives each rank's local worker count.
+	layouts := []struct {
+		world   int
+		workers func(rank int) int
+	}{
+		{2, func(int) int { return 2 }},
+		{2, func(int) int { return 3 }},
+		{3, func(int) int { return 2 }},
+		{3, func(int) int { return 3 }},
+		{3, func(rank int) int { return 1 + rank }},
+	}
+	for _, mc := range models {
+		for _, freeze := range []int{-1, 0} {
+			for _, batch := range []int{4, 3, 2} {
+				t.Run(fmt.Sprintf("%s/freeze=%d/batch=%d", mc.name, freeze, batch), func(t *testing.T) {
+					cfg := TrainConfig{Method: MethodDropBack, Budget: mc.budget, FreezeAfterEpoch: freeze,
+						Epochs: 2, BatchSize: batch, Seed: 11}
+					ref, refParams := runEquivalence(t, mc.factory, 3, 1, cfg, mc.train, mc.val)
+					for _, l := range layouts {
+						results, params := distTrainN(t, mc.factory, 3, l.world, cfg, mc.train, mc.val, func(rank int, c *TrainConfig) {
+							c.Workers = l.workers(rank)
+							c.WorkerModel = func() (*Model, error) { return mc.factory(3), nil }
+						})
+						for r := 0; r < l.world; r++ {
+							ctx := fmt.Sprintf("N=%d/node%d/W=%d", l.world, r, l.workers(r))
+							assertDistMatchesSequential(t, ctx, ref, refParams, results[r], params[r])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDistStepMatchesSequential is the step-level microscope for ranks with
+// local workers: the same batches through a 3-rank mesh at W = 2 per rank
+// and through a sequential model must give bit-identical loss, accuracy and
+// gradients on every rank. Batch sizes vary from 1 to 8, so ranks sit idle
+// on some steps and compute on the next; a rank that computes must then
+// skip the dropout draws it owes from the steps it sat out and end at the
+// sequential stream position.
+func TestDistStepMatchesSequential(t *testing.T) {
+	seq := parTestDropoutMLP(41)
+	execs, ms, _ := distExecMesh(t, parTestDropoutMLP, 0, 3, 2)
+	rng := xorshift.NewState64(5)
+	for step, batch := range []int{1, 2, 5, 1, 8, 3, 2, 7} {
+		x := tensor.New(batch, 12)
+		for i := range x.Data {
+			x.Data[i] = rng.Float32()*2 - 1
+		}
+		y := make([]int, batch)
+		for i := range y {
+			y[i] = int(rng.Uint32n(4))
+		}
+		wantLoss, wantAcc := seq.Step(x, y)
+		losses, accs := make([]float64, len(execs)), make([]float64, len(execs))
+		var wg sync.WaitGroup
+		for r, e := range execs {
+			wg.Add(1)
+			go func(r int, e *shardExecutor) {
+				defer wg.Done()
+				losses[r], accs[r] = e.Step(x, y)
+			}(r, e)
+		}
+		wg.Wait()
+		seqRNG := nn.CaptureLayerRNG(seq.Net)
+		for r, e := range execs {
+			if err := e.Err(); err != nil {
+				t.Fatalf("step %d: node %d: %v", step, r, err)
+			}
+			ctx := fmt.Sprintf("step %d (batch %d) node %d", step, batch, r)
+			assertF64BitsEqual(t, ctx+": loss", wantLoss, losses[r])
+			assertF64BitsEqual(t, ctx+": acc", wantAcc, accs[r])
+			sp, pp := seq.Set.Params(), ms[r].Set.Params()
+			for i := range sp {
+				assertF32BitsEqual(t, ctx+": grad "+sp[i].Name, sp[i].Grad.Data, pp[i].Grad.Data)
+			}
+			if r >= batch {
+				continue // idle this step: its streams catch up when it next computes
+			}
+			for name, st := range nn.CaptureLayerRNG(ms[r].Net) {
+				if st != seqRNG[name] {
+					t.Fatalf("%s: dropout stream %q at %#x, sequential at %#x", ctx, name, st, seqRNG[name])
+				}
+			}
+		}
+	}
+}
+
 // TestDistBatchSmallerThanWorld covers the empty-shard path: a 3-node
 // cluster on batch size 2 leaves rank 2 idle every step, and its dropout
 // carry-skip accounting must still land every node at the sequential RNG
@@ -297,31 +405,33 @@ func TestDistCheckpointResumeAcrossWorldSizes(t *testing.T) {
 	}
 }
 
-// distExecPair builds a 2-node executor mesh directly (no trainer), one
-// model and optional DropBack constraint per node, for step-level tests
-// that need exact control over steps and byte counters.
-func distExecPair(t testing.TB, factory func(uint64) *Model, budget int,
-	wrap func(rank int) func(int, net.Conn) net.Conn) ([]*distExecutor, []*Model, []*core.DropBack) {
+// distExecMesh builds a world-node executor mesh directly (no trainer), one
+// model and optional DropBack constraint per node and the given number of
+// local workers on each, for step-level tests that need exact control over
+// steps and byte counters.
+func distExecMesh(t testing.TB, factory func(uint64) *Model, budget, world, workers int) ([]*shardExecutor, []*Model, []*core.DropBack) {
 	t.Helper()
-	dcfgs := distConfigs(t, 2)
-	execs := make([]*distExecutor, 2)
-	ms := make([]*Model, 2)
-	dbs := make([]*core.DropBack, 2)
-	errs := make([]error, 2)
+	dcfgs := distConfigs(t, world)
+	execs := make([]*shardExecutor, world)
+	ms := make([]*Model, world)
+	dbs := make([]*core.DropBack, world)
+	errs := make([]error, world)
 	hs := dist.Handshake{Seed: 1, Method: uint32(MethodDropBack), Budget: uint64(budget), FreezeAfter: 0, Batch: 8}
+	replica := func() (*Model, error) { return factory(41), nil }
 	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
+	for r := 0; r < world; r++ {
 		ms[r] = factory(41)
 		if budget > 0 {
 			dbs[r] = core.New(ms[r].Set, core.Config{Budget: budget, FreezeAfterEpoch: 0})
 		}
-		if wrap != nil {
-			dcfgs[r].WrapConn = wrap(r)
-		}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			execs[r], errs[r] = newDistExecutor(ms[r], dbs[r], dcfgs[r], hs, nil)
+			e, err := newShardExecutor(ms[r], workers, replica, nil)
+			if err == nil {
+				err = e.join(dbs[r], dcfgs[r], hs)
+			}
+			execs[r], errs[r] = e, err
 		}(r)
 	}
 	wg.Wait()
@@ -340,12 +450,12 @@ func distExecPair(t testing.TB, factory func(uint64) *Model, budget int,
 	return execs, ms, dbs
 }
 
-// stepBoth runs one lockstep training step on both executors.
-func stepBoth(execs []*distExecutor, x *tensor.Tensor, y []int) {
+// stepAll runs one lockstep training step on every executor.
+func stepAll(execs []*shardExecutor, x *tensor.Tensor, y []int) {
 	var wg sync.WaitGroup
 	for _, e := range execs {
 		wg.Add(1)
-		go func(e *distExecutor) {
+		go func(e *shardExecutor) {
 			defer wg.Done()
 			e.Step(x, y)
 		}(e)
@@ -357,10 +467,20 @@ func stepBoth(execs []*distExecutor, x *tensor.Tensor, y []int) {
 // claim: per-step socket-level byte deltas must equal StepFrameBytes — the
 // dense parameter count per row before DropBack freezes, exactly the
 // tracked budget k per row after. Not "about k": equal, byte for byte, which
-// also proves no index side-band crosses the wire in the frozen phase.
+// also proves no index side-band crosses the wire in the frozen phase. Local
+// workers split a rank's rows without changing what it sends, so the bytes
+// are the same at W = 2 per rank.
 func TestDistWireBytesMatchAnalyticalExactly(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checkDistWireBytes(t, workers)
+		})
+	}
+}
+
+func checkDistWireBytes(t *testing.T, workers int) {
 	const budget = 50
-	execs, ms, dbs := distExecPair(t, parTestMLP, budget, nil)
+	execs, ms, dbs := distExecMesh(t, parTestMLP, budget, 2, workers)
 	total := ms[0].Set.Total()
 	if budget >= total {
 		t.Fatalf("budget %d must be below the parameter total %d for the claim to bite", budget, total)
@@ -379,14 +499,14 @@ func TestDistWireBytesMatchAnalyticalExactly(t *testing.T) {
 		}
 		return x, y
 	}
-	ranges := shardRanges(batch, 2)
+	ranges := shardRangesInto(make([]shardRange, 2), batch)
 	sgds := []*optim.SGD{optim.NewSGD(0.1), optim.NewSGD(0.1)}
 
 	checkStep := func(phase string, active int) {
 		sentBefore := []int64{execs[0].cluster.BytesSent(), execs[1].cluster.BytesSent()}
 		recvBefore := []int64{execs[0].cluster.BytesReceived(), execs[1].cluster.BytesReceived()}
 		x, y := makeBatch()
-		stepBoth(execs, x, y)
+		stepAll(execs, x, y)
 		for r, e := range execs {
 			if err := e.Err(); err != nil {
 				t.Fatalf("%s: node %d: %v", phase, r, err)
@@ -546,10 +666,6 @@ func TestDistConfigValidation(t *testing.T) {
 		want   string
 	}{
 		{"bad dist config", func(c *TrainConfig) { c.Dist = &dist.Config{Rank: 5, Peers: []string{"a:1", "b:2"}} }, "rank"},
-		{"workers", func(c *TrainConfig) {
-			c.Workers = 2
-			c.WorkerModel = func() (*Model, error) { return parTestMLP(1), nil }
-		}, "mutually exclusive"},
 		{"sparse train", func(c *TrainConfig) { c.Method = MethodDropBack; c.Budget = 10; c.SparseTrain = true }, "SparseTrain"},
 		{"recovery", func(c *TrainConfig) { c.MaxRecoveryRetries = 2 }, "recovery"},
 		{"grad hook", func(c *TrainConfig) { c.GradHook = func(int, *nn.ParamSet) {} }, "GradHook"},
@@ -576,7 +692,7 @@ func TestDistConfigValidation(t *testing.T) {
 // reports true bytes-on-wire per step alongside the timing.
 func BenchmarkDistTrainStep(b *testing.B) {
 	const budget = 50
-	execs, ms, dbs := distExecPair(b, parTestMLP, budget, nil)
+	execs, ms, dbs := distExecMesh(b, parTestMLP, budget, 2, 1)
 	const batch = 8
 	x := tensor.New(batch, 12)
 	rng := xorshift.NewState64(7)

@@ -177,7 +177,7 @@ func TestParallelTrainerDropoutBitIdentical(t *testing.T) {
 func TestParallelStepMatchesSequential(t *testing.T) {
 	seq := parTestDropoutMLP(21)
 	par := parTestDropoutMLP(21)
-	exec, err := newParallelExecutor(par, 3, func() (*Model, error) { return parTestDropoutMLP(21), nil }, nil)
+	exec, err := newShardExecutor(par, 3, func() (*Model, error) { return parTestDropoutMLP(21), nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestParallelStepMatchesSequential(t *testing.T) {
 func TestParallelConvStepMatchesSequential(t *testing.T) {
 	seq := parTestConvModel(37)
 	par := parTestConvModel(37)
-	exec, err := newParallelExecutor(par, 3, func() (*Model, error) { return parTestConvModel(37), nil }, nil)
+	exec, err := newShardExecutor(par, 3, func() (*Model, error) { return parTestConvModel(37), nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,26 +8,19 @@ import (
 	"dropback/internal/tensor"
 )
 
-// checkShardPartition asserts the shardRanges contract: contiguous
-// ascending spans that cover [0, n) exactly once, with sizes differing by
-// at most one.
+// checkShardPartition asserts the shardRangesInto contract for n rows over
+// w ≥ 1 spans: contiguous ascending spans that cover [0, n) exactly once,
+// with sizes differing by at most one.
 func checkShardPartition(t interface{ Fatalf(string, ...interface{}) }, n, w int) {
-	ranges := shardRanges(n, w)
-	want := w
-	if want < 1 {
-		want = 1
-	}
-	if len(ranges) != want {
-		t.Fatalf("shardRanges(%d,%d) returned %d ranges, want %d", n, w, len(ranges), want)
-	}
+	ranges := shardRangesInto(make([]shardRange, w), n)
 	next := 0
 	minSize, maxSize := n+1, -1
 	for i, r := range ranges {
 		if r.Lo != next {
-			t.Fatalf("shardRanges(%d,%d): range %d starts at %d, want %d", n, w, i, r.Lo, next)
+			t.Fatalf("shardRangesInto(%d,%d): range %d starts at %d, want %d", n, w, i, r.Lo, next)
 		}
 		if r.Hi < r.Lo {
-			t.Fatalf("shardRanges(%d,%d): range %d is inverted: %+v", n, w, i, r)
+			t.Fatalf("shardRangesInto(%d,%d): range %d is inverted: %+v", n, w, i, r)
 		}
 		size := r.Hi - r.Lo
 		if size < minSize {
@@ -39,10 +32,10 @@ func checkShardPartition(t interface{ Fatalf(string, ...interface{}) }, n, w int
 		next = r.Hi
 	}
 	if next != n {
-		t.Fatalf("shardRanges(%d,%d) covers [0,%d), want [0,%d)", n, w, next, n)
+		t.Fatalf("shardRangesInto(%d,%d) covers [0,%d), want [0,%d)", n, w, next, n)
 	}
 	if n >= 1 && maxSize-minSize > 1 {
-		t.Fatalf("shardRanges(%d,%d): shard sizes span [%d,%d], want balanced within 1", n, w, minSize, maxSize)
+		t.Fatalf("shardRangesInto(%d,%d): shard sizes span [%d,%d], want balanced within 1", n, w, minSize, maxSize)
 	}
 }
 
@@ -104,7 +97,7 @@ func TestEpochCoversEverySampleExactlyOnce(t *testing.T) {
 			// Split the batch rows across workers the way the executor
 			// does and record every scheduled sample.
 			covered := make([]bool, bs)
-			for _, r := range shardRanges(bs, tc.w) {
+			for _, r := range shardRangesInto(make([]shardRange, tc.w), bs) {
 				for row := r.Lo; row < r.Hi; row++ {
 					if covered[row] {
 						t.Fatalf("(%d,%d,%d): batch row %d scheduled twice", tc.n, tc.bs, tc.w, row)
