@@ -35,14 +35,16 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short coverage-guided runs of every committed byte-decoder fuzzer
-# (checkpoint, dist wire, sparse artifact, serve reload, IDX and CIFAR-10
-# readers), mirroring the CI fuzz smoke steps. go test fuzzes one target per
-# run, so packages with several fuzzers take an anchored -fuzz pattern each.
+# (checkpoint, dist wire, sparse artifact, serve reload and predict request,
+# IDX and CIFAR-10 readers), mirroring the CI fuzz smoke steps. go test
+# fuzzes one target per run, so packages with several fuzzers take an
+# anchored -fuzz pattern each.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run=Fuzz -fuzz=FuzzReadFrame -fuzztime=10s ./internal/dist
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/sparse
-	$(GO) test -run=Fuzz -fuzz=FuzzReloadArtifact -fuzztime=10s ./internal/serve
+	$(GO) test -run=Fuzz -fuzz='^FuzzReloadArtifact$$' -fuzztime=10s ./internal/serve
+	$(GO) test -run=Fuzz -fuzz='^FuzzPredictRequest$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run=Fuzz -fuzz='^FuzzReadIDXImages$$' -fuzztime=10s ./internal/data
 	$(GO) test -run=Fuzz -fuzz='^FuzzReadIDXLabels$$' -fuzztime=10s ./internal/data
 	$(GO) test -run=Fuzz -fuzz='^FuzzReadCIFAR10Binary$$' -fuzztime=10s ./internal/data
@@ -124,7 +126,7 @@ serve-smoke:
 # replica — plus a short run of the reload-corruption fuzzer.
 serve-chaos:
 	$(GO) test -race -timeout 900s ./internal/serve ./internal/faults ./internal/loadgen
-	$(GO) test -run=Fuzz -fuzz=FuzzReloadArtifact -fuzztime=15s ./internal/serve
+	$(GO) test -run=Fuzz -fuzz='^FuzzReloadArtifact$$' -fuzztime=15s ./internal/serve
 
 # Serving performance gate: BenchmarkServePredict allocs plus open-loop
 # loadgen tier curves (interactive p50/p99 ceilings, shed budgets, strict

@@ -109,8 +109,7 @@ func SaveTrainCheckpoint(path string, m *Model, ts *TrainState) error {
 }
 
 // LoadTrainCheckpoint reads a checkpoint into the model and returns the
-// embedded training state, if any (nil for weights-only and version-1
-// files). Feed the state to TrainConfig.ResumeFrom to continue the run.
+// embedded training state, if any (nil for weights-only files). Feed the state to TrainConfig.ResumeFrom to continue the run.
 func LoadTrainCheckpoint(path string, m *Model) (*TrainState, error) {
 	return checkpoint.LoadTrain(path, m)
 }

@@ -30,10 +30,9 @@ import (
 const (
 	// Magic identifies a dense checkpoint stream ("DBCK").
 	Magic uint32 = 0x4442434B
-	// Version is the current format version (sectioned, CRC-protected).
+	// Version is the format version (sectioned, CRC-protected); the
+	// unsectioned version 1 is no longer read.
 	Version uint32 = 2
-	// Version1 is the legacy linear format, still readable.
-	Version1 uint32 = 1
 	// maxName bounds parameter-name lengths on read.
 	maxName = 1 << 12
 	// maxTensor bounds a single tensor's element count on read (guards
@@ -205,23 +204,14 @@ func writeSection(w io.Writer, id uint32, payload []byte) error {
 	return binary.Write(w, binary.LittleEndian, crc32.Checksum(payload, crcTable))
 }
 
-// Read parses a checkpoint stream of any supported version.
+// Read parses a checkpoint stream.
 func Read(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
-	seed, version, err := readHeader(br, Magic)
+	seed, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
 	ck := &Checkpoint{Seed: seed}
-	if version == Version1 {
-		if err := readParamsPayload(br, ck); err != nil {
-			return nil, err
-		}
-		if err := readBNPayload(br, ck); err != nil {
-			return nil, err
-		}
-		return ck, nil
-	}
 	seen := map[uint32]bool{}
 	ended := false
 	for !ended {
@@ -466,24 +456,24 @@ func writeHeader(w io.Writer, seed uint64) error {
 	return binary.Write(w, binary.LittleEndian, seed)
 }
 
-func readHeader(r io.Reader, wantMagic uint32) (seed uint64, version uint32, err error) {
-	var magic uint32
+func readHeader(r io.Reader) (seed uint64, err error) {
+	var magic, version uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: reading magic: %w", err)
+		return 0, fmt.Errorf("checkpoint: reading magic: %w", err)
 	}
-	if magic != wantMagic {
-		return 0, 0, fmt.Errorf("checkpoint: bad magic %#x", magic)
+	if magic != Magic {
+		return 0, fmt.Errorf("checkpoint: bad magic %#x", magic)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: reading version: %w", err)
+		return 0, fmt.Errorf("checkpoint: reading version: %w", err)
 	}
-	if version != Version && version != Version1 {
-		return 0, 0, fmt.Errorf("checkpoint: unsupported version %d", version)
+	if version != Version {
+		return 0, fmt.Errorf("checkpoint: unsupported version %d", version)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &seed); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: reading seed: %w", err)
+		return 0, fmt.Errorf("checkpoint: reading seed: %w", err)
 	}
-	return seed, version, nil
+	return seed, nil
 }
 
 func writeString(w io.Writer, s string) error {

@@ -9,9 +9,9 @@ import (
 // FuzzRead drives the dense-checkpoint decoder with arbitrary bytes. The
 // invariants: Read never panics and never allocates absurdly, and anything
 // that parses must survive Apply's validation against a real model without
-// panicking (errors are fine). The seed corpus covers both envelope
-// versions, a training-state section, corrupt headers, and truncations at
-// interesting places.
+// panicking (errors are fine). The seed corpus covers the envelope with and
+// without a training-state section, corrupt headers (the retired version 1
+// among them), and truncations at interesting places.
 func FuzzRead(f *testing.F) {
 	m := trainedModel(31)
 	var v2 bytes.Buffer
@@ -29,17 +29,15 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(withTrain.Bytes())
 
-	if v1, err := writeV1(Capture(m)); err == nil {
-		f.Add(v1)
-	}
-
-	// Corrupt headers: wrong magic, unknown version, zeroed seed field.
+	// Corrupt headers: wrong magic, unknown or retired versions.
 	badMagic := append([]byte(nil), valid...)
 	badMagic[0] ^= 0xFF
 	f.Add(badMagic)
-	badVersion := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(badVersion[4:], 99)
-	f.Add(badVersion)
+	for _, v := range []uint32{1, 99} {
+		badVersion := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(badVersion[4:], v)
+		f.Add(badVersion)
+	}
 
 	// Truncations: inside the header, at the first section boundary, just
 	// before the end sentinel.

@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,103 +38,8 @@ func TestCheckpointSizeIndependentOfStepCount(t *testing.T) {
 	}
 }
 
-// writeTrainPayloadV1 reproduces the format-1 encoder for a minimal
-// TrainState (empty collections) whose DropBack tail stores the full swap
-// series — the shape old checkpoints have on disk.
-func writeTrainPayloadV1(ts *TrainState, series []int) []byte {
-	var buf bytes.Buffer
-	e := &ew{w: &buf}
-	e.write(uint32(1)) // format
-	e.write(int64(ts.Epoch))
-	e.write(int64(ts.Step))
-	e.write(math.Float32bits(ts.LRScale))
-	e.write(int32(ts.Retries))
-
-	e.write(int64(ts.BestEpoch))
-	e.write(ts.BestValAcc)
-	e.write(int64(ts.SinceBest))
-	e.floats(nil)      // best params
-	e.write(uint32(0)) // best BN
-	e.write(uint32(0)) // history
-	e.write(ts.Batcher.RNG)
-	e.write(int64(ts.Batcher.Pos))
-	e.write(uint64(0)) // permutation
-	e.str(ts.OptName)
-	e.write(uint32(0)) // optimizer state
-	e.write(uint32(0)) // layer RNG
-
-	db := ts.DropBack
-	e.bool(db != nil)
-	if db != nil {
-		e.bool(db.Frozen)
-		e.bool(db.HaveSelection)
-		e.write(int64(db.StepCount))
-		e.write(db.Regenerations)
-		e.write(db.TrackedWrites)
-		e.write(uint64(len(db.Mask)))
-		packed := make([]byte, (len(db.Mask)+7)/8)
-		for i, m := range db.Mask {
-			if m {
-				packed[i/8] |= 1 << (i % 8)
-			}
-		}
-		e.bytes(packed)
-		e.write(uint32(len(series)))
-		for _, s := range series {
-			e.write(int32(s))
-		}
-	}
-	if e.err != nil {
-		panic(e.err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadFormat1SwapSeriesCompat proves old (format-1) train states still
-// load: the stored per-step swap series is collapsed into the SwapSummary
-// new code carries.
-func TestReadFormat1SwapSeriesCompat(t *testing.T) {
-	old := &TrainState{
-		Epoch:   3,
-		Step:    42,
-		LRScale: 1,
-		OptName: "sgd",
-		DropBack: &core.State{
-			Frozen:        false,
-			HaveSelection: true,
-			Mask:          []bool{true, false, true, false, true},
-			StepCount:     4,
-			Regenerations: 11,
-			TrackedWrites: 7,
-		},
-	}
-	series := []int{3, 1, 0, 2}
-	payload := writeTrainPayloadV1(old, series)
-	ts, err := readTrainPayload(bytes.NewReader(payload))
-	if err != nil {
-		t.Fatalf("reading format-1 payload: %v", err)
-	}
-	if ts.Step != 42 || ts.Epoch != 3 || ts.OptName != "sgd" {
-		t.Fatalf("scalar fields differ: %+v", ts)
-	}
-	db := ts.DropBack
-	if db == nil || !db.HaveSelection || db.StepCount != 4 ||
-		db.Regenerations != 11 || db.TrackedWrites != 7 {
-		t.Fatalf("DropBack scalars differ: %+v", db)
-	}
-	want := core.SummarizeSwaps(series)
-	if db.Swaps != want {
-		t.Fatalf("Swaps = %+v, want summarized series %+v", db.Swaps, want)
-	}
-	for i, m := range old.DropBack.Mask {
-		if db.Mask[i] != m {
-			t.Fatalf("Mask[%d] = %v, want %v", i, db.Mask[i], m)
-		}
-	}
-}
-
-// TestFormat2RoundTripSwapSummary pins the new encoding: a summary written
-// by writeTrainPayload comes back bit-equal.
+// TestFormat2RoundTripSwapSummary pins the summary encoding (format 2 on):
+// a summary written by writeTrainPayload comes back bit-equal.
 func TestFormat2RoundTripSwapSummary(t *testing.T) {
 	ts := sampleTrainState(9)
 	ts.DropBack.Swaps = core.SwapSummary{Steps: 1 << 30, Total: 1 << 40, Max: 12345, Last: 6}

@@ -55,8 +55,9 @@ type TrainState struct {
 	OptName string
 	Opt     map[string][]float32
 
-	// LayerRNG holds the internal RNG position of every stochastic layer
-	// (Dropout mask streams), keyed by layer name.
+	// LayerRNG holds the random state of every stochastic layer, keyed by
+	// layer name: a Dropout layer's count of training samples forwarded,
+	// a variational-dropout layer's noise-stream position.
 	LayerRNG map[string]uint64
 
 	// DropBack is the constraint state when training with MethodDropBack
@@ -77,11 +78,11 @@ type EpochRecord struct {
 }
 
 // trainStateFormat versions the TRST payload independently of the envelope.
-// Format 2 replaced the unbounded per-step swap-history series in the
-// DropBack section with the four-scalar core.SwapSummary, so checkpoint size
-// no longer grows with step count; format-1 payloads are still readable (the
-// stored series is collapsed to its summary on load).
-const trainStateFormat uint32 = 2
+// Format 2 replaced the per-step swap-history series with the four-scalar
+// core.SwapSummary. Format 3 changed what a Dropout layer's LayerRNG entry
+// means, from a xorshift stream position to a count of training samples, so
+// older payloads are rejected rather than resumed onto different masks.
+const trainStateFormat uint32 = 3
 
 // ew accumulates the first write error so encoding code can stay linear.
 type ew struct {
@@ -274,7 +275,7 @@ func readTrainPayload(r io.Reader) (*TrainState, error) {
 	e := &er{r: r}
 	var format uint32
 	e.read(&format)
-	if e.err == nil && format != 1 && format != trainStateFormat {
+	if e.err == nil && format != trainStateFormat {
 		return nil, fmt.Errorf("checkpoint: unsupported train-state format %d", format)
 	}
 	ts := &TrainState{}
@@ -386,28 +387,10 @@ func readTrainPayload(r io.Reader) (*TrainState, error) {
 				}
 			}
 		}
-		if format == 1 {
-			// Format 1 stored the full per-step swap series; collapse it to
-			// the summary the live State carries now.
-			nSwaps := e.u32("swap history", 1<<28)
-			if e.err == nil {
-				swaps := make([]byte, 4*nSwaps)
-				if _, err := io.ReadFull(e.r, swaps); err != nil {
-					e.err = fmt.Errorf("checkpoint: reading swap history: %w", err)
-				} else {
-					series := make([]int, nSwaps)
-					for i := range series {
-						series[i] = int(int32(binary.LittleEndian.Uint32(swaps[4*i:])))
-					}
-					db.Swaps = core.SummarizeSwaps(series)
-				}
-			}
-		} else {
-			db.Swaps.Steps = int(e.i64("swap steps", 0, 1<<50))
-			db.Swaps.Total = e.i64("swap total", 0, 1<<62)
-			db.Swaps.Max = int(e.i64("swap max", 0, 1<<40))
-			db.Swaps.Last = int(e.i64("swap last", 0, 1<<40))
-		}
+		db.Swaps.Steps = int(e.i64("swap steps", 0, 1<<50))
+		db.Swaps.Total = e.i64("swap total", 0, 1<<62)
+		db.Swaps.Max = int(e.i64("swap max", 0, 1<<40))
+		db.Swaps.Last = int(e.i64("swap last", 0, 1<<40))
 		ts.DropBack = db
 	}
 	if e.err != nil {

@@ -729,17 +729,6 @@ func (s *SwapSummary) Add(swaps int) {
 	s.Last = swaps
 }
 
-// SummarizeSwaps collapses a full per-step swap series into its summary —
-// the conversion applied when reading format-1 checkpoints that stored the
-// whole series.
-func SummarizeSwaps(series []int) SwapSummary {
-	var s SwapSummary
-	for _, v := range series {
-		s.Add(v)
-	}
-	return s
-}
-
 // State is DropBack's resumable constraint state: everything the constraint
 // pass depends on beyond the weights themselves (which the caller
 // checkpoints separately), plus the telemetry counters so a resumed run

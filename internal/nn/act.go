@@ -114,24 +114,18 @@ func (l *PReLU) Params() []*Param { return []*Param{l.A} }
 
 // Dropout zeroes activations with probability P during training and scales
 // the survivors by 1/(1−P) (inverted dropout), so inference is the identity.
-// Sampling is driven by a deterministic xorshift stream so training runs are
-// reproducible.
+// Masks are index-addressed: the mask row of the g-th training sample the
+// layer has seen is drawn from a xorshift stream seeded from (seed, g), so
+// its only random state is the count of training samples forwarded so far.
+// A shard starting at sample g therefore needs only that count set to g to
+// draw exactly the rows a full-batch pass would.
 type Dropout struct {
-	name string
-	P    float32
-	rng  *xorshift.State64
-	mask []float32
-	ws   *tensor.Workspace
-	// pendingSkipSamples is consumed by the next sampling Forward call: the
-	// stream is advanced past that many samples' worth of draws before the
-	// call's own sampling begins. The data-parallel trainer arms it so a
-	// shard starting at batch row s draws exactly the mask values the
-	// sequential full-batch pass would have drawn for rows s, s+1, …
-	pendingSkipSamples int
-	// lastPerSample remembers the per-sample draw count of the most recent
-	// sampling Forward, letting AdvanceSamples move the stream eagerly
-	// (without waiting for another input to reveal the activation size).
-	lastPerSample int
+	name    string
+	P       float32
+	seed    uint64
+	samples uint64 // training samples forwarded so far
+	mask    []float32
+	ws      *tensor.Workspace
 }
 
 // NewDropout returns a dropout layer with drop probability p in [0, 1).
@@ -139,59 +133,39 @@ func NewDropout(name string, seed uint64, p float32) *Dropout {
 	if p < 0 || p >= 1 {
 		panic("nn: dropout probability must be in [0,1)")
 	}
-	return &Dropout{name: name, P: p, rng: xorshift.NewState64(seed), ws: tensor.NewWorkspace()}
+	return &Dropout{name: name, P: p, seed: seed, ws: tensor.NewWorkspace()}
 }
 
 // Name implements Layer.
 func (l *Dropout) Name() string { return l.name }
 
-// RNGState implements RNGStateful: the mask stream's current position.
-func (l *Dropout) RNGState() uint64 { return l.rng.State() }
+// RNGState implements RNGStateful: the number of training samples
+// forwarded so far, which fixes every later mask row.
+func (l *Dropout) RNGState() uint64 { return l.samples }
 
 // SetRNGState implements RNGStateful.
-func (l *Dropout) SetRNGState(s uint64) { l.rng.SetState(s) }
+func (l *Dropout) SetRNGState(s uint64) { l.samples = s }
 
-// SkipSamples arms the layer to advance its mask stream past n samples'
-// worth of draws at the start of the next sampling Forward call (the
-// per-sample draw count is x.Len()/x.Shape[0], known only once the input
-// arrives). Inference-mode and P==0 forwards draw nothing and leave the
-// armed skip in place, mirroring the sequential stream they don't advance.
-func (l *Dropout) SkipSamples(n int) { l.pendingSkipSamples = n }
-
-// AdvanceSamples moves the mask stream past n samples' worth of draws NOW,
-// rather than arming a skip for the next Forward. The multi-node trainer
-// calls it after its shard's forward pass so the layer's stream ends each
-// step where the sequential full-batch pass would — a position that must be
-// materialized into the RNG state itself, because epoch-boundary checkpoints
-// capture that state. Before any sampling Forward the per-sample draw count
-// is unknown, so the advance is deferred to the next one via the armed-skip
-// path; P==0 layers never draw anywhere, so the call is a no-op for them.
+// AdvanceSamples counts n samples as forwarded without drawing their masks.
+// A non-positive n advances nothing.
 func (l *Dropout) AdvanceSamples(n int) {
-	if l.P == 0 || n <= 0 {
-		return
-	}
-	if l.lastPerSample == 0 {
-		l.pendingSkipSamples += n
-		return
-	}
-	for i := n * l.lastPerSample; i > 0; i-- {
-		l.rng.Float32()
+	if n > 0 {
+		l.samples += uint64(n)
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Every training-mode call advances the sample
+// count by the batch size, P = 0 included; inference leaves it alone.
 func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.P == 0 {
+	if !train {
 		l.mask = nil
 		return x
 	}
-	perSample := x.Len() / x.Shape[0]
-	l.lastPerSample = perSample
-	if l.pendingSkipSamples > 0 {
-		for i := l.pendingSkipSamples * perSample; i > 0; i-- {
-			l.rng.Float32()
-		}
-		l.pendingSkipSamples = 0
+	n, g := x.Shape[0], l.samples
+	l.samples += uint64(n)
+	if l.P == 0 {
+		l.mask = nil
+		return x
 	}
 	if cap(l.mask) < x.Len() {
 		l.mask = make([]float32, x.Len())
@@ -199,13 +173,18 @@ func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.mask = l.mask[:x.Len()]
 	scale := 1 / (1 - l.P)
 	y := l.ws.GetRaw("y", x.Shape...)
-	for i, v := range x.Data {
-		if l.rng.Float32() < l.P {
-			l.mask[i] = 0
-			y.Data[i] = 0
-		} else {
-			l.mask[i] = scale
-			y.Data[i] = v * scale
+	f := x.Len() / n
+	var rng xorshift.State64
+	for r := 0; r < n; r++ {
+		rng.SetState(xorshift.TensorSeed(l.seed, g+uint64(r)))
+		for i := r * f; i < (r+1)*f; i++ {
+			if rng.Float32() < l.P {
+				l.mask[i] = 0
+				y.Data[i] = 0
+			} else {
+				l.mask[i] = scale
+				y.Data[i] = x.Data[i] * scale
+			}
 		}
 	}
 	return y

@@ -1,10 +1,12 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"dropback/internal/tensor"
+	"dropback/internal/xorshift"
 )
 
 // onesBatch returns an n-sample batch of f features with distinct values, so
@@ -17,75 +19,58 @@ func onesBatch(n, f int) *tensor.Tensor {
 	return x
 }
 
-// TestDropoutAdvanceSamplesMatchesSequentialStream reproduces the multi-node
-// trainer's shard protocol on a single layer: skip to the shard's first row,
-// forward the shard, then advance past the trailing rows. The layer's RNG
-// must land exactly where a sequential full-batch forward leaves it, and the
-// shard's outputs must be bit-identical to the matching rows of the full
-// pass.
+// TestDropoutAdvanceSamplesMatchesSequentialStream is the index-addressing
+// property. For random batch sizes, widths, drop rates, starting counts and
+// partitions of the batch into contiguous shards (empty ones included), a
+// layer set to base and advanced by lo, then forwarded on rows [lo, hi),
+// produces exactly the full-batch pass's rows and ends at base+hi; the last
+// shard thus ends where the full-batch layer does, at base+n. A training
+// forward advances the count by the batch size whatever P is, P = 0
+// included; an inference forward is the identity and leaves it alone.
 func TestDropoutAdvanceSamplesMatchesSequentialStream(t *testing.T) {
-	const n, f, seed = 8, 5, 77
-	full := onesBatch(n, f)
+	rng := xorshift.NewState64(0xD0D0)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + int(rng.Uint32n(9))
+		f := 1 + int(rng.Uint32n(7))
+		p := float32(rng.Uint32n(9)) / 10 // 0 included
+		base := uint64(rng.Uint32n(1000))
+		seed := rng.Next()
+		ctx := fmt.Sprintf("trial %d (n=%d f=%d p=%v base=%d)", trial, n, f, p, base)
 
-	seq := NewDropout("d", seed, 0.5)
-	yFull := seq.Forward(full, true)
-
-	const lo, hi = 3, 6
-	shard := tensor.New(hi-lo, f)
-	copy(shard.Data, full.Data[lo*f:hi*f])
-
-	node := NewDropout("d", seed, 0.5)
-	node.SkipSamples(lo)
-	yShard := node.Forward(shard, true)
-	for i := range yShard.Data {
-		want := yFull.Data[lo*f+i]
-		if math.Float32bits(yShard.Data[i]) != math.Float32bits(want) {
-			t.Fatalf("shard output[%d] = %v, want sequential row value %v", i, yShard.Data[i], want)
+		x := onesBatch(n, f)
+		full := NewDropout("d", seed, p)
+		full.SetRNGState(base)
+		if y := full.Forward(x, false); y != x || full.RNGState() != base {
+			t.Fatalf("%s: inference forward moved the count to %d or was not the identity", ctx, full.RNGState())
 		}
-	}
+		want := full.Forward(x, true).Data
+		if full.RNGState() != base+uint64(n) {
+			t.Fatalf("%s: full batch ends at %d, want %d", ctx, full.RNGState(), base+uint64(n))
+		}
 
-	node.AdvanceSamples(n - hi)
-	if node.RNGState() != seq.RNGState() {
-		t.Fatalf("RNG state after shard+advance = %#x, sequential = %#x",
-			node.RNGState(), seq.RNGState())
-	}
-
-	// Both streams must stay in lockstep on the next batch too.
-	y2a := seq.Forward(full, true)
-	y2b := node.Forward(full, true)
-	for i := range y2a.Data {
-		if math.Float32bits(y2a.Data[i]) != math.Float32bits(y2b.Data[i]) {
-			t.Fatalf("next batch diverged at %d", i)
+		for lo := 0; lo < n; {
+			hi := lo + int(rng.Uint32n(uint32(n-lo)+1)) // may be empty
+			shard := NewDropout("d", seed, p)
+			shard.SetRNGState(base)
+			shard.AdvanceSamples(lo)
+			if hi > lo {
+				y := shard.Forward(tensor.FromSlice(x.Data[lo*f:hi*f], hi-lo, f), true)
+				for i, v := range y.Data {
+					if math.Float32bits(v) != math.Float32bits(want[lo*f+i]) {
+						t.Fatalf("%s: shard [%d,%d) element %d = %v, full batch %v", ctx, lo, hi, i, v, want[lo*f+i])
+					}
+				}
+			}
+			if shard.RNGState() != base+uint64(hi) {
+				t.Fatalf("%s: shard [%d,%d) ends at %d, want %d", ctx, lo, hi, shard.RNGState(), base+uint64(hi))
+			}
+			lo = hi
 		}
 	}
 }
 
-// TestDropoutAdvanceSamplesDefersBeforeFirstForward: before any sampling
-// Forward the per-sample draw count is unknown, so the advance must queue as
-// an armed skip and be consumed by the next sampling Forward.
-func TestDropoutAdvanceSamplesDefersBeforeFirstForward(t *testing.T) {
-	const f, seed = 4, 9
-	ref := NewDropout("d", seed, 0.3)
-	yRef := ref.Forward(onesBatch(4, f), true)
-
-	d := NewDropout("d", seed, 0.3)
-	d.AdvanceSamples(2) // defers: no Forward has revealed the feature count
-	tail := tensor.New(2, f)
-	copy(tail.Data, onesBatch(4, f).Data[2*f:])
-	y := d.Forward(tail, true)
-	for i := range y.Data {
-		want := yRef.Data[2*f+i]
-		if math.Float32bits(y.Data[i]) != math.Float32bits(want) {
-			t.Fatalf("deferred advance: output[%d] = %v, want %v", i, y.Data[i], want)
-		}
-	}
-	if d.RNGState() != ref.RNGState() {
-		t.Fatalf("RNG state %#x, want %#x", d.RNGState(), ref.RNGState())
-	}
-}
-
-// TestDropoutAdvanceSamplesNoOps: a P==0 layer never draws, and non-positive
-// counts advance nothing — in both cases the RNG state is untouched.
+// TestDropoutAdvanceSamplesNoOps: non-positive counts advance nothing, and a
+// P==0 layer passes its input through unmasked wherever its count stands.
 func TestDropoutAdvanceSamplesNoOps(t *testing.T) {
 	d := NewDropout("d", 5, 0.5)
 	d.Forward(onesBatch(2, 3), true)
@@ -93,21 +78,26 @@ func TestDropoutAdvanceSamplesNoOps(t *testing.T) {
 	d.AdvanceSamples(0)
 	d.AdvanceSamples(-4)
 	if d.RNGState() != state {
-		t.Fatalf("non-positive advance moved the stream: %#x -> %#x", state, d.RNGState())
+		t.Fatalf("non-positive advance moved the count: %d -> %d", state, d.RNGState())
 	}
 
 	p0 := NewDropout("d", 5, 0)
-	s0 := p0.RNGState()
 	p0.AdvanceSamples(10)
-	p0.Forward(onesBatch(2, 3), true)
-	if p0.RNGState() != s0 {
-		t.Fatalf("P=0 layer drew from its stream")
+	x := onesBatch(2, 3)
+	y := p0.Forward(x, true)
+	for i, v := range y.Data {
+		if math.Float32bits(v) != math.Float32bits(x.Data[i]) {
+			t.Fatalf("P=0 layer changed element %d: %v -> %v", i, x.Data[i], v)
+		}
+	}
+	if dx := p0.Backward(y); dx != y {
+		t.Fatalf("P=0 layer masked its gradient")
 	}
 }
 
 // TestAdvanceDropoutSamplesWalksEveryLayer: the tree-walking helper must hit
-// every dropout under the root, leaving each stream where a sequential
-// full-batch pass would.
+// every dropout under the root, leaving each layer's count where a
+// sequential full-batch pass would.
 func TestAdvanceDropoutSamplesWalksEveryLayer(t *testing.T) {
 	const n, f = 6, 4
 	build := func() (*Sequential, *Dropout, *Dropout) {
@@ -125,7 +115,7 @@ func TestAdvanceDropoutSamplesWalksEveryLayer(t *testing.T) {
 	AdvanceDropoutSamples(nodeNet, n-hi)
 
 	if n1.RNGState() != s1.RNGState() || n2.RNGState() != s2.RNGState() {
-		t.Fatalf("nested layers not advanced: (%#x,%#x) vs sequential (%#x,%#x)",
+		t.Fatalf("nested layers not advanced: (%d,%d) vs sequential (%d,%d)",
 			n1.RNGState(), n2.RNGState(), s1.RNGState(), s2.RNGState())
 	}
 }

@@ -164,25 +164,10 @@ func CheckShardable(root Layer) error {
 	return err
 }
 
-// ArmDropoutSkip arms every Dropout layer under root to skip n samples'
-// worth of mask draws at its next sampling Forward call (see
-// Dropout.SkipSamples). The data-parallel trainer uses it to position a
-// shard's mask streams exactly where the sequential pass would be when it
-// reaches the shard's first sample.
-func ArmDropoutSkip(root Layer, n int) {
-	Walk(root, func(l Layer) {
-		if d, ok := l.(*Dropout); ok {
-			d.SkipSamples(n)
-		}
-	})
-}
-
-// AdvanceDropoutSamples advances every Dropout layer under root past n
-// samples' worth of mask draws immediately (see Dropout.AdvanceSamples). The
-// multi-node trainer calls it after its shard's forward pass so each layer's
-// stream lands where the sequential pass's would after the full batch —
-// positions that epoch-boundary checkpoints capture, so they cannot be left
-// as un-materialized armed skips.
+// AdvanceDropoutSamples adds n to the sample count of every Dropout layer
+// under root (see Dropout.AdvanceSamples). The shard executor uses it to
+// start each worker at its shard's first global sample and to leave the
+// primary's count where a full-batch pass would.
 func AdvanceDropoutSamples(root Layer, n int) {
 	Walk(root, func(l Layer) {
 		if d, ok := l.(*Dropout); ok {

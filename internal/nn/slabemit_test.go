@@ -125,9 +125,9 @@ func TestSlabEmissionMatchesPerSampleLoop(t *testing.T) {
 		bind.Unbind()
 
 		// Subject: one batched forward/backward per shard, emitting directly
-		// into the global slab rows. Stream handling mirrors the parallel
-		// executor: every shard starts from the pre-step RNG state and skips
-		// the preceding samples' dropout draws.
+		// into the global slab rows. Dropout handling mirrors the shard
+		// executor: every shard starts from the pre-step sample count plus
+		// its first row.
 		initRNG := nn.CaptureLayerRNG(sub.Net)
 		base, rem := n/shards, n%shards
 		lo := 0
@@ -141,7 +141,7 @@ func TestSlabEmissionMatchesPerSampleLoop(t *testing.T) {
 				continue
 			}
 			nn.RestoreLayerRNG(sub.Net, initRNG)
-			nn.ArmDropoutSkip(sub.Net, lo)
+			nn.AdvanceDropoutSamples(sub.Net, lo)
 			sub.Set.BindSampleSlab(slabSub, lo)
 			xs := tensor.ViewRowsInto(&tensor.Tensor{}, x, lo, hi)
 			logits := sub.Net.Forward(xs, true)

@@ -20,9 +20,10 @@ func CaptureBNState(root Layer) [][]float32 {
 }
 
 // RNGStateful is a layer with internal random state that advances during
-// training (Dropout's mask stream). Checkpointing must capture it: a
-// resumed run can only be bit-identical to an uninterrupted one if every
-// stochastic layer picks up its stream exactly where it left off.
+// training (Dropout's sample count, a variational-dropout noise stream).
+// Checkpointing must capture it: a resumed run can only be bit-identical to
+// an uninterrupted one if every stochastic layer picks up exactly where it
+// left off.
 type RNGStateful interface {
 	Layer
 	RNGState() uint64

@@ -146,7 +146,8 @@ type Config struct {
 	// stable's by this factor plus an absolute 1% floor (default 2).
 	RollbackErrorRatio float64
 	// RollbackLatencyRatio rolls the canary back when its p99 latency
-	// exceeds stable's by this factor (default 3).
+	// exceeds stable's by this factor (default 3). The rule waits until
+	// both versions have served 100 requests: on fewer, p99 is the maximum.
 	RollbackLatencyRatio float64
 	// CanaryPromoteAfter promotes a healthy canary to stable after this many
 	// completed canary requests (default 256).

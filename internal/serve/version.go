@@ -75,6 +75,22 @@ func (v *version) p99() time.Duration {
 	return v.lat.Quantile(0.99)
 }
 
+// minP99Samples is the fewest latency samples on which a p99 is compared.
+// Below 100 the nearest-rank p99 is the sample maximum, so a single
+// scheduler or GC stall on one request would decide a canary's fate.
+const minP99Samples = 100
+
+// settledP99 returns the version's p99 latency, or 0 while it has fewer
+// than minP99Samples samples.
+func (v *version) settledP99() time.Duration {
+	v.latMu.Lock()
+	defer v.latMu.Unlock()
+	if v.lat.Count() < minP99Samples {
+		return 0
+	}
+	return v.lat.Quantile(0.99)
+}
+
 // errorRate returns the fraction of failed requests and the total sample
 // count.
 func (v *version) errorRate() (rate float64, total uint64) {
@@ -359,15 +375,15 @@ func (s *Server) maybeSettleCanary(v *version) {
 // healthy: its error rate exceeds the stable rate by the configured ratio
 // (plus an absolute 1% floor so a perfectly clean stable does not make any
 // single canary error fatal), or its p99 exceeds the stable p99 by the
-// configured ratio.
+// configured ratio once both have minP99Samples latency samples.
 func (s *Server) canaryRegression(c, st *version, canaryRate float64) string {
 	stableRate, _ := st.errorRate()
 	if limit := stableRate*s.cfg.RollbackErrorRatio + 0.01; canaryRate > limit {
 		return fmt.Sprintf("error rate %.4f exceeds %.4f (stable %.4f x ratio %.1f + 0.01)",
 			canaryRate, limit, stableRate, s.cfg.RollbackErrorRatio)
 	}
-	if sp99 := st.p99(); sp99 > 0 {
-		if cp99 := c.p99(); cp99 > time.Duration(float64(sp99)*s.cfg.RollbackLatencyRatio) {
+	if sp99 := st.settledP99(); sp99 > 0 {
+		if cp99 := c.settledP99(); cp99 > time.Duration(float64(sp99)*s.cfg.RollbackLatencyRatio) {
 			return fmt.Sprintf("p99 %v exceeds stable %v x ratio %.1f", cp99, sp99, s.cfg.RollbackLatencyRatio)
 		}
 	}

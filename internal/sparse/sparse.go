@@ -29,14 +29,11 @@ import (
 // Magic identifies a sparse artifact stream ("DBSP").
 const Magic uint32 = 0x44425350
 
-// Version is the current format version. Version 2 appends a CRC32
-// (Castagnoli) trailer covering every preceding byte, so bit rot anywhere in
-// the stream is detected instead of silently corrupting weights. Version-1
-// streams (no trailer) remain readable.
+// Version is the format version. Version 2 appends a CRC32 (Castagnoli)
+// trailer covering every preceding byte, so bit rot anywhere in the stream
+// is detected instead of silently corrupting weights. The trailer-less
+// version 1 is no longer read.
 const Version uint32 = 2
-
-// Version1 is the legacy trailer-less format.
-const Version1 uint32 = 1
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -171,8 +168,8 @@ func (a *Artifact) DenseStorageBytes() int {
 	return n
 }
 
-// Write serializes the artifact in the current (version 2) format: the
-// version-1 layout followed by a CRC32 trailer over every preceding byte.
+// Write serializes the artifact: header, seed, entries and BN statistics,
+// followed by a CRC32 trailer over every preceding byte.
 func (a *Artifact) Write(w io.Writer) error {
 	h := crc32.New(crcTable)
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
@@ -237,40 +234,33 @@ func (a *Artifact) Write(w io.Writer) error {
 	return err
 }
 
-// Read parses an artifact stream, accepting the current checksummed format
-// and the legacy version-1 (trailer-less) format.
+// Read parses a checksummed artifact stream.
 func Read(r io.Reader) (*Artifact, error) {
 	br := bufio.NewReader(r)
 	var head [8]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("sparse: reading header: %w", err)
 	}
-	magic := binary.LittleEndian.Uint32(head[:4])
-	version := binary.LittleEndian.Uint32(head[4:])
-	if magic != Magic {
+	if magic := binary.LittleEndian.Uint32(head[:4]); magic != Magic {
 		return nil, fmt.Errorf("sparse: bad magic %#x", magic)
 	}
-	switch version {
-	case Version1:
-		return readBody(br)
-	case Version:
-		h := crc32.New(crcTable)
-		h.Write(head[:])
-		a, err := readBody(io.TeeReader(br, h))
-		if err != nil {
-			return nil, err
-		}
-		var trailer [4]byte
-		if _, err := io.ReadFull(br, trailer[:]); err != nil {
-			return nil, fmt.Errorf("sparse: reading checksum trailer: %w", err)
-		}
-		if stored, computed := binary.LittleEndian.Uint32(trailer[:]), h.Sum32(); stored != computed {
-			return nil, fmt.Errorf("sparse: checksum mismatch (stored %#x, computed %#x)", stored, computed)
-		}
-		return a, nil
-	default:
+	if version := binary.LittleEndian.Uint32(head[4:]); version != Version {
 		return nil, fmt.Errorf("sparse: unsupported version %d", version)
 	}
+	h := crc32.New(crcTable)
+	h.Write(head[:])
+	a, err := readBody(io.TeeReader(br, h))
+	if err != nil {
+		return nil, err
+	}
+	var trailer [4]byte
+	if _, err := io.ReadFull(br, trailer[:]); err != nil {
+		return nil, fmt.Errorf("sparse: reading checksum trailer: %w", err)
+	}
+	if stored, computed := binary.LittleEndian.Uint32(trailer[:]), h.Sum32(); stored != computed {
+		return nil, fmt.Errorf("sparse: checksum mismatch (stored %#x, computed %#x)", stored, computed)
+	}
+	return a, nil
 }
 
 // readBody parses the artifact payload after the magic/version header.

@@ -2,7 +2,7 @@ package sparse_test
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,39 +261,21 @@ func TestCompressAfterManualConstraint(t *testing.T) {
 	}
 }
 
-// TestReadVersion1BackCompat strips the version-2 checksum trailer and
-// rewrites the version field, producing the legacy trailer-less layout, and
-// asserts Read still parses it to the identical artifact.
-func TestReadVersion1BackCompat(t *testing.T) {
-	m := dropback.MNIST100100(5)
-	for g := 0; g < 30; g++ {
-		m.Set.Set(g*13, float32(g)-7)
-	}
-	a := sparse.Compress(m)
-	var buf bytes.Buffer
-	if err := a.Write(&buf); err != nil {
+// TestReadRejectsVersion1 pins the rejection of the trailer-less version-1
+// layout (header with version 1, seed 7, 784 parameters, no entries, no BN
+// layers): nothing writes it, so nothing reads it.
+func TestReadRejectsVersion1(t *testing.T) {
+	v1, err := hex.DecodeString("50534244" + "01000000" + "0700000000000000" + "1003000000000000" + "00000000" + "00000000")
+	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := buf.Bytes()[:buf.Len()-4] // drop CRC trailer
-	binary.LittleEndian.PutUint32(v1[4:], sparse.Version1)
-	b, err := sparse.Read(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 stream rejected: %v", err)
-	}
-	if b.ModelSeed != a.ModelSeed || len(b.Entries) != len(a.Entries) {
-		t.Fatalf("v1 round trip mismatch: seed %d/%d, entries %d/%d",
-			b.ModelSeed, a.ModelSeed, len(b.Entries), len(a.Entries))
-	}
-	for i := range a.Entries {
-		if b.Entries[i] != a.Entries[i] {
-			t.Fatalf("entry %d mismatch: %+v != %+v", i, b.Entries[i], a.Entries[i])
-		}
+	if _, err := sparse.Read(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("version-1 stream: err = %v, want an unsupported-version-1 error", err)
 	}
 }
 
 // TestReadDetectsPayloadCorruption flips a single bit inside an entry value
-// — damage the version-1 format accepted silently — and asserts the
-// version-2 checksum rejects the stream.
+// and asserts the checksum trailer rejects the stream.
 func TestReadDetectsPayloadCorruption(t *testing.T) {
 	m := dropback.MNIST100100(5)
 	for g := 0; g < 30; g++ {

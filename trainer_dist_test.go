@@ -194,7 +194,7 @@ func TestDistTrainerBitIdentical(t *testing.T) {
 // plus ranks that run different worker counts, must match the sequential
 // trainer byte for byte on every rank — an MLP with dropout and a conv/pool
 // stack, DropBack live and frozen after epoch 0. Batch 2 at N = 3 keeps one
-// rank idle every step (its dropout carry-skip must still land right), and
+// rank idle every step (its dropout sample counts must still land right), and
 // batch 3 at W = 3 leaves local workers empty.
 func TestDistLocalWorkersBitIdentical(t *testing.T) {
 	mlpTrain, mlpVal := synthTrainVal(24, 12, 4, 7)
@@ -246,9 +246,8 @@ func TestDistLocalWorkersBitIdentical(t *testing.T) {
 // local workers: the same batches through a 3-rank mesh at W = 2 per rank
 // and through a sequential model must give bit-identical loss, accuracy and
 // gradients on every rank. Batch sizes vary from 1 to 8, so ranks sit idle
-// on some steps and compute on the next; a rank that computes must then
-// skip the dropout draws it owes from the steps it sat out and end at the
-// sequential stream position.
+// on some steps and compute on the next. Every rank, idle or busy, must end
+// each step at the sequential dropout sample count.
 func TestDistStepMatchesSequential(t *testing.T) {
 	seq := parTestDropoutMLP(41)
 	execs, ms, _ := distExecMesh(t, parTestDropoutMLP, 0, 3, 2)
@@ -285,12 +284,9 @@ func TestDistStepMatchesSequential(t *testing.T) {
 			for i := range sp {
 				assertF32BitsEqual(t, ctx+": grad "+sp[i].Name, sp[i].Grad.Data, pp[i].Grad.Data)
 			}
-			if r >= batch {
-				continue // idle this step: its streams catch up when it next computes
-			}
 			for name, st := range nn.CaptureLayerRNG(ms[r].Net) {
 				if st != seqRNG[name] {
-					t.Fatalf("%s: dropout stream %q at %#x, sequential at %#x", ctx, name, st, seqRNG[name])
+					t.Fatalf("%s: dropout %q at sample count %d, sequential at %d", ctx, name, st, seqRNG[name])
 				}
 			}
 		}
@@ -298,16 +294,33 @@ func TestDistStepMatchesSequential(t *testing.T) {
 }
 
 // TestDistBatchSmallerThanWorld covers the empty-shard path: a 3-node
-// cluster on batch size 2 leaves rank 2 idle every step, and its dropout
-// carry-skip accounting must still land every node at the sequential RNG
-// position.
+// cluster on batch size 2 leaves rank 2 idle every step. Every node must
+// still match the sequential run, and so must the checkpoint each node
+// writes every epoch, dropout sample counts included.
 func TestDistBatchSmallerThanWorld(t *testing.T) {
 	train, val := synthTrainVal(24, 12, 4, 9)
 	cfg := TrainConfig{Method: MethodBaseline, Epochs: 2, BatchSize: 2, Seed: 5}
-	ref, refParams := runEquivalence(t, parTestDropoutMLP, 5, 1, cfg, train, val)
-	results, params := distTrainN(t, parTestDropoutMLP, 5, 3, cfg, train, val, nil)
+	seqCfg := cfg
+	seqDir := t.TempDir()
+	seqCfg.Checkpoint = &CheckpointSpec{Dir: seqDir, Every: 1, Keep: -1}
+	ref, refParams := runEquivalence(t, parTestDropoutMLP, 5, 1, seqCfg, train, val)
+	dirs := make([]string, 3)
+	results, params := distTrainN(t, parTestDropoutMLP, 5, 3, cfg, train, val, func(rank int, c *TrainConfig) {
+		dirs[rank] = t.TempDir()
+		c.Checkpoint = &CheckpointSpec{Dir: dirs[rank], Every: 1, Keep: -1}
+	})
+	seqFiles := readDirFiles(t, seqDir)
 	for r := 0; r < 3; r++ {
 		assertDistMatchesSequential(t, fmt.Sprintf("W>batch/node%d", r), ref, refParams, results[r], params[r])
+		got := readDirFiles(t, dirs[r])
+		if len(got) != len(seqFiles) {
+			t.Fatalf("node %d wrote %d checkpoint files, sequential run %d", r, len(got), len(seqFiles))
+		}
+		for name, b := range got {
+			if want, ok := seqFiles[name]; !ok || string(b) != string(want) {
+				t.Fatalf("node %d: checkpoint %s differs from the sequential run's", r, name)
+			}
+		}
 	}
 }
 

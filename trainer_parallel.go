@@ -57,10 +57,10 @@ func shardRangesInto(out []shardRange, n int) []shardRange {
 // global sample order replays the full-batch accumulation's rounding
 // sequence exactly (matmuls accumulate ascending-k from a cleared buffer,
 // the bias loops walk samples ascending) — at any rank count, any worker
-// count per rank and any GOMAXPROCS. Dropout mask streams stay aligned
-// because batched draws are row-major ascending and each worker's stream is
-// positioned at its shard's first sample via ArmDropoutSkip. See DESIGN.md
-// §8, and §12 for the exchange.
+// count per rank and any GOMAXPROCS. Dropout masks stay aligned because
+// each mask row is addressed by its global sample index: every busy worker
+// starts from the primary's sample count plus its shard's first row. See
+// DESIGN.md §8, and §12 for the exchange.
 //
 // Worker 0 runs the primary model on the calling goroutine; workers 1…W−1
 // run structurally identical replicas whose parameter Value tensors alias
@@ -82,9 +82,6 @@ type shardExecutor struct {
 	scratch []*tensor.Workspace // per-worker loss-head buffers (probs, dlogits)
 
 	hasRNG bool // any stochastic (Dropout) layers to keep in sync
-	// carrySkip counts dropout samples owed from steps where this rank's
-	// share was empty (world > batch) and no forward ran to consume a skip.
-	carrySkip int
 
 	rec      telemetry.Recorder
 	shardDur []time.Duration
@@ -226,7 +223,7 @@ func (e *shardExecutor) fail(err error) {
 // deterministic reduction of the per-sample gradient slab rows into the
 // primary's gradient buffers, and the same loss/accuracy reduction
 // arithmetic as the sequential path. On return the primary model holds
-// exactly the gradients, dropout-stream positions, loss, and accuracy that
+// exactly the gradients, dropout sample counts, loss, and accuracy that
 // Model.Step would have produced on the full minibatch — on every rank,
 // which is why each can then run the identical optimizer update with no
 // further communication.
@@ -244,24 +241,18 @@ func (e *shardExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64)
 	}
 	busy := mine.Lo < mine.Hi // worker 0 is busy whenever any worker is
 
-	// Position each busy worker's stochastic streams where the sequential
-	// pass would be at its shard's first sample: the primary's state, then
-	// skip the draws of the preceding samples and of any steps this rank
-	// sat out.
-	if e.hasRNG && busy {
-		states := nn.CaptureLayerRNG(e.primary.Net)
+	// Start each busy worker's dropout sample counts at its shard's first
+	// global sample: the primary's count (samples before this step) plus
+	// the shard's first row.
+	var base map[string]uint64
+	if e.hasRNG {
+		base = nn.CaptureLayerRNG(e.primary.Net)
 		for w, r := range ranges {
-			if r.Lo >= r.Hi {
-				continue
+			if r.Lo < r.Hi {
+				nn.RestoreLayerRNG(e.replicas[w].Net, base)
+				nn.AdvanceDropoutSamples(e.replicas[w].Net, r.Lo)
 			}
-			if w > 0 {
-				nn.RestoreLayerRNG(e.replicas[w].Net, states)
-			}
-			nn.ArmDropoutSkip(e.replicas[w].Net, e.carrySkip+r.Lo)
 		}
-		e.carrySkip = 0
-	} else if e.hasRNG {
-		e.carrySkip += n
 	}
 
 	timing := e.rec.Enabled()
@@ -281,20 +272,11 @@ func (e *shardExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64)
 	}
 	wg.Wait()
 
-	// The primary's streams must end where the sequential pass would: at
-	// the position after the batch's last sample. The last busy worker
-	// holds the position after this rank's last row; the rows of later
-	// ranks are skipped now, materialized into RNG state, because
-	// checkpoints capture that state.
-	if e.hasRNG && busy {
-		last := len(ranges) - 1
-		for ranges[last].Lo >= ranges[last].Hi {
-			last--
-		}
-		if last != 0 {
-			nn.RestoreLayerRNG(e.primary.Net, nn.CaptureLayerRNG(e.replicas[last].Net))
-		}
-		nn.AdvanceDropoutSamples(e.primary.Net, n-mine.Hi)
+	// Every rank, busy or idle, leaves the primary's counts where the
+	// sequential pass would: past the whole batch. Checkpoints capture them.
+	if e.hasRNG {
+		nn.RestoreLayerRNG(e.primary.Net, base)
+		nn.AdvanceDropoutSamples(e.primary.Net, n)
 	}
 
 	var foldWait time.Duration

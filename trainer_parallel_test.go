@@ -172,8 +172,8 @@ func TestParallelTrainerDropoutBitIdentical(t *testing.T) {
 // TestParallelStepMatchesSequential is the step-level microscope: the same
 // batch through a W = 3 executor and a sequential model must produce
 // bit-identical loss, accuracy, every gradient buffer, and identical
-// dropout stream positions — for several consecutive steps, so stream
-// advancement across steps is covered too.
+// dropout sample counts — for several consecutive steps, so the count's
+// advance across steps is covered too.
 func TestParallelStepMatchesSequential(t *testing.T) {
 	seq := parTestDropoutMLP(21)
 	par := parTestDropoutMLP(21)
