@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check fmt vet test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist bench-parallel bench-telemetry cover dist-e2e serve-smoke serve-chaos serve-load clean
+.PHONY: check build fmt-check fmt vet loc test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist bench-parallel bench-telemetry cover dist-e2e serve-smoke serve-chaos serve-load clean
 
 # bench-parallel is intentionally NOT part of check: it asserts the W=4
 # executor beats W=1 on wall time, which needs >= 4 real cores — run it
 # explicitly on multi-core hardware (CI's bench-parallel job does).
-check: build fmt-check vet test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist cover dist-e2e serve-smoke serve-chaos serve-load
+check: build fmt-check vet loc test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist cover dist-e2e serve-smoke serve-chaos serve-load
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Size figures: non-test Go lines, internal/ package count and TrainE's
+# length; fails if TrainE reaches 150 lines.
+loc:
+	./scripts/loc.sh
 
 test:
 	$(GO) test ./...

@@ -170,7 +170,7 @@ func BenchmarkExtensionArtifact(b *testing.B) {
 
 // --- Kernel microbenchmarks -------------------------------------------------
 
-func BenchmarkTopKStrategies(b *testing.B) {
+func BenchmarkTopK(b *testing.B) {
 	scores := make([]float32, 266610) // LeNet-300-100 sized
 	for i := range scores {
 		scores[i] = xorshift.IndexedNormal(1, uint64(i))
@@ -180,16 +180,9 @@ func BenchmarkTopKStrategies(b *testing.B) {
 		scores[i] = 0
 	}
 	mask := make([]bool, len(scores))
-	b.Run("quickselect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SelectTopKInto(mask, scores, 20000, core.StrategyQuickselect)
-		}
-	})
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SelectTopKInto(mask, scores, 20000, core.StrategyHeap)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		core.SelectTopKInto(mask, scores, 20000)
+	}
 }
 
 func BenchmarkWeightRegeneration(b *testing.B) {

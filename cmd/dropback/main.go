@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"dropback"
-	"dropback/internal/core"
 	"dropback/internal/dist"
 	"dropback/internal/optim"
 	"dropback/internal/telemetry"
@@ -43,7 +42,6 @@ func run() error {
 		method   = flag.String("method", "dropback", "baseline | dropback | magnitude | variational | slimming")
 		budget   = flag.Int("budget", 10000, "DropBack tracked-weight budget")
 		freeze   = flag.Int("freeze", -1, "freeze tracked set after this epoch (-1: never)")
-		strategy = flag.String("topk", "quickselect", "DropBack top-k engine: quickselect | heap")
 		sparseT  = flag.Bool("sparse-train", false, "DropBack sparse-native training: optimizer state scales with the budget, bit-identical results")
 		pruneF   = flag.Float64("prune-fraction", 0.75, "magnitude/slimming prune fraction")
 		epochs   = flag.Int("epochs", 10, "training epochs")
@@ -156,9 +154,6 @@ func run() error {
 		cfg.Budget = *budget
 		cfg.FreezeAfterEpoch = *freeze
 		cfg.SparseTrain = *sparseT
-		if *strategy == "heap" {
-			cfg.Strategy = core.StrategyHeap
-		}
 	case "magnitude":
 		cfg.Method = dropback.MethodMagnitude
 		cfg.PruneFraction = *pruneF

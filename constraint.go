@@ -41,7 +41,6 @@ func newConstraint(m *Model, cfg TrainConfig) (constraint, error) {
 		return core.New(m.Set, core.Config{
 			Budget:             cfg.Budget,
 			FreezeAfterEpoch:   cfg.FreezeAfterEpoch,
-			Strategy:           cfg.Strategy,
 			DisableSwapHistory: cfg.DisableSwapHistory,
 		}), nil
 	case MethodMagnitude:

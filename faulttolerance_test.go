@@ -73,7 +73,7 @@ func historiesEqual(t *testing.T, a, b []dropback.EpochStats) {
 func TestCrashCorruptionResumeBitIdentical(t *testing.T) {
 	base := dropback.TrainConfig{
 		Method: dropback.MethodDropBack, Budget: 2000, FreezeAfterEpoch: 1,
-		Epochs: 4, BatchSize: 32, Seed: 3, Quiet: true,
+		Epochs: 4, BatchSize: 32, Seed: 3,
 	}
 
 	// Reference: uninterrupted 4-epoch run.
@@ -140,30 +140,30 @@ func TestResumeDeterminism(t *testing.T) {
 		split int
 	}{
 		{"mlp/baseline", ftMLP, dropback.TrainConfig{
-			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 32, Seed: 5}, 0},
 		{"mlp/dropback", ftMLP, dropback.TrainConfig{
 			Method: dropback.MethodDropBack, Budget: 1500, FreezeAfterEpoch: 1,
-			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+			Epochs: 3, BatchSize: 32, Seed: 5}, 0},
 		{"conv/baseline", ftConv, dropback.TrainConfig{
-			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}, 0},
+			Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 16, Seed: 5}, 0},
 		{"conv/dropback", ftConv, dropback.TrainConfig{
 			Method: dropback.MethodDropBack, Budget: 800, FreezeAfterEpoch: 1,
-			Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}, 0},
+			Epochs: 3, BatchSize: 16, Seed: 5}, 0},
 		{"mlp/magnitude", ftMLP, dropback.TrainConfig{
 			Method: dropback.MethodMagnitude, PruneFraction: 0.5,
-			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+			Epochs: 3, BatchSize: 32, Seed: 5}, 0},
 		{"mlp/variational", ftVDMLP, dropback.TrainConfig{
 			Method: dropback.MethodVariational, KLScale: 1.0 / 160, Schedule: optim.Constant(0.05),
-			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+			Epochs: 3, BatchSize: 32, Seed: 5}, 0},
 		{"mlp/dsd", ftMLP, dropback.TrainConfig{
 			Method: dropback.MethodDSD, DSDSparseFraction: 0.3, DSDSparseStart: 0, DSDSparseEnd: 2,
-			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 0},
+			Epochs: 3, BatchSize: 32, Seed: 5}, 0},
 		{"mlp/dsd-after-phase", ftMLP, dropback.TrainConfig{
 			Method: dropback.MethodDSD, DSDSparseFraction: 0.3, DSDSparseStart: 0, DSDSparseEnd: 1,
-			Epochs: 3, BatchSize: 32, Seed: 5, Quiet: true}, 2},
+			Epochs: 3, BatchSize: 32, Seed: 5}, 2},
 		{"conv/slimming", ftConv, dropback.TrainConfig{
 			Method: dropback.MethodSlimming, SlimLambda: 1e-4, SlimPruneFraction: 0.3, SlimPruneAtEpoch: 0,
-			Epochs: 3, BatchSize: 16, Seed: 5, Quiet: true}, 0},
+			Epochs: 3, BatchSize: 16, Seed: 5}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,7 +195,7 @@ func TestResumeDeterminism(t *testing.T) {
 // state to TrainConfig.ResumeFrom.
 func TestExplicitSaveLoadResume(t *testing.T) {
 	cfg := dropback.TrainConfig{
-		Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 32, Seed: 9, Quiet: true}
+		Method: dropback.MethodBaseline, Epochs: 3, BatchSize: 32, Seed: 9}
 
 	mRef, train, val := ftMLP(9)
 	refRes := dropback.Train(mRef, train, val, cfg)
@@ -237,7 +237,7 @@ func TestNaNInjectionRecovery(t *testing.T) {
 	inj := &faults.NaNInjector{Step: 6, Index: 3}
 	col := dropback.NewTelemetryCollector(dropback.TelemetryOptions{})
 	res, err := dropback.TrainE(m, train, val, dropback.TrainConfig{
-		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7, Quiet: true,
+		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7,
 		GradHook:           inj.Hook(),
 		MaxRecoveryRetries: 2,
 		Telemetry:          col,
@@ -281,7 +281,7 @@ func TestNaNWithoutRecoveryDiverges(t *testing.T) {
 	// rather than waiting for the loss to go non-finite.
 	inj := &faults.NaNInjector{Step: 2, Index: m.Set.Total() - 1}
 	res := dropback.Train(m, train, val, dropback.TrainConfig{
-		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7, Quiet: true,
+		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7,
 		GradHook: inj.Hook(),
 	})
 	if !res.Diverged {
@@ -296,7 +296,7 @@ func TestRecoveryRetriesExhausted(t *testing.T) {
 	m, train, val := ftMLP(7)
 	fires := 0
 	res, err := dropback.TrainE(m, train, val, dropback.TrainConfig{
-		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7, Quiet: true,
+		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7,
 		GradHook: func(step int, set *nn.ParamSet) {
 			if step == 4 {
 				fires++
@@ -317,6 +317,88 @@ func TestRecoveryRetriesExhausted(t *testing.T) {
 	}
 	if fires != 3 {
 		t.Fatalf("hook fired %d times, want 3 (original + 2 replays)", fires)
+	}
+}
+
+// TestRollbackMatchesResume pins what a rollback restores: a NaN at the
+// first step of epoch 2 must leave the run byte-equal to one resumed from
+// the epoch-1 checkpoint with the backoff already applied (LRScale 0.5,
+// one retry spent). The conv fixture's BatchNorm statistics and Dropout
+// streams, and DropBack's tracked set, must all rewind with the weights.
+func TestRollbackMatchesResume(t *testing.T) {
+	base := dropback.TrainConfig{
+		Method: dropback.MethodDropBack, Budget: 400, FreezeAfterEpoch: 1,
+		Epochs: 3, BatchSize: 16, Seed: 13,
+	}
+
+	mA, trainA, valA := ftConv(13)
+	inj := &faults.NaNInjector{Step: trainA.Len() / base.BatchSize, Index: 3}
+	cfgA := base
+	cfgA.GradHook = inj.Hook()
+	cfgA.MaxRecoveryRetries = 2
+	resA, err := dropback.TrainE(mA, trainA, valA, cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inj.Fired() || resA.Rollbacks != 1 {
+		t.Fatalf("injector fired %v, rollbacks %d; want one rollback", inj.Fired(), resA.Rollbacks)
+	}
+
+	dir := t.TempDir()
+	m1, train1, val1 := ftConv(13)
+	cfg1 := base
+	cfg1.Epochs = 1
+	cfg1.Checkpoint = &dropback.CheckpointSpec{Dir: dir, Every: 1}
+	dropback.Train(m1, train1, val1, cfg1)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.dbck"))
+	if len(files) != 1 {
+		t.Fatalf("expected 1 checkpoint, found %v", files)
+	}
+	mB, trainB, valB := ftConv(13)
+	ts, err := dropback.LoadTrainCheckpoint(files[0], mB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.LRScale, ts.Retries = 0.5, 1
+	cfgB := base
+	cfgB.ResumeFrom = ts
+	resB, err := dropback.TrainE(mB, trainB, valB, cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	historiesEqual(t, resA.History, resB.History)
+	snapshotsEqual(t, mA.Set.Snapshot(), mB.Set.Snapshot(), "rollback vs resume")
+	if resA.LRScale != resB.LRScale || resA.LRScale != 0.5 {
+		t.Fatalf("LRScale: rollback %v, resume %v; want 0.5", resA.LRScale, resB.LRScale)
+	}
+}
+
+// TestRecoveryBackoffSurvivesRepeatedFailure fails one step twice before it
+// succeeds: each rollback must keep the backoff the previous one applied,
+// so the run ends two halvings down rather than restoring to one.
+func TestRecoveryBackoffSurvivesRepeatedFailure(t *testing.T) {
+	m, train, val := ftMLP(7)
+	calls := 0
+	res, err := dropback.TrainE(m, train, val, dropback.TrainConfig{
+		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 7,
+		GradHook: func(step int, set *nn.ParamSet) {
+			if step == 4 {
+				if calls++; calls <= 2 {
+					set.Params()[0].Grad.Data[0] = float32(math.NaN())
+				}
+			}
+		},
+		MaxRecoveryRetries: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Diverged {
+		t.Fatal("run diverged although the third attempt succeeds")
+	}
+	if res.Rollbacks != 2 || res.LRScale != 0.25 {
+		t.Fatalf("Rollbacks = %d, LRScale = %v; want 2 and 0.25", res.Rollbacks, res.LRScale)
 	}
 }
 

@@ -65,9 +65,8 @@ type TrainState struct {
 	DropBack *core.State
 }
 
-// EpochRecord mirrors one epoch of training history (the trainer's
-// EpochStats, duplicated here so the root package can depend on checkpoint
-// without a cycle).
+// EpochRecord is one epoch of training history. The trainer's EpochStats
+// is an alias of it, so a run's History goes into a TrainState as it is.
 type EpochRecord struct {
 	Epoch     int
 	LR        float32

@@ -21,8 +21,6 @@ type Config struct {
 	// (the paper's "freeze the tracked parameter set after a small number
 	// of epochs"). Negative means never freeze.
 	FreezeAfterEpoch int
-	// Strategy selects the top-k engine (quickselect or bounded min-heap).
-	Strategy TopKStrategy
 	// DryRun observes which weights would be tracked without constraining
 	// the network — used to reproduce Fig 2's baseline-SGD telemetry.
 	DryRun bool
@@ -314,7 +312,7 @@ func (d *DropBack) score(step bool) {
 // PerLayerBudget ablation.
 func (d *DropBack) selectMask() {
 	if !d.cfg.PerLayerBudget {
-		d.selBuf = selectTopK(d.mask, d.scores, d.cfg.Budget, d.cfg.Strategy, d.selBuf)
+		d.selBuf = selectTopK(d.mask, d.scores, d.cfg.Budget, d.selBuf)
 		return
 	}
 	total := d.set.Total()
@@ -348,7 +346,7 @@ func (d *DropBack) selectMask() {
 	}
 	for i, p := range params {
 		base := d.set.Offset(i)
-		d.selBuf = selectTopK(d.mask[base:base+p.Len()], d.scores[base:base+p.Len()], shares[i], d.cfg.Strategy, d.selBuf)
+		d.selBuf = selectTopK(d.mask[base:base+p.Len()], d.scores[base:base+p.Len()], shares[i], d.selBuf)
 	}
 }
 

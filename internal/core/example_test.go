@@ -8,11 +8,10 @@ import (
 	"dropback/internal/xorshift"
 )
 
-// ExampleSelectTopK shows the deterministic top-k selection both engines
-// share.
+// ExampleSelectTopK shows the deterministic top-k selection.
 func ExampleSelectTopK() {
 	scores := []float32{0.1, 0.9, 0.3, 0.9, 0.0}
-	mask := core.SelectTopK(scores, 2, core.StrategyQuickselect)
+	mask := core.SelectTopK(scores, 2)
 	fmt.Println(mask)
 	// Ties break toward lower indices, so index 1 and 3 are selected.
 	// Output: [false true false true false]

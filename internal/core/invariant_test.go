@@ -81,29 +81,6 @@ func TestApplyInvariantAtMostBudgetDeviations(t *testing.T) {
 	}
 }
 
-func TestStrategiesProduceIdenticalTraining(t *testing.T) {
-	// Quickselect and heap engines must yield bit-identical training
-	// results, not just identical single selections.
-	run := func(strategy TopKStrategy) []float32 {
-		set, _, _ := makeSet()
-		db := New(set, Config{Budget: 7, Strategy: strategy})
-		for step := uint64(0); step < 5; step++ {
-			for g := 0; g < set.Total(); g++ {
-				set.Set(g, set.Get(g)+0.01*xorshift.IndexedNormal(step, uint64(g)))
-			}
-			db.Apply()
-		}
-		return set.Snapshot()
-	}
-	a := run(StrategyQuickselect)
-	b := run(StrategyHeap)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("strategies diverge at weight %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestFrozenSwapHistoryStaysZero(t *testing.T) {
 	set, _, _ := makeSet()
 	db := New(set, Config{Budget: 4})

@@ -74,7 +74,7 @@ func (o *denseOracle) selectTopK() {
 		o.scores[g] = v
 	}
 	if !o.cfg.PerLayerBudget {
-		SelectTopKInto(o.mask, o.scores, o.cfg.Budget, o.cfg.Strategy)
+		SelectTopKInto(o.mask, o.scores, o.cfg.Budget)
 		return
 	}
 	// Proportional floor shares, the last tensor taking the drift up to
@@ -98,7 +98,7 @@ func (o *denseOracle) selectTopK() {
 	}
 	for i, p := range params {
 		b := o.set.Offset(i)
-		SelectTopKInto(o.mask[b:b+p.Len()], o.scores[b:b+p.Len()], shares[i], o.cfg.Strategy)
+		SelectTopKInto(o.mask[b:b+p.Len()], o.scores[b:b+p.Len()], shares[i])
 	}
 }
 

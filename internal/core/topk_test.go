@@ -19,7 +19,7 @@ func maskCount(m []bool) int {
 }
 
 // referenceTopK selects the k largest by full sort with index tie-breaking —
-// the oracle both fast engines must match.
+// the oracle the quickselect engine must match.
 func referenceTopK(scores []float32, k int) []bool {
 	type sv struct {
 		s float32
@@ -54,19 +54,17 @@ func randScores(seed uint64, n int) []float32 {
 }
 
 func TestSelectTopKMatchesReference(t *testing.T) {
-	for _, strat := range []TopKStrategy{StrategyQuickselect, StrategyHeap} {
-		for _, n := range []int{1, 2, 10, 100, 1000} {
-			for _, k := range []int{1, 2, n / 2, n - 1, n} {
-				if k < 1 {
-					continue
-				}
-				scores := randScores(uint64(n*7+k), n)
-				got := SelectTopK(scores, k, strat)
-				want := referenceTopK(scores, k)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v n=%d k=%d: mask[%d] = %v, want %v", strat, n, k, i, got[i], want[i])
-					}
+	for _, n := range []int{1, 2, 10, 100, 1000} {
+		for _, k := range []int{1, 2, n / 2, n - 1, n} {
+			if k < 1 {
+				continue
+			}
+			scores := randScores(uint64(n*7+k), n)
+			got := SelectTopK(scores, k)
+			want := referenceTopK(scores, k)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d: mask[%d] = %v, want %v", n, k, i, got[i], want[i])
 				}
 			}
 		}
@@ -78,29 +76,8 @@ func TestSelectTopKExactCount(t *testing.T) {
 		n := 200
 		k := int(kRaw)%n + 1
 		scores := randScores(seed, n)
-		m := SelectTopK(scores, k, StrategyQuickselect)
+		m := SelectTopK(scores, k)
 		return maskCount(m) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStrategiesAgreeProperty(t *testing.T) {
-	// The paper's priority-queue implementation must be behaviourally
-	// identical to the sort/quickselect formalization of Algorithm 1.
-	f := func(seed uint64, kRaw uint16) bool {
-		n := 300
-		k := int(kRaw)%n + 1
-		scores := randScores(seed, n)
-		a := SelectTopK(scores, k, StrategyQuickselect)
-		b := SelectTopK(scores, k, StrategyHeap)
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -112,7 +89,7 @@ func TestSelectTopKAllTies(t *testing.T) {
 	for i := range scores {
 		scores[i] = 1
 	}
-	m := SelectTopK(scores, 4, StrategyQuickselect)
+	m := SelectTopK(scores, 4)
 	// Deterministic tie-breaking toward lower indices.
 	for i := 0; i < 4; i++ {
 		if !m[i] {
@@ -128,16 +105,16 @@ func TestSelectTopKAllTies(t *testing.T) {
 
 func TestSelectTopKEdgeCases(t *testing.T) {
 	scores := []float32{3, 1, 2}
-	if maskCount(SelectTopK(scores, 0, StrategyQuickselect)) != 0 {
+	if maskCount(SelectTopK(scores, 0)) != 0 {
 		t.Fatal("k=0 must select nothing")
 	}
-	if maskCount(SelectTopK(scores, -1, StrategyHeap)) != 0 {
+	if maskCount(SelectTopK(scores, -1)) != 0 {
 		t.Fatal("negative k must select nothing")
 	}
-	if maskCount(SelectTopK(scores, 10, StrategyQuickselect)) != 3 {
+	if maskCount(SelectTopK(scores, 10)) != 3 {
 		t.Fatal("k>n must select everything")
 	}
-	one := SelectTopK(scores, 1, StrategyHeap)
+	one := SelectTopK(scores, 1)
 	if !one[0] || one[1] || one[2] {
 		t.Fatalf("k=1 selected %v, want index 0 only", one)
 	}
@@ -146,7 +123,7 @@ func TestSelectTopKEdgeCases(t *testing.T) {
 func TestSelectTopKIntoReusesMask(t *testing.T) {
 	scores := []float32{5, 1, 4, 2}
 	mask := []bool{true, true, true, true}
-	SelectTopKInto(mask, scores, 2, StrategyQuickselect)
+	SelectTopKInto(mask, scores, 2)
 	if !mask[0] || mask[1] || !mask[2] || mask[3] {
 		t.Fatalf("mask = %v, want [true false true false]", mask)
 	}
@@ -158,16 +135,7 @@ func TestSelectTopKIntoLengthPanics(t *testing.T) {
 			t.Fatal("expected panic for length mismatch")
 		}
 	}()
-	SelectTopKInto(make([]bool, 2), make([]float32, 3), 1, StrategyHeap)
-}
-
-func TestStrategyString(t *testing.T) {
-	if StrategyQuickselect.String() != "quickselect" || StrategyHeap.String() != "heap" {
-		t.Fatal("strategy names wrong")
-	}
-	if TopKStrategy(9).String() != "unknown" {
-		t.Fatal("unknown strategy name wrong")
-	}
+	SelectTopKInto(make([]bool, 2), make([]float32, 3), 1)
 }
 
 func TestKthLargestAgainstSort(t *testing.T) {
@@ -181,9 +149,6 @@ func TestKthLargestAgainstSort(t *testing.T) {
 			want := sorted[k-1]
 			if got := kthLargestQuickselect(append([]float32(nil), scores...), k); got != want {
 				t.Fatalf("quickselect k=%d: got %v, want %v", k, got, want)
-			}
-			if got := kthLargestHeap(scores, k, nil); got != want {
-				t.Fatalf("heap k=%d: got %v, want %v", k, got, want)
 			}
 		}
 	}

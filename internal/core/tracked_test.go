@@ -68,18 +68,14 @@ var ablations = []struct {
 	{"per-layer-budget", func(c *Config) { c.PerLayerBudget = true }},
 }
 
-// engineCases sweeps freeze ∈ {never, 0, 1} over both storages (plus the
-// heap top-k engine on CSR storage) and over each ablation, which runs on
-// dense storage only.
+// engineCases sweeps freeze ∈ {never, 0, 1} over both storages and over
+// each ablation, which runs on dense storage only.
 func engineCases(budget int) []engineCase {
 	var out []engineCase
 	for _, freeze := range []int{-1, 0, 1} {
 		cfg := Config{Budget: budget, FreezeAfterEpoch: freeze}
 		tag := fmt.Sprintf("k=%d/freeze=%d/", budget, freeze)
 		out = append(out, engineCase{tag + "dense", cfg, false}, engineCase{tag + "csr", cfg, true})
-		heap := cfg
-		heap.Strategy = StrategyHeap
-		out = append(out, engineCase{tag + "csr-heap", heap, true})
 		for _, a := range ablations {
 			c := cfg
 			a.set(&c)

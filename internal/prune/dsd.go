@@ -96,7 +96,7 @@ func (d *DSD) beginSparsePhase() {
 			d.scores[base+e] = v
 		}
 	}
-	core.SelectTopKInto(d.mask, d.scores, keep, core.StrategyQuickselect)
+	core.SelectTopKInto(d.mask, d.scores, keep)
 	d.applyMask()
 	d.sparse = true
 }

@@ -81,7 +81,7 @@ func (m *Magnitude) Apply() {
 			m.scores[base+e] = v
 		}
 	}
-	core.SelectTopKInto(m.mask, m.scores, m.keep, core.StrategyQuickselect)
+	core.SelectTopKInto(m.mask, m.scores, m.keep)
 	for i, p := range m.set.Params() {
 		base := m.set.Offset(i)
 		for e := range p.Value.Data {

@@ -66,9 +66,10 @@ type errorBody struct {
 // Predict requests carry their priority tier in the X-Priority header
 // (interactive, batch, or best-effort; absent means interactive).
 //
-// Error mapping: bad input 400, queue overflow 429 (with a Retry-After
-// computed from queue depth and the observed drain rate), draining 503,
-// request timeout 504, inference failure 500. Reload: not configured 501,
+// Error mapping: bad input 400, an input that overflows to non-finite
+// probabilities 422, queue overflow 429 (with a Retry-After computed from
+// queue depth and the observed drain rate), draining 503, request timeout
+// 504, inference failure 500. Reload: not configured 501,
 // concurrent reload 409, rejected artifact 422.
 func NewHandler(s *Server, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
@@ -98,6 +99,8 @@ func NewHandler(s *Server, hc HandlerConfig) http.Handler {
 			writeJSON(w, http.StatusOK, pred)
 		case errors.Is(err, ErrBadInput):
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		case errors.Is(err, ErrNonFinite):
+			writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 		case errors.Is(err, ErrOverloaded):
 			w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
 			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
@@ -178,9 +181,16 @@ func NewHandler(s *Server, hc HandlerConfig) http.Handler {
 	return mux
 }
 
-// writeJSON writes v as a JSON response with the given status.
+// writeJSON writes v as a JSON response with the given status. It encodes
+// before writing the header, so a value that cannot be encoded becomes a
+// 500 with a JSON error body rather than a status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(errorBody{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }

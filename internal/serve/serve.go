@@ -91,6 +91,9 @@ var (
 	ErrDraining = errors.New("serve: server is draining")
 	// ErrBadInput reports a malformed or wrongly sized input vector.
 	ErrBadInput = errors.New("serve: bad input")
+	// ErrNonFinite reports a finite input whose forward pass overflowed to
+	// NaN or infinite probabilities.
+	ErrNonFinite = errors.New("serve: input overflowed to non-finite probabilities")
 )
 
 // Config configures a Server.
@@ -397,7 +400,8 @@ func (s *Server) Predict(ctx context.Context, input []float32) (Prediction, erro
 // the tier is shed (its queue is full, or total occupancy has crossed the
 // tier's admission threshold) and with ErrDraining during shutdown; a
 // context that ends first returns ctx.Err() (the computation may still
-// happen, but the result is discarded).
+// happen, but the result is discarded). A result whose probabilities are
+// not finite returns ErrNonFinite.
 func (s *Server) PredictTier(ctx context.Context, input []float32, tier Tier) (Prediction, error) {
 	if len(input) != s.inputLen {
 		return Prediction{}, fmt.Errorf("%w: got %d values, model expects %d", ErrBadInput, len(input), s.inputLen)
@@ -437,6 +441,12 @@ func (s *Server) PredictTier(ctx context.Context, input []float32, tier Tier) (P
 			s.tierLat[tier].Observe(e2e)
 			s.statsMu.Unlock()
 			s.rec.StepDone(telemetry.StepSample{Examples: 1, Latency: e2e})
+		}
+		// The model served the request, so its latency counts; but a
+		// finite input can still overflow to NaN or infinite outputs,
+		// which no client can use.
+		if res.err == nil && !finite(res.pred.Probs) {
+			return Prediction{}, ErrNonFinite
 		}
 		return res.pred, res.err
 	case <-ctx.Done():
@@ -748,6 +758,16 @@ func argmax(p []float32) int {
 		}
 	}
 	return best
+}
+
+// finite reports whether every probability is finite.
+func finite(p []float32) bool {
+	for _, v := range p {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Close drains the server: new Predict calls fail with ErrDraining, queued

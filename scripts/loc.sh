@@ -1,0 +1,27 @@
+#!/usr/bin/env sh
+# Prints the three size figures the design is held to: non-test Go lines
+# (excluding the perfbench/ module), the number of internal/ packages, and
+# the length of TrainE in lines. Exits 1 if TrainE reaches MAX_TRAINE lines,
+# so the training loop cannot grow back unnoticed.
+set -eu
+
+MAX_TRAINE=150
+
+cd "$(dirname "$0")/.."
+
+lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l)"
+pkgs="$(go list ./internal/... | wc -l)"
+traine="$(awk '/^func TrainE\(/ { start = NR } start && /^}/ { print NR - start + 1; exit }' trainer.go)"
+
+echo "non-test Go lines (excluding perfbench/): $lines"
+echo "internal/ packages: $pkgs"
+echo "TrainE lines: $traine"
+
+if [ -z "$traine" ]; then
+	echo "TrainE not found in trainer.go"
+	exit 1
+fi
+if [ "$traine" -ge "$MAX_TRAINE" ]; then
+	echo "TrainE is $traine lines; it must stay under $MAX_TRAINE"
+	exit 1
+fi

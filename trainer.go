@@ -103,8 +103,6 @@ type TrainConfig struct {
 	// FreezeAfterEpoch freezes DropBack's tracked set after that epoch
 	// (negative: never).
 	FreezeAfterEpoch int
-	// Strategy selects DropBack's top-k engine.
-	Strategy core.TopKStrategy
 	// SparseTrain runs MethodDropBack on the sparse-native training path:
 	// the optimizer stores and updates only the tracked set (CSR deltas),
 	// and the forward/backward kernels regenerate untracked weights per
@@ -112,8 +110,8 @@ type TrainConfig struct {
 	// state scales with Budget k, not the parameter count n. The run is
 	// bit-identical to the dense trainer (same params, masks, history,
 	// checkpoints), so checkpoints cross-resume in both directions. Not
-	// compatible with Workers>1, divergence recovery, per-step snapshots,
-	// or GradHook, all of which read dense per-step state.
+	// compatible with Workers>1, divergence recovery, or GradHook, all of
+	// which read dense per-step state.
 	SparseTrain bool
 	// DisableSwapHistory drops the per-step swap series from the
 	// constraint and from Result.SwapHistory (the Swaps summary and all
@@ -153,8 +151,6 @@ type TrainConfig struct {
 	// variational model carries an extra logα tensor per layer that a
 	// standard model lacks).
 	SnapshotParams func(name string) bool
-	// Quiet suppresses per-epoch progress lines.
-	Quiet bool
 	// Progress, if non-nil, receives per-epoch progress lines.
 	Progress func(string)
 
@@ -167,16 +163,12 @@ type TrainConfig struct {
 
 	// MaxRecoveryRetries enables divergence recovery. When positive, a
 	// NaN/Inf loss or a non-finite gradient or parameter rolls training
-	// back to the last good in-memory snapshot and retries with the
+	// back to the state before the faulty step and retries it with the
 	// learning rate halved (exponential backoff: each retry halves again),
 	// up to this many retries across the run before the result is declared
 	// Diverged. Zero keeps the historical behavior: divergence aborts
 	// immediately.
 	MaxRecoveryRetries int
-	// RecoverySnapshotEvery is the number of steps between the in-memory
-	// rollback snapshots divergence recovery restores to (1 if zero:
-	// snapshot every step, so a rollback replays only the faulty step).
-	RecoverySnapshotEvery int
 
 	// Checkpoint, if non-nil, enables managed crash-safe checkpointing
 	// (and, with Resume set, crash recovery) — see CheckpointSpec.
@@ -266,9 +258,6 @@ func (c TrainConfig) Validate() error {
 	if c.MaxRecoveryRetries < 0 {
 		return fmt.Errorf("dropback: MaxRecoveryRetries must be non-negative, got %d", c.MaxRecoveryRetries)
 	}
-	if c.RecoverySnapshotEvery < 0 {
-		return fmt.Errorf("dropback: RecoverySnapshotEvery must be non-negative, got %d", c.RecoverySnapshotEvery)
-	}
 	if c.Checkpoint != nil {
 		if c.Checkpoint.Dir == "" {
 			return fmt.Errorf("dropback: Checkpoint.Dir must be set")
@@ -334,15 +323,9 @@ func (c TrainConfig) Validate() error {
 	return nil
 }
 
-// EpochStats records one epoch of training.
-type EpochStats struct {
-	Epoch     int
-	LR        float32
-	TrainLoss float64
-	TrainAcc  float64
-	ValLoss   float64
-	ValAcc    float64
-}
+// EpochStats records one epoch of training. It is the checkpoint's
+// EpochRecord, so a TrainState carries a run's History as it is.
+type EpochStats = checkpoint.EpochRecord
 
 // Result is the outcome of a Train run, carrying the telemetry the paper's
 // tables and figures are built from.
@@ -412,260 +395,99 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 		// the paper's exact schedules.
 		cfg.Schedule = optim.StepDecay{Initial: 0.1, Factor: 0.5, Every: max(cfg.Epochs/5, 1), MaxDecays: 4}
 	}
-	res := &Result{Method: cfg.Method, Compression: 1, LRScale: 1}
-
-	c, err := newConstraint(m, cfg)
+	r, err := newRun(m, train, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// db is nil for every method but DropBack, whose engine the resume
-	// state, the telemetry, the sparse mirror and the dist executor read.
-	db, _ := c.(*core.DropBack)
-	// SparseTrain (Validate admits it for DropBack only) steps a sparse
-	// mirror of the model that computes over the engine's CSR storage.
-	var mirror nn.Layer
-	if cfg.SparseTrain {
-		if mirror, err = sparsenn.NewTrainingMirror(m, db); err != nil {
-			return nil, err
-		}
-	}
-
-	rec := telemetry.OrNop(cfg.Telemetry)
-	telemetryOn := rec.Enabled()
+	res := r.res
+	telemetryOn := r.rec.Enabled()
 	if telemetryOn {
-		nn.Instrument(m.Net, rec)
+		nn.Instrument(m.Net, r.rec)
 		defer nn.Instrument(m.Net, nil)
 		// The sparse mirror's containers are its own, so training steps
 		// need their own instrumentation to emit per-layer spans.
-		if mirror != nil {
-			nn.Instrument(mirror, rec)
-			defer nn.Instrument(mirror, nil)
+		if r.mirror != nil {
+			nn.Instrument(r.mirror, r.rec)
+			defer nn.Instrument(r.mirror, nil)
 		}
 	}
-
-	batcher := data.NewBatcher(train, cfg.BatchSize, cfg.Seed^0xBA7C4)
-	sgd := optim.NewSGD(0)
-
-	// The shard executor (Workers ≥ 2, or Dist) replaces only the
-	// forward/backward half of the step; everything after the gradient
-	// reduction — GradHook, divergence checks, the optimizer, and the
-	// method constraint — runs unchanged on the primary model, once per
-	// minibatch, exactly as in the sequential path.
-	stepFn := m.Step
-	var exec *shardExecutor
-	if cfg.Workers > 1 || cfg.Dist != nil {
-		if exec, err = newShardExecutor(m, max(cfg.Workers, 1), cfg.WorkerModel, cfg.Telemetry); err != nil {
-			return nil, err
-		}
-		stepFn = exec.Step
+	mgr, resume, err := r.openCheckpoints()
+	if err != nil {
+		return nil, err
 	}
-	if mirror != nil {
-		stepFn = func(x *tensor.Tensor, labels []int) (loss, acc float64) {
-			return sparsenn.TrainStep(m, mirror, x, labels)
-		}
-	}
-
-	// Managed checkpointing: resolve the resume state before the diffusion
-	// probes baseline themselves on the (possibly restored) weights.
-	var mgr *checkpoint.Manager
-	resume := cfg.ResumeFrom
-	if cfg.Checkpoint != nil {
-		mgr = &checkpoint.Manager{Dir: cfg.Checkpoint.Dir, Prefix: cfg.Checkpoint.Prefix, Keep: cfg.Checkpoint.Keep}
-		if cfg.Checkpoint.Resume {
-			ts, report, err := mgr.LoadLatestValid(m)
-			if err != nil {
-				return nil, err
-			}
-			if telemetryOn && len(report.Skipped) > 0 {
-				rec.Counter("recovery/skipped_corrupt_checkpoints", float64(len(report.Skipped)))
-			}
-			resume = ts
-		}
-	}
-
-	step := 0
 	startEpoch := 0
-	sinceBest := 0
-	lrScale := float32(1)
-	retries := 0
-	bestSnapshot := m.Set.Snapshot()
-	var bestBNState [][]float32
-
 	if resume != nil {
-		if err := applyResume(resume, m, train, batcher, sgd, db, res); err != nil {
+		if err := r.restore(resume, train.Len()); err != nil {
 			return nil, err
 		}
 		startEpoch = resume.Epoch
-		step = resume.Step
-		sinceBest = resume.SinceBest
-		if resume.LRScale > 0 {
-			lrScale = resume.LRScale
-		}
-		retries = resume.Retries
-		if resume.BestEpoch > 0 && resume.BestParams != nil {
-			bestSnapshot = resume.BestParams
-			bestBNState = resume.BestBN
-		}
-		c.Resume(startEpoch)
+		r.c.Resume(startEpoch)
 	}
 
-	// The executor joins the cluster only after the resume state is
-	// resolved: the handshake verifies every node resumes at the same step
-	// (all nodes must load the same checkpoint), and a resume mismatch
-	// should fail before any socket is opened to a healthy peer.
+	// The executor joins the cluster only once the resume state is
+	// restored: the handshake verifies every node resumes at the same step.
 	if cfg.Dist != nil {
-		hs := dist.Handshake{
-			Seed:        cfg.Seed,
-			Method:      uint32(cfg.Method),
-			Budget:      uint64(cfg.Budget),
-			FreezeAfter: int64(cfg.FreezeAfterEpoch),
-			Batch:       uint32(cfg.BatchSize),
-			StartStep:   uint64(step),
-		}
-		if err := exec.join(db, *cfg.Dist, hs); err != nil {
+		if err := r.joinDist(); err != nil {
 			return nil, err
 		}
-		defer exec.Close()
+		defer r.exec.Close()
 	}
 
 	diff := stats.NewDiffusion(filteredSnapshot(m.Set, cfg.SnapshotParams))
-	diff.Record(step, filteredSnapshot(m.Set, cfg.SnapshotParams))
-	maybeSnapshot(res, cfg, step, m.Set)
-
-	recoveryOn := cfg.MaxRecoveryRetries > 0
-	snapEvery := max(cfg.RecoverySnapshotEvery, 1)
+	diff.Record(r.step, filteredSnapshot(m.Set, cfg.SnapshotParams))
+	maybeSnapshot(res, cfg, r.step, m.Set)
 
 epochs:
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
-		sgd.LR = cfg.Schedule.At(epoch) * lrScale
-		c.BeginEpoch(epoch)
+		r.sgd.LR = cfg.Schedule.At(epoch) * r.lrScale
+		r.c.BeginEpoch(epoch)
 		var lossSum, accSum float64
-		var epochStart time.Time
-		epochExamples := 0
-		if telemetryOn {
-			epochStart = time.Now()
-		}
-		nb := batcher.BatchesPerEpoch()
-		var snap *recoverySnap
-		if recoveryOn {
-			snap = captureRecoverySnap(m, batcher, db, step, 0, 0, 0, 0)
-		}
+		examples := 0
+		epochStart := time.Now()
+		nb := r.batcher.BatchesPerEpoch()
 		for b := 0; b < nb; b++ {
-			var stepStart time.Time
-			if telemetryOn {
-				stepStart = time.Now()
+			stepStart := time.Now()
+			n, loss, acc, ok, err := r.stepWithRollback(epoch, train.Len())
+			if err != nil {
+				return nil, err
 			}
-			x, y := batcher.Next()
-			loss, acc := stepFn(x, y)
-			if exec != nil {
-				// A failed exchange must surface as an error BEFORE the
-				// optimizer runs: the weights stay exactly where the last
-				// completed step left them — no torn updates.
-				if derr := exec.Err(); derr != nil {
-					return nil, fmt.Errorf("dropback: dist training step %d: %w", step, derr)
-				}
+			if !ok {
+				res.Diverged = true
+				break epochs
 			}
-			if cfg.GradHook != nil {
-				cfg.GradHook(step, m.Set)
-			}
-			diverged := math.IsNaN(loss) || math.IsInf(loss, 0)
-			if recoveryOn && !diverged && !gradsFinite(m.Set) {
-				diverged = true
-			}
-			swaps := -1
-			if !diverged {
-				swaps = c.Update(sgd)
-				if recoveryOn && !paramsFinite(m.Set) {
-					diverged = true
-				}
-			}
-			if diverged {
-				if !recoveryOn || retries >= cfg.MaxRecoveryRetries {
-					res.Diverged = true
-					break epochs
-				}
-				// Roll back to the last good snapshot and retry the span
-				// with the learning rate halved — each further retry
-				// halves again (exponential backoff), bounded by
-				// MaxRecoveryRetries.
-				retries++
-				res.Rollbacks++
-				lrScale *= 0.5
-				sgd.LR = cfg.Schedule.At(epoch) * lrScale
-				step = snap.step
-				lossSum, accSum, epochExamples = snap.lossSum, snap.accSum, snap.examples
-				restoreRecoverySnap(m, batcher, db, snap)
-				b = snap.nextB - 1
-				if telemetryOn {
-					rec.Counter("recovery/rollbacks", 1)
-					rec.Counter("recovery/retries", 1)
-					rec.Gauge("recovery/lr_scale", float64(lrScale))
-				}
-				continue
-			}
+			r.step++
 			lossSum += loss
 			accSum += acc
-			if telemetryOn && swaps >= 0 {
-				rec.Counter("dropback/swaps", float64(swaps))
-			}
-			step++
-			if recoveryOn && step%snapEvery == 0 {
-				snap = captureRecoverySnap(m, batcher, db, step, b+1, lossSum, accSum, epochExamples)
-			}
-			if cfg.SnapshotEvery > 0 && step%cfg.SnapshotEvery == 0 {
-				if mirror != nil {
-					db.Densify() // CSR tensors' model copies are stale mid-epoch
+			examples += n
+			if cfg.SnapshotEvery > 0 && r.step%cfg.SnapshotEvery == 0 {
+				if r.mirror != nil {
+					r.db.Densify() // CSR tensors' model copies are stale mid-epoch
 				}
-				diff.Record(step, filteredSnapshot(m.Set, cfg.SnapshotParams))
-				maybeSnapshot(res, cfg, step, m.Set)
+				diff.Record(r.step, filteredSnapshot(m.Set, cfg.SnapshotParams))
+				maybeSnapshot(res, cfg, r.step, m.Set)
 			}
 			if telemetryOn {
-				epochExamples += x.Shape[0]
-				rec.StepDone(telemetry.StepSample{
-					Epoch: epoch + 1, Step: step, Loss: loss,
-					Examples: x.Shape[0], Latency: time.Since(stepStart),
+				r.rec.StepDone(telemetry.StepSample{
+					Epoch: epoch + 1, Step: r.step, Loss: loss,
+					Examples: n, Latency: time.Since(stepStart),
 				})
 			}
 		}
-		var epochTrainDur time.Duration
-		if telemetryOn {
-			epochTrainDur = time.Since(epochStart)
-		}
-		c.EndEpoch(epoch)
+		epochTrainDur := time.Since(epochStart)
+		r.c.EndEpoch(epoch)
 		valLoss, valAcc := Evaluate(m, val, cfg.BatchSize)
 		if math.IsNaN(valLoss) || math.IsInf(valLoss, 0) {
 			res.Diverged = true
 			break
 		}
 		es := EpochStats{
-			Epoch: epoch + 1, LR: sgd.LR,
+			Epoch: epoch + 1, LR: r.sgd.LR,
 			TrainLoss: lossSum / float64(nb), TrainAcc: accSum / float64(nb),
 			ValLoss: valLoss, ValAcc: valAcc,
 		}
 		res.History = append(res.History, es)
 		if telemetryOn {
-			if db != nil {
-				rec.Gauge("dropback/tracked_set_size", float64(db.TrackedCount()))
-				rec.Gauge("dropback/regenerations", float64(db.Regenerations()))
-				rec.Gauge("dropback/tracked_writes", float64(db.TrackedWrites()))
-			}
-			if mirror != nil {
-				// Its presence marks a run on CSR storage.
-				rec.Gauge("dropback/weight_state_bytes", float64(db.WeightStateBytes()))
-			}
-			wsHits, wsMisses, wsBytes := tensor.WorkspaceStats()
-			rec.Gauge(telemetry.GaugeWorkspaceHits, float64(wsHits))
-			rec.Gauge(telemetry.GaugeWorkspaceMisses, float64(wsMisses))
-			rec.Gauge(telemetry.GaugeWorkspaceBytesReused, float64(wsBytes))
-			rec.Gauge(telemetry.GaugeTrainWorkers, float64(max(cfg.Workers, 1)))
-			if exec != nil {
-				exec.recordEpochTelemetry()
-			}
-			rec.EpochDone(telemetry.EpochSample{
-				Epoch: epoch + 1, TrainLoss: es.TrainLoss, TrainAcc: es.TrainAcc,
-				ValLoss: es.ValLoss, ValAcc: es.ValAcc,
-				Examples: epochExamples, Duration: epochTrainDur,
-			})
+			r.epochTelemetry(es, examples, epochTrainDur)
 		}
 		if cfg.Progress != nil {
 			cfg.Progress(fmt.Sprintf("epoch %3d lr %.4f train loss %.4f acc %.4f | val loss %.4f acc %.4f",
@@ -673,54 +495,151 @@ epochs:
 		}
 		improved := valAcc > res.BestValAcc
 		if improved {
-			res.BestValAcc = valAcc
-			res.BestEpoch = epoch + 1
-			sinceBest = 0
-			bestSnapshot = m.Set.Snapshot()
-			bestBNState = nn.CaptureBNState(m.Net)
+			res.BestValAcc, res.BestEpoch, r.sinceBest = valAcc, epoch+1, 0
+			r.bestParams, r.bestBN = m.Set.Snapshot(), nn.CaptureBNState(m.Net)
 		} else {
-			sinceBest++
+			r.sinceBest++
 		}
-		if mgr != nil {
-			if (epoch+1-startEpoch)%max(cfg.Checkpoint.Every, 1) == 0 || epoch+1 == cfg.Epochs {
-				ts := captureTrainState(epoch+1, step, lrScale, retries, sinceBest,
-					res, bestSnapshot, bestBNState, m, batcher, sgd, db)
-				if _, err := mgr.Save(m, ts); err != nil {
-					return nil, fmt.Errorf("saving checkpoint after epoch %d: %w", epoch+1, err)
-				}
+		if mgr != nil && ((epoch+1-startEpoch)%max(cfg.Checkpoint.Every, 1) == 0 || epoch+1 == cfg.Epochs) {
+			if _, err := mgr.Save(m, r.state(epoch+1)); err != nil {
+				return nil, fmt.Errorf("saving checkpoint after epoch %d: %w", epoch+1, err)
 			}
 		}
-		if !improved && cfg.Patience > 0 && sinceBest >= cfg.Patience {
+		if !improved && cfg.Patience > 0 && r.sinceBest >= cfg.Patience {
 			break
 		}
 	}
-
-	// Restore the best weights so the returned model matches BestValAcc.
-	if res.BestEpoch > 0 {
-		m.Set.Restore(bestSnapshot)
-		nn.RestoreBNState(m.Net, bestBNState)
-	}
-	res.BestValErr = 1 - res.BestValAcc
-	if res.Diverged && res.BestValAcc == 0 {
-		res.BestValErr = 0.9 // the paper reports diverged runs as "90%"
-	}
-	res.LRScale = lrScale
-
-	res.DiffusionSteps, res.DiffusionDist = diff.Series()
-	res.Compression = c.CompressionRatio()
-	if db != nil {
-		res.SwapHistory = db.SwapHistory()
-		res.AccumulatedGradients = db.AccumulatedGradients()
-		res.Retention = db.RetentionByLayer()
-		res.Regenerations = db.Regenerations()
-	}
-	return res, nil
+	return r.finish(diff), nil
 }
 
-// applyResume restores the loop state a TrainState captures into the
-// freshly constructed training objects. The weights and batch-norm
-// statistics were already applied when the checkpoint was loaded.
-func applyResume(ts *checkpoint.TrainState, m *Model, train *data.Dataset, batcher *data.Batcher, sgd *optim.SGD, db *core.DropBack, res *Result) error {
+// run is one TrainE call: its training objects and the loop state that
+// outlives a step. The loop state has one capture (state) and one restore
+// (restore); a checkpoint save, a resume and a divergence rollback all go
+// through them.
+type run struct {
+	cfg     TrainConfig
+	m       *Model
+	res     *Result
+	c       constraint
+	db      *core.DropBack // nil unless Method is DropBack
+	mirror  nn.Layer       // sparse training mirror, nil unless SparseTrain
+	exec    *shardExecutor // nil unless Workers ≥ 2 or Dist
+	batcher *data.Batcher
+	sgd     *optim.SGD
+	rec     telemetry.Recorder
+	stepFn  func(x *tensor.Tensor, labels []int) (loss, acc float64)
+
+	step, sinceBest, retries int
+	lrScale                  float32
+	bestParams               []float32
+	bestBN                   [][]float32
+}
+
+// newRun builds the training objects for cfg over m: the method's
+// constraint, the batcher, the optimizer and the step function, which is
+// the sparse mirror's under SparseTrain, the shard executor's under
+// Workers ≥ 2 or Dist, and the model's own otherwise.
+func newRun(m *Model, train *Dataset, cfg TrainConfig) (*run, error) {
+	c, err := newConstraint(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &run{
+		cfg: cfg, m: m, c: c, res: &Result{Method: cfg.Method, Compression: 1, LRScale: 1},
+		batcher: data.NewBatcher(train, cfg.BatchSize, cfg.Seed^0xBA7C4), sgd: optim.NewSGD(0),
+		rec: telemetry.OrNop(cfg.Telemetry), stepFn: m.Step, lrScale: 1, bestParams: m.Set.Snapshot(),
+	}
+	// db is nil for every method but DropBack, whose engine the resume
+	// state, the telemetry, the sparse mirror and the dist executor read.
+	r.db, _ = c.(*core.DropBack)
+	// SparseTrain (Validate admits it for DropBack only) steps a sparse
+	// mirror of the model that computes over the engine's CSR storage.
+	if cfg.SparseTrain {
+		if r.mirror, err = sparsenn.NewTrainingMirror(m, r.db); err != nil {
+			return nil, err
+		}
+		r.stepFn = func(x *tensor.Tensor, labels []int) (loss, acc float64) {
+			return sparsenn.TrainStep(m, r.mirror, x, labels)
+		}
+	}
+	// The shard executor (Workers ≥ 2, or Dist) replaces only the
+	// forward/backward half of the step; everything after the gradient
+	// reduction — GradHook, divergence checks, the optimizer, and the
+	// method constraint — runs unchanged on the primary model, once per
+	// minibatch, exactly as in the sequential path.
+	if cfg.Workers > 1 || cfg.Dist != nil {
+		if r.exec, err = newShardExecutor(m, max(cfg.Workers, 1), cfg.WorkerModel, cfg.Telemetry); err != nil {
+			return nil, err
+		}
+		r.stepFn = r.exec.Step
+	}
+	return r, nil
+}
+
+// openCheckpoints builds the managed-checkpoint Manager (nil without
+// Checkpoint) and returns the state the run resumes from: ResumeFrom, or
+// under Checkpoint.Resume the newest valid checkpoint, whose weights it
+// loads into the model. It runs before the diffusion probes baseline
+// themselves on the (possibly restored) weights.
+func (r *run) openCheckpoints() (*checkpoint.Manager, *checkpoint.TrainState, error) {
+	spec := r.cfg.Checkpoint
+	if spec == nil {
+		return nil, r.cfg.ResumeFrom, nil
+	}
+	mgr := &checkpoint.Manager{Dir: spec.Dir, Prefix: spec.Prefix, Keep: spec.Keep}
+	if !spec.Resume {
+		return mgr, r.cfg.ResumeFrom, nil
+	}
+	ts, report, err := mgr.LoadLatestValid(r.m)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(report.Skipped) > 0 && r.rec.Enabled() {
+		r.rec.Counter("recovery/skipped_corrupt_checkpoints", float64(len(report.Skipped)))
+	}
+	return mgr, ts, nil
+}
+
+// joinDist connects the shard executor to the cluster. A resume mismatch
+// fails before this opens any socket to a healthy peer.
+func (r *run) joinDist() error {
+	cfg := r.cfg
+	return r.exec.join(r.db, *cfg.Dist, dist.Handshake{
+		Seed:        cfg.Seed,
+		Method:      uint32(cfg.Method),
+		Budget:      uint64(cfg.Budget),
+		FreezeAfter: int64(cfg.FreezeAfterEpoch),
+		Batch:       uint32(cfg.BatchSize),
+		StartStep:   uint64(r.step),
+	})
+}
+
+// state captures the resumable loop state once epochsDone epochs and r.step
+// optimizer steps are complete. The weights and batch-norm statistics are
+// not in it: a checkpoint stores them beside it, a rollback point next to
+// it. Best weights and History alias the run's own, which are replaced
+// rather than written in place.
+func (r *run) state(epochsDone int) *checkpoint.TrainState {
+	ts := &checkpoint.TrainState{
+		Epoch: epochsDone, Step: r.step, LRScale: r.lrScale, Retries: r.retries,
+		BestEpoch: r.res.BestEpoch, BestValAcc: r.res.BestValAcc, SinceBest: r.sinceBest,
+		History: r.res.History, Batcher: r.batcher.State(),
+		OptName: "sgd", Opt: r.sgd.CaptureState(r.m.Set), LayerRNG: nn.CaptureLayerRNG(r.m.Net),
+	}
+	if r.res.BestEpoch > 0 {
+		ts.BestParams, ts.BestBN = r.bestParams, r.bestBN
+	}
+	if r.db != nil {
+		st := r.db.State()
+		ts.DropBack = &st
+	}
+	return ts
+}
+
+// restore applies a state captured by state, validating it against the
+// model and the trainLen-sample training set first. The weights and
+// batch-norm statistics must already be in place.
+func (r *run) restore(ts *checkpoint.TrainState, trainLen int) error {
 	if ts.Epoch < 0 || ts.Step < 0 {
 		return fmt.Errorf("resume state has negative counters (epoch %d, step %d)", ts.Epoch, ts.Step)
 	}
@@ -732,134 +651,160 @@ func applyResume(ts *checkpoint.TrainState, m *Model, train *data.Dataset, batch
 	if ts.Batcher.Pos < 0 || ts.Batcher.Pos > len(ts.Batcher.Perm) {
 		return fmt.Errorf("resume state batcher cursor %d is outside its %d-sample permutation — checkpoint corrupt or captured against a different dataset", ts.Batcher.Pos, len(ts.Batcher.Perm))
 	}
-	if ts.Batcher.Pos > train.Len() {
-		return fmt.Errorf("resume state batcher cursor %d exceeds the dataset length %d — the dataset shrank since the checkpoint was written", ts.Batcher.Pos, train.Len())
+	if ts.Batcher.Pos > trainLen {
+		return fmt.Errorf("resume state batcher cursor %d exceeds the dataset length %d — the dataset shrank since the checkpoint was written", ts.Batcher.Pos, trainLen)
 	}
-	if len(ts.Batcher.Perm) > 0 {
-		if err := batcher.Restore(ts.Batcher); err != nil {
-			return err
-		}
+	if ts.BestEpoch > 0 && ts.BestParams != nil && len(ts.BestParams) != r.m.Set.Total() {
+		return fmt.Errorf("resume state's best snapshot has %d weights, model has %d", len(ts.BestParams), r.m.Set.Total())
 	}
-	if ts.BestEpoch > 0 && ts.BestParams != nil && len(ts.BestParams) != m.Set.Total() {
-		return fmt.Errorf("resume state's best snapshot has %d weights, model has %d", len(ts.BestParams), m.Set.Total())
-	}
-	res.BestValAcc = ts.BestValAcc
-	res.BestEpoch = ts.BestEpoch
-	for _, h := range ts.History {
-		res.History = append(res.History, EpochStats{
-			Epoch: h.Epoch, LR: h.LR,
-			TrainLoss: h.TrainLoss, TrainAcc: h.TrainAcc,
-			ValLoss: h.ValLoss, ValAcc: h.ValAcc,
-		})
-	}
-	nn.RestoreLayerRNG(m.Net, ts.LayerRNG)
 	if ts.OptName != "" && ts.OptName != "sgd" {
 		return fmt.Errorf("resume state was captured with optimizer %q, trainer runs plain SGD", ts.OptName)
 	}
-	if err := sgd.RestoreState(m.Set, ts.Opt); err != nil {
+	if ts.DropBack == nil && r.db != nil && ts.Step > 0 {
+		return fmt.Errorf("resume state carries no DropBack state but the method is DropBack")
+	}
+	if ts.DropBack != nil && r.db == nil {
+		return fmt.Errorf("resume state carries DropBack state but the method is %v", r.cfg.Method)
+	}
+	if len(ts.Batcher.Perm) > 0 {
+		if err := r.batcher.Restore(ts.Batcher); err != nil {
+			return err
+		}
+	}
+	if err := r.sgd.RestoreState(r.m.Set, ts.Opt); err != nil {
 		return err
 	}
 	if ts.DropBack != nil {
-		if db == nil {
-			return fmt.Errorf("resume state carries DropBack state but the method is %v", res.Method)
-		}
-		if err := db.RestoreState(*ts.DropBack); err != nil {
+		if err := r.db.RestoreState(*ts.DropBack); err != nil {
 			return err
 		}
-	} else if db != nil && ts.Step > 0 {
-		return fmt.Errorf("resume state carries no DropBack state but the method is DropBack")
+	}
+	nn.RestoreLayerRNG(r.m.Net, ts.LayerRNG)
+	r.res.BestValAcc, r.res.BestEpoch = ts.BestValAcc, ts.BestEpoch
+	r.res.History = append(r.res.History[:0], ts.History...)
+	r.step, r.sinceBest, r.retries = ts.Step, ts.SinceBest, ts.Retries
+	if ts.LRScale > 0 {
+		r.lrScale = ts.LRScale
+	}
+	if ts.BestEpoch > 0 && ts.BestParams != nil {
+		r.bestParams, r.bestBN = ts.BestParams, ts.BestBN
 	}
 	return nil
 }
 
-// captureTrainState assembles the resumable TrainState at an epoch
-// boundary: epochsDone epochs and step optimizer steps are complete.
-func captureTrainState(epochsDone, step int, lrScale float32, retries, sinceBest int,
-	res *Result, bestSnapshot []float32, bestBNState [][]float32,
-	m *Model, batcher *data.Batcher, sgd *optim.SGD, db *core.DropBack) *checkpoint.TrainState {
-	ts := &checkpoint.TrainState{
-		Epoch:      epochsDone,
-		Step:       step,
-		LRScale:    lrScale,
-		Retries:    retries,
-		BestEpoch:  res.BestEpoch,
-		BestValAcc: res.BestValAcc,
-		SinceBest:  sinceBest,
-		Batcher:    batcher.State(),
-		OptName:    "sgd",
-		Opt:        sgd.CaptureState(m.Set),
-		LayerRNG:   nn.CaptureLayerRNG(m.Net),
+// stepWithRollback is trainStep under divergence recovery. With
+// MaxRecoveryRetries > 0 it first takes a rollback point — the run state,
+// the weights and the batch-norm statistics — and each failed attempt
+// restores it and retries the same minibatch at half the learning rate,
+// until the run's retry budget is spent.
+func (r *run) stepWithRollback(epoch, trainLen int) (n int, loss, acc float64, ok bool, err error) {
+	if r.cfg.MaxRecoveryRetries == 0 {
+		return r.trainStep()
 	}
+	ts, params, bn := r.state(epoch), r.m.Set.Snapshot(), nn.CaptureBNState(r.m.Net)
+	for {
+		n, loss, acc, ok, err = r.trainStep()
+		if ok || err != nil || r.retries >= r.cfg.MaxRecoveryRetries {
+			return n, loss, acc, ok, err
+		}
+		// The restore rewinds retries and lrScale to the rollback point, so
+		// the backoff is computed before it and reapplied after: a second
+		// failure of the same step halves the rate again.
+		retries, lrScale := r.retries+1, r.lrScale*0.5
+		r.m.Set.Restore(params)
+		nn.RestoreBNState(r.m.Net, bn)
+		if err := r.restore(ts, trainLen); err != nil {
+			return 0, 0, 0, false, err
+		}
+		r.retries, r.lrScale = retries, lrScale
+		r.res.Rollbacks++
+		r.sgd.LR = r.cfg.Schedule.At(epoch) * r.lrScale
+		if r.rec.Enabled() {
+			r.rec.Counter("recovery/rollbacks", 1)
+			r.rec.Counter("recovery/retries", 1)
+			r.rec.Gauge("recovery/lr_scale", float64(r.lrScale))
+		}
+	}
+}
+
+// trainStep trains the next minibatch of n samples: forward and backward,
+// GradHook, then the method's update. ok is false when the loss is not
+// finite, or, with recovery on, a gradient (the update is then skipped) or
+// an updated parameter. A failed dist exchange is an error, returned before
+// the optimizer runs so the weights stay where the last step left them.
+func (r *run) trainStep() (n int, loss, acc float64, ok bool, err error) {
+	x, y := r.batcher.Next()
+	loss, acc = r.stepFn(x, y)
+	if r.exec != nil {
+		if err := r.exec.Err(); err != nil {
+			return 0, 0, 0, false, fmt.Errorf("dropback: dist training step %d: %w", r.step, err)
+		}
+	}
+	if r.cfg.GradHook != nil {
+		r.cfg.GradHook(r.step, r.m.Set)
+	}
+	recoveryOn := r.cfg.MaxRecoveryRetries > 0
+	if math.IsNaN(loss) || math.IsInf(loss, 0) || recoveryOn && !gradsFinite(r.m.Set) {
+		return 0, 0, 0, false, nil
+	}
+	swaps := r.c.Update(r.sgd)
+	if recoveryOn && !paramsFinite(r.m.Set) {
+		return 0, 0, 0, false, nil
+	}
+	if swaps >= 0 && r.rec.Enabled() {
+		r.rec.Counter("dropback/swaps", float64(swaps))
+	}
+	return x.Shape[0], loss, acc, true, nil
+}
+
+// epochTelemetry emits one epoch's gauges and summary.
+func (r *run) epochTelemetry(es EpochStats, examples int, trainDur time.Duration) {
+	if r.db != nil {
+		r.rec.Gauge("dropback/tracked_set_size", float64(r.db.TrackedCount()))
+		r.rec.Gauge("dropback/regenerations", float64(r.db.Regenerations()))
+		r.rec.Gauge("dropback/tracked_writes", float64(r.db.TrackedWrites()))
+	}
+	if r.mirror != nil {
+		// Its presence marks a run on CSR storage.
+		r.rec.Gauge("dropback/weight_state_bytes", float64(r.db.WeightStateBytes()))
+	}
+	wsHits, wsMisses, wsBytes := tensor.WorkspaceStats()
+	r.rec.Gauge(telemetry.GaugeWorkspaceHits, float64(wsHits))
+	r.rec.Gauge(telemetry.GaugeWorkspaceMisses, float64(wsMisses))
+	r.rec.Gauge(telemetry.GaugeWorkspaceBytesReused, float64(wsBytes))
+	r.rec.Gauge(telemetry.GaugeTrainWorkers, float64(max(r.cfg.Workers, 1)))
+	if r.exec != nil {
+		r.exec.recordEpochTelemetry()
+	}
+	r.rec.EpochDone(telemetry.EpochSample{
+		Epoch: es.Epoch, TrainLoss: es.TrainLoss, TrainAcc: es.TrainAcc,
+		ValLoss: es.ValLoss, ValAcc: es.ValAcc,
+		Examples: examples, Duration: trainDur,
+	})
+}
+
+// finish completes the result once the loop ends, restoring the best
+// weights so the returned model matches BestValAcc.
+func (r *run) finish(diff *stats.Diffusion) *Result {
+	res := r.res
 	if res.BestEpoch > 0 {
-		ts.BestParams = append([]float32(nil), bestSnapshot...)
-		ts.BestBN = make([][]float32, len(bestBNState))
-		for i, s := range bestBNState {
-			ts.BestBN[i] = append([]float32(nil), s...)
-		}
+		r.m.Set.Restore(r.bestParams)
+		nn.RestoreBNState(r.m.Net, r.bestBN)
 	}
-	for _, h := range res.History {
-		ts.History = append(ts.History, checkpoint.EpochRecord{
-			Epoch: h.Epoch, LR: h.LR,
-			TrainLoss: h.TrainLoss, TrainAcc: h.TrainAcc,
-			ValLoss: h.ValLoss, ValAcc: h.ValAcc,
-		})
+	res.BestValErr = 1 - res.BestValAcc
+	if res.Diverged && res.BestValAcc == 0 {
+		res.BestValErr = 0.9 // the paper reports diverged runs as "90%"
 	}
-	if db != nil {
-		st := db.State()
-		ts.DropBack = &st
+	res.LRScale = r.lrScale
+	res.DiffusionSteps, res.DiffusionDist = diff.Series()
+	res.Compression = r.c.CompressionRatio()
+	if r.db != nil {
+		res.SwapHistory = r.db.SwapHistory()
+		res.AccumulatedGradients = r.db.AccumulatedGradients()
+		res.Retention = r.db.RetentionByLayer()
+		res.Regenerations = r.db.Regenerations()
 	}
-	return ts
-}
-
-// recoverySnap is the in-memory rollback point divergence recovery restores
-// to: weights, batch-norm statistics, stochastic-layer RNG positions, the
-// batcher's position, DropBack state, and the epoch's running counters.
-type recoverySnap struct {
-	params   []float32
-	bn       [][]float32
-	layerRNG map[string]uint64
-	batch    data.BatcherState
-	db       *core.State
-	step     int
-	nextB    int
-	lossSum  float64
-	accSum   float64
-	examples int
-}
-
-func captureRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack,
-	step, nextB int, lossSum, accSum float64, examples int) *recoverySnap {
-	s := &recoverySnap{
-		params:   m.Set.Snapshot(),
-		bn:       nn.CaptureBNState(m.Net),
-		layerRNG: nn.CaptureLayerRNG(m.Net),
-		batch:    batcher.State(),
-		step:     step,
-		nextB:    nextB,
-		lossSum:  lossSum,
-		accSum:   accSum,
-		examples: examples,
-	}
-	if db != nil {
-		st := db.State()
-		s.db = &st
-	}
-	return s
-}
-
-func restoreRecoverySnap(m *Model, batcher *data.Batcher, db *core.DropBack, s *recoverySnap) {
-	m.Set.Restore(s.params)
-	nn.RestoreBNState(m.Net, s.bn)
-	nn.RestoreLayerRNG(m.Net, s.layerRNG)
-	// Same dataset, same length: Restore cannot fail here.
-	if err := batcher.Restore(s.batch); err != nil {
-		panic("dropback: " + err.Error())
-	}
-	if db != nil && s.db != nil {
-		if err := db.RestoreState(*s.db); err != nil {
-			panic("dropback: " + err.Error())
-		}
-	}
+	return res
 }
 
 // gradsFinite reports whether every gradient is finite. The v-v trick

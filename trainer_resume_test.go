@@ -15,7 +15,7 @@ import (
 func writeResumeFixture(t *testing.T) (string, dropback.TrainConfig) {
 	t.Helper()
 	cfg := dropback.TrainConfig{
-		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 11, Quiet: true}
+		Method: dropback.MethodBaseline, Epochs: 2, BatchSize: 32, Seed: 11}
 	dir := t.TempDir()
 	m, train, val := ftMLP(11)
 	cfgA := cfg
@@ -83,8 +83,8 @@ func TestResumeRejectsCorruptBatcherCursor(t *testing.T) {
 
 	t.Run("empty permutation with nonzero cursor", func(t *testing.T) {
 		// The empty-Perm state used to bypass validation entirely, because
-		// applyResume skips the batcher restore when no permutation was
-		// recorded.
+		// the run-state restore skips the batcher restore when no
+		// permutation was recorded.
 		m, ts := loadResumeFixture(t, path)
 		_, train, val := ftMLP(11)
 		ts.Batcher.Perm = nil
@@ -95,7 +95,7 @@ func TestResumeRejectsCorruptBatcherCursor(t *testing.T) {
 	t.Run("dataset shrank since checkpoint", func(t *testing.T) {
 		// Cursor is inside its permutation, so Validate passes, but the
 		// dataset being resumed against is smaller than the cursor — the
-		// applyResume-level check must catch it.
+		// run-state restore must catch it.
 		m, ts := loadResumeFixture(t, path)
 		small := dropback.MNISTLike(100, 11).Flatten()
 		train, val := small.Split(80)
