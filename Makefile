@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check fmt vet loc test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist bench-parallel bench-telemetry cover dist-e2e serve-smoke serve-chaos serve-load clean
+.PHONY: check build fmt-check fmt vet loc test perfbench-test fuzz race bench bench-guard bench-guard-train bench-guard-sparse bench-guard-dist bench-parallel bench-pairs bench-telemetry cover dist-e2e serve-smoke serve-chaos serve-load clean
 
 # bench-parallel is intentionally NOT part of check: it asserts the W=4
 # executor beats W=1 on wall time, which needs >= 4 real cores — run it
@@ -110,6 +110,16 @@ bench-parallel:
 		-run '^$$' . > bench_parallel.out
 	$(GO) run ./cmd/benchguard -baseline '' -input bench_parallel.out \
 		-assert-faster 'BenchmarkTrainStep/workers=4<BenchmarkTrainStep/workers=1'
+
+# Paired perfbench comparison of the working tree against BASE (default
+# HEAD) on WORKLOAD, PAIRS alternating pairs (default 10): medians,
+# quartiles and win counts per end-to-end metric. Not part of check: one
+# workload takes about ten minutes.
+BASE ?= HEAD
+WORKLOAD ?= train-dense
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # Repo-wide statement coverage vs the committed floor (enforcing).
 cover:

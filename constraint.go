@@ -36,8 +36,8 @@ type constraint interface {
 func newConstraint(m *Model, cfg TrainConfig) (constraint, error) {
 	switch cfg.Method {
 	case MethodDropBack:
-		// Every tensor starts on dense storage; SparseTrain's mirror moves
-		// the weight matrices to CSR storage.
+		// Every tensor starts on dense storage; under SparseTrain, newRun
+		// moves the weight matrices to CSR storage.
 		return core.New(m.Set, core.Config{
 			Budget:             cfg.Budget,
 			FreezeAfterEpoch:   cfg.FreezeAfterEpoch,

@@ -50,8 +50,8 @@ type TrainState struct {
 	Batcher data.BatcherState
 
 	// OptName names the optimizer ("sgd", "momentum", "adam"); Opt carries
-	// its per-parameter state as exported by optim.StateCapturer (empty for
-	// plain SGD).
+	// its per-parameter state (empty for plain SGD, the only optimizer the
+	// trainer runs).
 	OptName string
 	Opt     map[string][]float32
 

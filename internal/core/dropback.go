@@ -62,9 +62,10 @@ type Config struct {
 // and resets it against the slab. Once the set is frozen and the untracked
 // entries are known to sit at W_0, Update steps only the tracked entries
 // and skips the reset, which would restore exactly the bits they already
-// hold. Virtualize moves a tensor to CSR storage
-// (TrackedTensor), which holds only the tracked entries; Update fuses their
-// SGD step into the selection pass, so untracked values are never stored.
+// hold. Virtualize moves a tensor to CSR storage (the Param's nn.CSR),
+// which holds only the tracked entries; Update fuses their SGD step into
+// the selection pass, so untracked values are never stored. Devirtualize
+// moves every CSR tensor back to dense storage.
 // Both storages feed one global score vector and one selection, with
 // bit-identical arithmetic: CSR values step by optim.TrackedSGD's
 // v + (-lr)·g, the dense AXPY expression. Before the freeze every weight is
@@ -76,8 +77,10 @@ type DropBack struct {
 	set *nn.ParamSet
 	sgd optim.TrackedSGD // the rate of the latest Update, for CSR tensors
 
-	// csr is aligned with set.Params(); nil entries are dense tensors.
-	csr []*TrackedTensor
+	// spare is aligned with set.Params(): the second entry arrays of each
+	// CSR tensor's per-step rebuild (see commitStep). A tensor is on CSR
+	// storage when its Param's CSR is set.
+	spare []csrSpare
 	// w0 is aligned with set.Params(): a dense tensor's initialization
 	// values, the reset point of its untracked entries. Entries are nil on
 	// CSR storage, which regenerates them instead, and under the
@@ -122,7 +125,7 @@ func New(set *nn.ParamSet, cfg Config) *DropBack {
 	d := &DropBack{
 		cfg:       cfg,
 		set:       set,
-		csr:       make([]*TrackedTensor, len(set.Params())),
+		spare:     make([]csrSpare, len(set.Params())),
 		w0:        make([][]float32, len(set.Params())),
 		frozenIdx: make([][]int32, len(set.Params())),
 		scores:    make([]float32, n),
@@ -138,17 +141,16 @@ func New(set *nn.ParamSet, cfg Config) *DropBack {
 	return d
 }
 
-// Virtualize moves one parameter tensor to CSR storage, viewed as a
-// rows×(Len/rows) matrix, and drops its w0 slab. The current dense values
-// seed the tracked set:
-// every element whose bits differ from its regenerated init becomes a
-// tracked delta (a fresh model seeds an empty CSR). Must be called before
-// the first step; returns the CSR handle the sparse kernels close over. The
-// ablation switches exist on dense storage only, so an engine configured
-// with any of them refuses.
-func (d *DropBack) Virtualize(p *nn.Param, rows int) (*TrackedTensor, error) {
+// Virtualize moves one parameter tensor to CSR storage, viewed as a matrix
+// whose rows are dimension 0 of its shape — (Out, In) for Linear,
+// (OutC, InC·KH·KW) for Conv2D — and drops its w0 slab. The current dense
+// values seed the tracked set: every element whose bits differ from its
+// regenerated init becomes a tracked delta (a fresh model seeds an empty
+// CSR). Must be called before the first step. The ablation switches exist
+// on dense storage only, so an engine configured with any of them refuses.
+func (d *DropBack) Virtualize(p *nn.Param) error {
 	if c := d.cfg; c.DryRun || c.ZeroUntracked || c.SelectByMagnitude || c.PerLayerBudget {
-		return nil, fmt.Errorf("core: parameter %q: the ablation switches run on dense storage only", p.Name)
+		return fmt.Errorf("core: parameter %q: the ablation switches run on dense storage only", p.Name)
 	}
 	idx := -1
 	for i, q := range d.set.Params() {
@@ -158,19 +160,37 @@ func (d *DropBack) Virtualize(p *nn.Param, rows int) (*TrackedTensor, error) {
 		}
 	}
 	if idx < 0 {
-		return nil, fmt.Errorf("core: parameter %q is not in the engine's set", p.Name)
+		return fmt.Errorf("core: parameter %q is not in the engine's set", p.Name)
 	}
-	if d.csr[idx] != nil {
-		return nil, fmt.Errorf("core: parameter %q virtualized twice", p.Name)
+	if p.CSR != nil {
+		return fmt.Errorf("core: parameter %q virtualized twice", p.Name)
 	}
-	if rows <= 0 || p.Len()%rows != 0 {
-		return nil, fmt.Errorf("core: parameter %q (%d weights) cannot be viewed as %d rows", p.Name, p.Len(), rows)
-	}
-	t := NewTrackedTensor(p.Init, rows, p.Len()/rows, nil, nil)
-	t.load(p.Value.Data, nil)
-	d.csr[idx] = t
+	rows := p.Value.Shape[0]
+	p.CSR = nn.NewCSR(p.Init, rows, p.Len()/rows, nil, nil)
+	loadCSR(p.CSR, p.Value.Data, nil)
 	d.w0[idx] = nil
-	return t, nil
+	return nil
+}
+
+// Devirtualize moves every CSR tensor back to dense storage: Densify writes
+// its values into the model, its w0 slab is refilled and, once frozen, its
+// tracked indices become the dense tensor's. The engine then carries on as
+// if the tensor had always been dense.
+func (d *DropBack) Devirtualize() {
+	d.Densify()
+	for i, p := range d.set.Params() {
+		t := p.CSR
+		if t == nil {
+			continue
+		}
+		if d.frozen {
+			d.frozenIdx[i] = append(d.frozenIdx[i][:0], t.Idx...)
+		}
+		d.w0[i] = make([]float32, p.Len())
+		p.Init.Fill(d.w0[i])
+		d.spare[i] = csrSpare{}
+		p.CSR = nil
+	}
 }
 
 // Update is the per-step entry: it applies opt's step to the dense tensors,
@@ -186,7 +206,7 @@ func (d *DropBack) Update(opt *optim.SGD) int {
 	tracked := d.frozen && !d.cfg.DryRun
 	for i, p := range d.set.Params() {
 		switch {
-		case d.csr[i] != nil:
+		case p.CSR != nil:
 		case tracked:
 			w, g := p.Value.Data, p.Grad.Data
 			for _, e := range d.frozenIdx[i] {
@@ -204,8 +224,8 @@ func (d *DropBack) Update(opt *optim.SGD) int {
 // observer). CSR tensors are stepped only inside Update, so Apply panics
 // once any tensor is virtualized.
 func (d *DropBack) Apply() int {
-	for _, t := range d.csr {
-		if t != nil {
+	for _, p := range d.set.Params() {
+		if p.CSR != nil {
 			panic("core: Apply cannot step CSR storage; use Update")
 		}
 	}
@@ -226,7 +246,7 @@ func (d *DropBack) pass(reset bool) int {
 		// step touched outside the set.
 		for i, p := range d.set.Params() {
 			k := len(d.frozenIdx[i])
-			switch t := d.csr[i]; {
+			switch t := p.CSR; {
 			case t != nil:
 				d.sgd.StepTracked(t.Val, t.TGrad)
 				k = len(t.Idx)
@@ -254,8 +274,8 @@ func (d *DropBack) pass(reset bool) int {
 	d.recordSwaps(swaps)
 	for i, p := range d.set.Params() {
 		keep := d.mask[d.set.Offset(i):][:p.Len()]
-		if t := d.csr[i]; t != nil {
-			t.commitStep(keep, p.Grad.Data, d.sgd)
+		if t := p.CSR; t != nil {
+			commitStep(t, &d.spare[i], keep, p.Grad.Data, d.sgd)
 			d.trackedWrites += int64(len(t.Idx))
 			d.regenerations += int64(p.Len() - len(t.Idx))
 		} else if !d.cfg.DryRun {
@@ -279,11 +299,11 @@ func (d *DropBack) score(step bool) {
 	byValue := d.cfg.SelectByMagnitude || d.cfg.ZeroUntracked
 	for i, p := range d.set.Params() {
 		s := d.scores[d.set.Offset(i):][:p.Len()]
-		if t := d.csr[i]; t != nil {
+		if t := p.CSR; t != nil {
 			if step {
-				t.scoreStep(s, p.Grad.Data, d.sgd)
+				scoreStep(t, s, p.Grad.Data, d.sgd)
 			} else {
-				t.scoreValues(s)
+				scoreValues(t, s)
 			}
 			continue
 		}
@@ -429,10 +449,10 @@ func (d *DropBack) freezeTransition(sel []bool) {
 	d.frozenTracked = 0
 	for i, p := range d.set.Params() {
 		keep := sel[d.set.Offset(i):][:p.Len()]
-		if t := d.csr[i]; t != nil {
-			t.load(p.Value.Data, keep)
+		if t := p.CSR; t != nil {
+			loadCSR(t, p.Value.Data, keep)
 			t.TGrad = make([]float32, len(t.Idx))
-			t.idx2, t.val2 = nil, nil
+			d.spare[i] = csrSpare{}
 			d.frozenTracked += len(t.Idx)
 			continue
 		}
@@ -477,11 +497,9 @@ func (d *DropBack) Resume(int) {}
 // regenerated gaps) into the model's dense parameter tensor, which is
 // otherwise stale between epoch boundaries.
 func (d *DropBack) Densify() {
-	for i, p := range d.set.Params() {
-		if t := d.csr[i]; t != nil {
-			for r := 0; r < t.Rows; r++ {
-				t.FillRow(p.Value.Data[r*t.RowLen:(r+1)*t.RowLen], r)
-			}
+	for _, p := range d.set.Params() {
+		if p.CSR != nil {
+			p.CSR.Fill(p.Value.Data)
 		}
 	}
 }
@@ -568,9 +586,9 @@ func (d *DropBack) AppendTrackedIndices(dst []int32) []int32 {
 		}
 		return dst
 	}
-	for i := range d.set.Params() {
+	for i, p := range d.set.Params() {
 		base := int32(d.set.Offset(i))
-		if t := d.csr[i]; t != nil {
+		if t := p.CSR; t != nil {
 			for _, e := range t.Idx {
 				dst = append(dst, base+e)
 			}
@@ -603,9 +621,9 @@ func (d *DropBack) Mask() []bool {
 func (d *DropBack) WeightStateBytes() int64 {
 	var b int64
 	for i, p := range d.set.Params() {
-		if t := d.csr[i]; t != nil {
+		if t := p.CSR; t != nil {
 			b += int64(len(t.Val)+len(t.TGrad)+len(t.Idx)+len(t.RowPtr)) * 4
-			b += int64(cap(t.idx2)+cap(t.val2)) * 4
+			b += int64(cap(d.spare[i].idx)+cap(d.spare[i].val)) * 4
 			if !d.frozen {
 				b += int64(p.Len()) * 4 // every weight is a candidate: dense gradient
 			}
@@ -654,7 +672,7 @@ func (d *DropBack) RestoreState(st State) error {
 		return fmt.Errorf("core: state mask covers %d weights, parameter space has %d", len(st.Mask), d.set.Total())
 	}
 	for i, p := range d.set.Params() {
-		if d.csr[i] == nil || !st.HaveSelection {
+		if p.CSR == nil || !st.HaveSelection {
 			continue
 		}
 		base := d.set.Offset(i)
@@ -691,12 +709,12 @@ func (d *DropBack) RestoreState(st State) error {
 	clear(d.frozenIdx)
 	d.frozenTracked = 0
 	for i, p := range d.set.Params() {
-		if t := d.csr[i]; t != nil {
+		if t := p.CSR; t != nil {
 			var keep []bool // no selection yet: seed from the deviating entries
 			if st.HaveSelection {
 				keep = d.mask[d.set.Offset(i):][:p.Len()]
 			}
-			t.load(p.Value.Data, keep)
+			loadCSR(t, p.Value.Data, keep)
 		}
 	}
 	return nil

@@ -26,8 +26,8 @@ func fillGrads(set *nn.ParamSet, step int) {
 // syncTrackedGrads simulates a perfect sparse backward pass: the tracked
 // gradients are the dense gradients at the tracked indices.
 func syncTrackedGrads(eng *DropBack, set *nn.ParamSet) {
-	for i, p := range set.Params() {
-		t := eng.csr[i]
+	for _, p := range set.Params() {
+		t := p.CSR
 		if t == nil || t.TGrad == nil {
 			continue
 		}
@@ -98,7 +98,7 @@ func newEngine(t *testing.T, c engineCase) (*DropBack, *nn.ParamSet) {
 	eng := New(set, c.cfg)
 	if c.csr {
 		for _, l := range []*nn.Linear{fc1, fc2} {
-			if _, err := eng.Virtualize(l.W, l.Out); err != nil {
+			if err := eng.Virtualize(l.W); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,6 +180,42 @@ func TestTrackedTrainerMatchesDensePipeline(t *testing.T) {
 				eng.EndEpoch(epoch)
 				assertEngineMatchesOracle(t, fmt.Sprintf("%s epoch %d end", c.name, epoch), eng, eset, o, oset, true)
 			}
+		}
+	}
+}
+
+// TestDevirtualizeCarriesOnDense moves the CSR tensors back to dense
+// storage mid-run — at step 2, before any freeze, and at step 7, after the
+// freeze-at-0 and freeze-at-1 cases froze — and requires the engine to
+// continue in lockstep with the dense oracle, with no parameter left on
+// CSR storage.
+func TestDevirtualizeCarriesOnDense(t *testing.T) {
+	for _, c := range engineCases(9) {
+		if !c.csr {
+			continue
+		}
+		for _, at := range []int{2, 7} {
+			ctx := fmt.Sprintf("%s/devirtualize-at=%d", c.name, at)
+			o, oset := newOracleFor(c)
+			eng, eset := newEngine(t, c)
+			sgd := optim.NewSGD(0.3)
+			for step := 0; step < 12; step++ {
+				if step == at {
+					eng.Devirtualize()
+					for _, p := range eset.Params() {
+						if p.CSR != nil {
+							t.Fatalf("%s: %s still on CSR storage", ctx, p.Name)
+						}
+					}
+					assertEngineMatchesOracle(t, ctx, eng, eset, o, oset, true)
+				}
+				stepLockstep(t, ctx, step, sgd, o, oset, eng, eset)
+				if step%3 == 2 {
+					o.MaybeFreezeAtEpochEnd(step / 3)
+					eng.EndEpoch(step / 3)
+				}
+			}
+			assertEngineMatchesOracle(t, ctx+" end", eng, eset, o, oset, true)
 		}
 	}
 }
@@ -304,7 +340,7 @@ func TestFreezeBeforeFirstStepStoragesAgree(t *testing.T) {
 	perturbAll(cset, 0.01) // before Virtualize, so the CSR tracks every perturbed weight
 	csr := New(cset, cfg)
 	for _, l := range []*nn.Linear{fc1, fc2} {
-		if _, err := csr.Virtualize(l.W, l.Out); err != nil {
+		if err := csr.Virtualize(l.W); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +365,7 @@ func TestCSRFreezeBeforeFirstStepMatchesOracle(t *testing.T) {
 	perturbAll(set, 0.01) // before Virtualize, so the CSR tracks every perturbed weight
 	eng := New(set, c.cfg)
 	for _, l := range []*nn.Linear{fc1, fc2} {
-		if _, err := eng.Virtualize(l.W, l.Out); err != nil {
+		if err := eng.Virtualize(l.W); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -357,7 +393,7 @@ func TestVirtualizeRejectsAblations(t *testing.T) {
 		a.set(&cfg)
 		set, fc1, _ := makeSet()
 		eng := New(set, cfg)
-		if _, err := eng.Virtualize(fc1.W, fc1.Out); err == nil || !strings.Contains(err.Error(), "dense storage only") {
+		if err := eng.Virtualize(fc1.W); err == nil || !strings.Contains(err.Error(), "dense storage only") {
 			t.Fatalf("%s: Virtualize error = %v, want the dense-storage-only rejection", a.name, err)
 		}
 		perturbAll(set, 0.01)

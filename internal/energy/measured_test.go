@@ -11,14 +11,14 @@ import (
 	"dropback/internal/tensor"
 )
 
-// TestMeasuredSparseTrafficMatchesAnalytical closes the loop between the
-// analytical model and the implementation: the weight-traffic counters the
-// sparse-native executor measures during a real forward pass must equal the
-// tracked/regenerated split InferenceTraffic predicts for the model's (n, k).
-//
-// An MLP is used because its kernels partition output rows, so each weight
-// is touched exactly once per forward at any worker count — the measured
-// counters are deterministic.
+// TestMeasuredSparseTrafficMatchesAnalytical checks that the sparse-native
+// executor's weight-traffic counters agree with the analytical model: after
+// one forward pass they must equal the tracked/regenerated split
+// InferenceTraffic predicts for the model's (n, k). The executor models its
+// traffic from the compiled plan (one read per stored weight and one
+// regeneration per other weight per pass) rather than counting inside the
+// kernels, so this pins the plan's (n, k) and the per-pass multiplicity to
+// the artifact's, not the kernels' access pattern.
 func TestMeasuredSparseTrafficMatchesAnalytical(t *testing.T) {
 	trained := models.MNIST100100(1)
 	rng := rand.New(rand.NewSource(4))

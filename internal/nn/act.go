@@ -64,14 +64,18 @@ type PReLU struct {
 	name string
 	A    *Param
 	x    *tensor.Tensor
+	ws   *tensor.Workspace
 }
 
 // NewPReLU returns a parametric ReLU with one shared learnable slope.
 func NewPReLU(name string, modelSeed uint64) *PReLU {
-	return &PReLU{
-		name: name,
-		A:    NewParam(name+"/a", modelSeed, xorshift.InitConstant, 0.25, 1),
-	}
+	return NewPReLUOver(name, NewParam(name+"/a", modelSeed, xorshift.InitConstant, 0.25, 1))
+}
+
+// NewPReLUOver returns a parametric ReLU over an existing one-element slope
+// parameter, which inference executors share between replicas.
+func NewPReLUOver(name string, a *Param) *PReLU {
+	return &PReLU{name: name, A: a, ws: tensor.NewWorkspace()}
 }
 
 // Name implements Layer.
@@ -81,7 +85,7 @@ func (l *PReLU) Name() string { return l.name }
 func (l *PReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	a := l.A.Value.Data[0]
-	y := tensor.New(x.Shape...)
+	y := l.ws.GetRaw("y", x.Shape...)
 	for i, v := range x.Data {
 		if v > 0 {
 			y.Data[i] = v
@@ -95,7 +99,7 @@ func (l *PReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (l *PReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	a := l.A.Value.Data[0]
-	dx := tensor.New(dy.Shape...)
+	dx := l.ws.GetRaw("dx", dy.Shape...)
 	var da float64
 	for i, g := range dy.Data {
 		if l.x.Data[i] > 0 {

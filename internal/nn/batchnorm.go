@@ -38,18 +38,26 @@ type BatchNorm struct {
 
 // NewBatchNorm builds a batch-normalization layer over c channels.
 func NewBatchNorm(name string, modelSeed uint64, c int) *BatchNorm {
-	bn := &BatchNorm{
-		name: name, C: c, Momentum: 0.9, Eps: 1e-5,
-		Gamma:       NewParam(name+"/gamma", modelSeed, xorshift.InitConstant, 1, c),
-		Beta:        NewParam(name+"/beta", modelSeed, xorshift.InitZero, 0, c),
-		RunningMean: make([]float32, c),
-		RunningVar:  make([]float32, c),
-		ws:          tensor.NewWorkspace(),
+	variance := make([]float32, c)
+	for i := range variance {
+		variance[i] = 1
 	}
-	for i := range bn.RunningVar {
-		bn.RunningVar[i] = 1
-	}
+	bn := NewBatchNormOver(name, c, 1e-5,
+		NewParam(name+"/gamma", modelSeed, xorshift.InitConstant, 1, c),
+		NewParam(name+"/beta", modelSeed, xorshift.InitZero, 0, c),
+		make([]float32, c), variance)
+	bn.Momentum = 0.9
 	return bn
+}
+
+// NewBatchNormOver builds a batch-normalization layer over existing scale
+// and shift parameters and running statistics, which inference executors
+// share between replicas; inference only reads them.
+func NewBatchNormOver(name string, c int, eps float32, gamma, beta *Param, mean, variance []float32) *BatchNorm {
+	return &BatchNorm{
+		name: name, C: c, Eps: eps, Gamma: gamma, Beta: beta,
+		RunningMean: mean, RunningVar: variance, ws: tensor.NewWorkspace(),
+	}
 }
 
 // Name implements Layer.

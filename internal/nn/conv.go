@@ -18,44 +18,69 @@ import (
 // workspace slabs, and the cross-sample dW/dB reduction happens sequentially
 // in ascending sample order at the end of Backward — so results are
 // bit-identical to a per-sample sequential implementation at any GOMAXPROCS.
+//
+// W may sit on either storage (see Param). The weight gradient reads no
+// weights, so it is one loop. The forward multiply and the input gradient
+// take one of two loop orders by storage: dense storage goes sample by
+// sample through the tiled matmul kernels, and CSR storage regenerates
+// each filter row once per worker and applies it to all of the worker's
+// samples (see Backward). Both orders give every output element the same
+// float operations.
 type Conv2D struct {
 	name        string
 	InC, OutC   int
 	KH, KW      int
 	Stride, Pad int
 	W           *Param
-	B           *Param
-	useBias     bool
+	B           *Param // nil when the layer has no bias
 	ws          *tensor.Workspace
 	cols        *tensor.Tensor // (N, C*KH*KW, OH*OW) im2col slab, reused across steps
-	batch       int
 	inShape     []int
 	outH, outW  int
 }
 
 // NewConv2D builds a convolution layer; kernel is square (k×k).
 func NewConv2D(name string, modelSeed uint64, inC, outC, k, stride, pad int) *Conv2D {
-	fanIn := inC * k * k
-	return &Conv2D{
-		name: name, InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad,
-		W:       NewParam(name+"/W", modelSeed, xorshift.InitScaledNormal, xorshift.HeScale(fanIn), outC, inC, k, k),
-		B:       NewParam(name+"/b", modelSeed, xorshift.InitZero, 0, outC),
-		useBias: true,
-		ws:      tensor.NewWorkspace(),
-	}
+	return NewConv2DOver(name, inC, outC, k, stride, pad, convWeight(name, modelSeed, inC, outC, k),
+		NewParam(name+"/b", modelSeed, xorshift.InitZero, 0, outC))
 }
 
 // NewConv2DNoBias builds a convolution without a bias term (the standard
 // choice when a BatchNorm immediately follows).
 func NewConv2DNoBias(name string, modelSeed uint64, inC, outC, k, stride, pad int) *Conv2D {
-	c := NewConv2D(name, modelSeed, inC, outC, k, stride, pad)
-	c.useBias = false
-	c.B = nil
-	return c
+	return NewConv2DOver(name, inC, outC, k, stride, pad, convWeight(name, modelSeed, inC, outC, k), nil)
+}
+
+func convWeight(name string, modelSeed uint64, inC, outC, k int) *Param {
+	return NewParam(name+"/W", modelSeed, xorshift.InitScaledNormal, xorshift.HeScale(inC*k*k), outC, inC, k, k)
+}
+
+// NewConv2DOver builds a k×k convolution over existing parameters: w holds
+// the (OutC, InC, k, k) filters on either storage and b, nil for none, the
+// OutC biases. Inference executors use it to share one copy of the weights
+// between replicas.
+func NewConv2DOver(name string, inC, outC, k, stride, pad int, w, b *Param) *Conv2D {
+	return &Conv2D{
+		name: name, InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad,
+		W: w, B: b, ws: tensor.NewWorkspace(),
+	}
 }
 
 // Name implements Layer.
 func (l *Conv2D) Name() string { return l.name }
+
+// convGeom carries the dimensions derived from the last forward input.
+type convGeom struct {
+	h, w, colRows, spatial, imgSize, perSample, colSize int
+}
+
+func (l *Conv2D) geom() convGeom {
+	h, w := l.inShape[2], l.inShape[3]
+	colRows := l.InC * l.KH * l.KW
+	spatial := l.outH * l.outW
+	return convGeom{h: h, w: w, colRows: colRows, spatial: spatial,
+		imgSize: l.InC * h * w, perSample: l.OutC * spatial, colSize: colRows * spatial}
+}
 
 // Forward implements Layer.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -66,94 +91,132 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.inShape = append(l.inShape[:0], x.Shape...)
 	l.outH = tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad)
 	l.outW = tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
-	l.batch = n
-	colRows := l.InC * l.KH * l.KW
-	spatial := l.outH * l.outW
-	imgSize := l.InC * h * w
-	perSample := l.OutC * spatial
-	colSize := colRows * spatial
+	g := l.geom()
 
 	// The im2col slab and the output are fully overwritten per sample
-	// (padding written as explicit zeros, matmul tiles cleared before
+	// (padding written as explicit zeros, matmul rows cleared before
 	// accumulation), so stale contents from the previous step are fine.
-	l.cols = l.ws.GetRaw("cols", n, colRows, spatial)
+	l.cols = l.ws.GetRaw("cols", n, g.colRows, g.spatial)
 	y := l.ws.GetRaw("y", n, l.OutC, l.outH, l.outW)
-	wm := l.W.Value.Data
-	var bias []float32
-	if l.useBias {
-		bias = l.B.Value.Data
+	work := n * g.perSample * g.colRows
+	chunks := tensor.ParallelChunkCount(n, work)
+	bufs := l.W.rowBufs(l.ws, chunks, g.colRows)
+	if chunks == 1 {
+		// A direct call keeps small batches free of closure allocations.
+		l.forwardSamples(x, y, bufs, 0, n, g)
+	} else {
+		tensor.ParallelChunks(n, work, func(c, lo, hi int) {
+			l.forwardSamples(x, y, chunkBuf(bufs, c, g.colRows), lo, hi, g)
+		})
 	}
-	tensor.ParallelChunks(n, n*perSample*colRows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			colsI := l.cols.Data[i*colSize : (i+1)*colSize]
-			tensor.Im2ColSlice(colsI, x.Data[i*imgSize:(i+1)*imgSize],
-				l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad)
-			tensor.MatMulSlice(y.Data[i*perSample:(i+1)*perSample], wm, colsI,
-				l.OutC, colRows, spatial)
-			for f := 0; f < len(bias); f++ {
-				b := bias[f]
-				plane := y.Data[i*perSample+f*spatial : i*perSample+(f+1)*spatial]
-				for j := range plane {
-					plane[j] += b
-				}
-			}
-		}
-	})
 	return y
 }
 
+// forwardSamples lowers and convolves samples [lo, hi): im2col each
+// sample, multiply by the filter matrix, then add the bias planes. The
+// multiply takes one of two loop orders by storage, as the input gradient
+// does (see Backward): dense storage runs tensor.MatMulSlice per sample,
+// whose tiling reuses each lowered panel across all filter rows; CSR
+// storage regenerates each filter row once and runs it against every
+// sample with tensor.MatMulRowSlice. That performs exactly the operations
+// MatMulSlice performs for one row (same tiling, cleared start, ascending
+// order and zero skip), so the two orders differ only in which whole
+// output elements come first.
+func (l *Conv2D) forwardSamples(x, y *tensor.Tensor, buf []float32, lo, hi int, g convGeom) {
+	csr := l.W.CSR
+	for i := lo; i < hi; i++ {
+		tensor.Im2ColSlice(l.cols.Data[i*g.colSize:(i+1)*g.colSize], x.Data[i*g.imgSize:(i+1)*g.imgSize],
+			l.InC, g.h, g.w, l.KH, l.KW, l.Stride, l.Pad)
+		if csr == nil {
+			tensor.MatMulSlice(y.Data[i*g.perSample:(i+1)*g.perSample], l.W.Value.Data,
+				l.cols.Data[i*g.colSize:(i+1)*g.colSize], l.OutC, g.colRows, g.spatial)
+		}
+	}
+	if csr != nil {
+		for f := 0; f < l.OutC; f++ {
+			csr.FillRow(buf, f)
+			for i := lo; i < hi; i++ {
+				tensor.MatMulRowSlice(y.Data[i*g.perSample+f*g.spatial:i*g.perSample+(f+1)*g.spatial],
+					buf, l.cols.Data[i*g.colSize:(i+1)*g.colSize], g.colRows, g.spatial)
+			}
+		}
+	}
+	if l.B == nil {
+		return
+	}
+	for f, b := range l.B.Value.Data {
+		for i := lo; i < hi; i++ {
+			plane := y.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			for j := range plane {
+				plane[j] += b
+			}
+		}
+	}
+}
+
 // Backward implements Layer.
+//
+// The input gradient dcols = Wᵀ dy accumulates, per element, W[f][c]·dy[f][s]
+// in ascending f from a cleared buffer, skipping W[f][c]==0. The storages
+// want different loops for it. Dense storage runs tensor.MatMulTransASlice
+// sample by sample, so a worker needs one dcols buffer and reads the
+// resident filter matrix for each sample. A CSR row costs a regeneration,
+// so CSR storage takes filter rows outermost: each row is filled once per
+// worker and applied to all of the worker's samples, which then need a
+// dcols buffer each. Both loops perform the same operations per element.
 func (l *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if l.cols == nil || l.batch == 0 {
+	if l.cols == nil {
 		panic(fmt.Sprintf("nn: conv %q Backward before Forward", l.name))
 	}
-	n := l.batch
-	h, w := l.inShape[2], l.inShape[3]
-	colRows := l.InC * l.KH * l.KW
-	spatial := l.outH * l.outW
-	imgSize := l.InC * h * w
-	perSample := l.OutC * spatial
-	colSize := colRows * spatial
-	wSize := l.OutC * colRows
-	work := 2 * n * perSample * colRows
+	g := l.geom()
+	n := l.inShape[0]
+	wSize := l.OutC * g.colRows
+	work := 2 * n * g.perSample * g.colRows
 
-	wm := l.W.Value.Data
 	// Per-sample dW/dB partials and the input-gradient slab are fully
 	// overwritten (Col2ImSlice zeroes its region), so raw reuse is safe.
 	// Under slab emission (ParamSet.BindSampleSlab) the partials go straight
 	// to each sample's global slab row instead of a layer-private buffer —
 	// the values are identical either way; only who performs the ascending
 	// reduction changes (the trainer's ReduceGradSlab instead of the loop at
-	// the bottom of this function).
+	// the bottom of this function). A frozen CSR weight skips the dense
+	// partials: its tracked gradients are folded after the parallel pass.
 	slabMode := l.W.SlabBound()
+	tracked := l.W.trackedGrad()
 	dx := l.ws.GetRaw("dx", l.inShape...)
 	var dwPart, dbPart *tensor.Tensor
 	if !slabMode {
-		dwPart = l.ws.GetRaw("dwpart", n, wSize)
-		if l.useBias {
+		if !tracked {
+			dwPart = l.ws.GetRaw("dwpart", n, wSize)
+		}
+		if l.B != nil {
 			dbPart = l.ws.GetRaw("dbpart", n, l.OutC)
 		}
 	}
-	// Each worker chunk owns one dcols scratch; chunk count varies with
-	// GOMAXPROCS but chunk-local scratch never influences the reduction
-	// order, so results stay bit-identical.
+	// Chunk-local scratch never influences the reduction order, so the
+	// chunk count (which varies with GOMAXPROCS) cannot change results.
 	chunks := tensor.ParallelChunkCount(n, work)
-	dcols := l.ws.GetRaw("dcols", chunks, colSize)
+	dense := l.W.CSR == nil
+	var dcols *tensor.Tensor
+	if dense {
+		dcols = l.ws.GetRaw("dcols", chunks, g.colSize)
+	} else {
+		dcols = l.ws.GetRaw("dcols", n, g.colSize)
+	}
+	bufs := l.W.rowBufs(l.ws, chunks, g.colRows)
 	tensor.ParallelChunks(n, work, func(c, lo, hi int) {
-		dc := dcols.Data[c*colSize : (c+1)*colSize]
 		for i := lo; i < hi; i++ {
-			dyI := dy.Data[i*perSample : (i+1)*perSample]
-			colsI := l.cols.Data[i*colSize : (i+1)*colSize]
+			dyI := dy.Data[i*g.perSample : (i+1)*g.perSample]
+			colsI := l.cols.Data[i*g.colSize : (i+1)*g.colSize]
 			// dW_i = dy_i @ cols_iᵀ, into this sample's private partial (its
 			// global slab row under slab emission).
-			var dwDst []float32
-			if slabMode {
-				dwDst = l.W.SampleGrad(i)
-			} else {
-				dwDst = dwPart.Data[i*wSize : (i+1)*wSize]
+			switch {
+			case slabMode:
+				tensor.MatMulTransBSlice(l.W.SampleGrad(i), dyI, colsI, l.OutC, g.spatial, g.colRows)
+			case !tracked:
+				tensor.MatMulTransBSlice(dwPart.Data[i*wSize:(i+1)*wSize], dyI, colsI, l.OutC, g.spatial, g.colRows)
 			}
-			tensor.MatMulTransBSlice(dwDst, dyI, colsI, l.OutC, spatial, colRows)
-			if l.useBias {
+			if l.B != nil {
 				var db []float32
 				if slabMode {
 					db = l.B.SampleGrad(i)
@@ -162,30 +225,38 @@ func (l *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				}
 				for f := 0; f < l.OutC; f++ {
 					var s float64
-					row := dyI[f*spatial : (f+1)*spatial]
-					for _, v := range row {
+					for _, v := range dyI[f*g.spatial : (f+1)*g.spatial] {
 						s += float64(v)
 					}
 					db[f] = float32(s)
 				}
 			}
-			// dcols = Wᵀ @ dy_i, then scatter back to this sample's image.
-			tensor.MatMulTransASlice(dc, wm, dyI, l.OutC, colRows, spatial)
-			tensor.Col2ImSlice(dx.Data[i*imgSize:(i+1)*imgSize], dc,
-				l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad)
+			if dense {
+				dc := dcols.Data[c*g.colSize : (c+1)*g.colSize]
+				tensor.MatMulTransASlice(dc, l.W.Value.Data, dyI, l.OutC, g.colRows, g.spatial)
+				tensor.Col2ImSlice(dx.Data[i*g.imgSize:(i+1)*g.imgSize], dc,
+					l.InC, g.h, g.w, l.KH, l.KW, l.Stride, l.Pad)
+			}
+		}
+		if !dense {
+			l.inputGradRows(dy, dx, dcols, chunkBuf(bufs, c, g.colRows), lo, hi, g)
 		}
 	})
+	if tracked {
+		l.trackedWeightGrad(dy, g)
+	}
 	if slabMode {
 		return dx
 	}
 	// Deterministic reduction: accumulate the per-sample partials into the
 	// shared gradients in ascending sample order, exactly as the sequential
 	// reference does.
-	dW := l.W.Grad.Data
 	for i := 0; i < n; i++ {
-		part := dwPart.Data[i*wSize : (i+1)*wSize]
-		for j := range part {
-			dW[j] += part[j]
+		if dwPart != nil {
+			dW := l.W.Grad.Data
+			for j, v := range dwPart.Data[i*wSize : (i+1)*wSize] {
+				dW[j] += v
+			}
 		}
 		if dbPart != nil {
 			for f := 0; f < l.OutC; f++ {
@@ -196,9 +267,59 @@ func (l *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// inputGradRows is the CSR storage's input gradient for samples [lo, hi):
+// clear their dcols, accumulate filter row by filter row, then scatter each
+// sample back to its image.
+func (l *Conv2D) inputGradRows(dy, dx, dcols *tensor.Tensor, buf []float32, lo, hi int, g convGeom) {
+	clear(dcols.Data[lo*g.colSize : hi*g.colSize])
+	for f := 0; f < l.OutC; f++ {
+		l.W.CSR.FillRow(buf, f)
+		for i := lo; i < hi; i++ {
+			dyRow := dy.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			dcI := dcols.Data[i*g.colSize : (i+1)*g.colSize]
+			for c, wv := range buf[:g.colRows] {
+				if wv == 0 {
+					continue
+				}
+				dcRow := dcI[c*g.spatial : (c+1)*g.spatial][:len(dyRow)]
+				for j, v := range dyRow {
+					dcRow[j] += wv * v
+				}
+			}
+		}
+	}
+	for i := lo; i < hi; i++ {
+		tensor.Col2ImSlice(dx.Data[i*g.imgSize:(i+1)*g.imgSize], dcols.Data[i*g.colSize:(i+1)*g.colSize],
+			l.InC, g.h, g.w, l.KH, l.KW, l.Stride, l.Pad)
+	}
+}
+
+// trackedWeightGrad writes a frozen CSR weight's gradient at its tracked
+// entries only: each tracked (f,c) folds the per-sample dots (the dense
+// MatMulTransBSlice elements, no zero skip) in ascending sample order from
+// zero — the value the dense reduction would land in W.Grad.
+func (l *Conv2D) trackedWeightGrad(dy *tensor.Tensor, g convGeom) {
+	t := l.W.CSR
+	n := l.inShape[0]
+	for k, fi := range t.Idx {
+		f, c := int(fi)/g.colRows, int(fi)%g.colRows
+		var acc float32
+		for i := 0; i < n; i++ {
+			dyRow := dy.Data[i*g.perSample+f*g.spatial : i*g.perSample+(f+1)*g.spatial]
+			colRow := l.cols.Data[i*g.colSize+c*g.spatial : i*g.colSize+(c+1)*g.spatial]
+			var dot float32
+			for j, v := range dyRow {
+				dot += v * colRow[j]
+			}
+			acc += dot
+		}
+		t.TGrad[k] = acc
+	}
+}
+
 // Params implements Layer.
 func (l *Conv2D) Params() []*Param {
-	if l.useBias {
+	if l.B != nil {
 		return []*Param{l.W, l.B}
 	}
 	return []*Param{l.W}

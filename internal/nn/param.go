@@ -21,6 +21,13 @@ import (
 // Param is one trainable tensor: its current value, the gradient accumulated
 // by the latest backward pass, and the initialization recipe that allows any
 // element's initial value to be regenerated from its flat index.
+//
+// A weight has one of two storages. By default Value holds every element.
+// With CSR set, the layers compute from the CSR instead: tracked entries
+// stored, the rest regenerated from Init row by row. core.DropBack moves a
+// training weight there (Virtualize) and back (Devirtualize); while it is
+// there, Value is a host copy that DropBack.Densify refreshes at epoch
+// boundaries. An inference executor's weights are CSR only, with no Value.
 type Param struct {
 	// Name is the globally unique parameter name, "layer/param".
 	Name string
@@ -29,6 +36,8 @@ type Param struct {
 	ID    uint64
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+	// CSR, when set, is the storage the layers read (see above).
+	CSR *CSR
 	// Init regenerates initialization values by flat element index.
 	Init xorshift.Init
 
@@ -85,7 +94,46 @@ func NameID(name string) uint64 {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Len returns the number of scalar elements in the parameter.
-func (p *Param) Len() int { return p.Value.Len() }
+func (p *Param) Len() int {
+	if p.Value == nil {
+		return p.CSR.Rows * p.CSR.RowLen
+	}
+	return p.Value.Len()
+}
+
+// row returns columns [lo, hi) of row r of a weight viewed as rows of
+// rowLen: a slice of Value on dense storage, or buf filled by
+// CSR.FillRowRange. The layers' kernels walk weights through it, so each
+// runs one loop over either storage.
+func (p *Param) row(buf []float32, r, rowLen, lo, hi int) []float32 {
+	if p.CSR != nil {
+		p.CSR.FillRowRange(buf, r, lo, hi)
+		return buf[:hi-lo]
+	}
+	return p.Value.Data[r*rowLen+lo : r*rowLen+hi]
+}
+
+// rowBufs returns one row buffer of rowLen floats per worker chunk from ws
+// for a CSR weight, and nil on dense storage, whose rows need no buffer.
+func (p *Param) rowBufs(ws *tensor.Workspace, chunks, rowLen int) []float32 {
+	if p.CSR == nil {
+		return nil
+	}
+	return ws.GetRaw("wrow", chunks, rowLen).Data
+}
+
+// chunkBuf is chunk c's row buffer within bufs (nil on dense storage).
+func chunkBuf(bufs []float32, c, rowLen int) []float32 {
+	if bufs == nil {
+		return nil
+	}
+	return bufs[c*rowLen : (c+1)*rowLen]
+}
+
+// trackedGrad reports whether the backward pass writes this weight's
+// gradient to CSR.TGrad at the tracked indices only, which it does once a
+// CSR weight's selection is frozen.
+func (p *Param) trackedGrad() bool { return p.CSR != nil && p.CSR.TGrad != nil }
 
 // ParamSet is the flat global address space over every trainable scalar of a
 // model. Parameters are laid out in registration order; element j of

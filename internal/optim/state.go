@@ -6,120 +6,16 @@ import (
 	"dropback/internal/nn"
 )
 
-// StateCapturer is an optimizer whose per-parameter state can be exported
-// for checkpointing and restored on resume. Keys are stable strings derived
-// from parameter names, so state survives serialization and applies to a
-// freshly constructed optimizer over an identically built model.
-type StateCapturer interface {
-	// CaptureState exports the optimizer's state keyed by stable names.
-	// Stateless optimizers return an empty (or nil) map.
-	CaptureState(set *nn.ParamSet) map[string][]float32
-	// RestoreState imports state captured by CaptureState. Unknown keys are
-	// an error (they indicate an optimizer/checkpoint mismatch); missing
-	// keys leave that slice at its zero value.
-	RestoreState(set *nn.ParamSet, state map[string][]float32) error
-}
-
-// CaptureState implements StateCapturer for plain SGD: no state.
+// CaptureState exports SGD's optimizer state for a checkpoint. Plain SGD
+// has none, so the map is nil; the checkpoint format keeps the slot so a
+// file written by a stateful optimizer is recognisable on resume.
 func (o *SGD) CaptureState(*nn.ParamSet) map[string][]float32 { return nil }
 
-// RestoreState implements StateCapturer for plain SGD.
+// RestoreState accepts only the empty state CaptureState writes: a
+// checkpoint that carries optimizer state was written by another optimizer.
 func (o *SGD) RestoreState(_ *nn.ParamSet, state map[string][]float32) error {
 	if len(state) != 0 {
 		return fmt.Errorf("optim: SGD is stateless but checkpoint carries %d state slices", len(state))
-	}
-	return nil
-}
-
-// CaptureState implements StateCapturer: one velocity slice per parameter,
-// keyed "v/<param name>".
-func (o *Momentum) CaptureState(set *nn.ParamSet) map[string][]float32 {
-	out := make(map[string][]float32, len(o.v))
-	for _, p := range set.Params() {
-		if v, ok := o.v[p]; ok {
-			c := make([]float32, len(v))
-			copy(c, v)
-			out["v/"+p.Name] = c
-		}
-	}
-	return out
-}
-
-// RestoreState implements StateCapturer.
-func (o *Momentum) RestoreState(set *nn.ParamSet, state map[string][]float32) error {
-	return restoreKeyed(set, state, map[string]func(*nn.Param, []float32){
-		"v/": func(p *nn.Param, v []float32) { o.v[p] = v },
-	}, nil)
-}
-
-// CaptureState implements StateCapturer: first and second moments per
-// parameter ("m/<name>", "v/<name>") plus the shared step counter ("t").
-func (o *Adam) CaptureState(set *nn.ParamSet) map[string][]float32 {
-	out := make(map[string][]float32, 2*len(o.m)+1)
-	for _, p := range set.Params() {
-		if m, ok := o.m[p]; ok {
-			mc := make([]float32, len(m))
-			copy(mc, m)
-			out["m/"+p.Name] = mc
-			vc := make([]float32, len(o.v[p]))
-			copy(vc, o.v[p])
-			out["v/"+p.Name] = vc
-		}
-	}
-	out["t"] = []float32{float32(o.t)}
-	return out
-}
-
-// RestoreState implements StateCapturer.
-func (o *Adam) RestoreState(set *nn.ParamSet, state map[string][]float32) error {
-	return restoreKeyed(set, state, map[string]func(*nn.Param, []float32){
-		"m/": func(p *nn.Param, m []float32) { o.m[p] = m },
-		"v/": func(p *nn.Param, v []float32) { o.v[p] = v },
-	}, map[string]func([]float32) error{
-		"t": func(v []float32) error {
-			if len(v) != 1 {
-				return fmt.Errorf("optim: Adam step counter slice has %d values", len(v))
-			}
-			o.t = int(v[0])
-			return nil
-		},
-	})
-}
-
-// restoreKeyed dispatches "<prefix><param name>" state slices to per-prefix
-// sinks, validating lengths, and routes exact-match scalar keys to scalar
-// sinks. Any unrecognized key is an error.
-func restoreKeyed(set *nn.ParamSet, state map[string][]float32,
-	prefixes map[string]func(*nn.Param, []float32), scalars map[string]func([]float32) error) error {
-	for key, v := range state {
-		if sink, ok := scalars[key]; ok {
-			if err := sink(v); err != nil {
-				return err
-			}
-			continue
-		}
-		matched := false
-		for prefix, sink := range prefixes {
-			if len(key) <= len(prefix) || key[:len(prefix)] != prefix {
-				continue
-			}
-			name := key[len(prefix):]
-			p := set.ByName(name)
-			if p == nil {
-				return fmt.Errorf("optim: state slice %q names unknown parameter", key)
-			}
-			if len(v) != p.Len() {
-				return fmt.Errorf("optim: state slice %q has %d values, parameter has %d", key, len(v), p.Len())
-			}
-			c := make([]float32, len(v))
-			copy(c, v)
-			sink(p, c)
-			matched = true
-			break
-		}
-		if !matched {
-			return fmt.Errorf("optim: unrecognized state key %q", key)
-		}
 	}
 	return nil
 }

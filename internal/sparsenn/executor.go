@@ -7,25 +7,20 @@ import (
 )
 
 // Executor runs inference on a shared Plan. It owns only per-replica
-// activation scratch (the mirror layer tree with its workspaces) plus
-// weight-traffic counters; all weight state lives in the Plan. Like an
-// nn.Model, an Executor is single-goroutine-only — build one per concurrent
-// worker, all from the same Plan.
+// activation scratch (its nn layer tree's workspaces) plus a pass counter;
+// all weight state lives in the Plan. Like an nn.Model, an
+// Executor is single-goroutine-only — build one per concurrent worker, all
+// from the same Plan.
 type Executor struct {
-	plan *Plan
-	root nn.Layer
-	// Weight-traffic accounting, incremented once per op forward (outside
-	// the parallel regions, so counts are deterministic).
-	trackedReads int64
-	regens       int64
+	plan   *Plan
+	root   nn.Layer
+	passes int64 // Infer calls since the last ResetTraffic
 }
 
 // NewExecutor builds an inference executor over the shared plan. The cost is
 // activation scratch only: no weight state is copied.
 func NewExecutor(p *Plan) *Executor {
-	ex := &Executor{plan: p}
-	ex.root = p.root.build(ex)
-	return ex
+	return &Executor{plan: p, root: p.root()}
 }
 
 // Plan returns the shared plan this executor runs on.
@@ -34,36 +29,27 @@ func (e *Executor) Plan() *Plan { return e.plan }
 // Infer runs a forward pass on the sparse representation. The returned
 // tensor is executor-owned scratch, valid until the next Infer call.
 func (e *Executor) Infer(x *tensor.Tensor) *tensor.Tensor {
+	e.passes++
 	return e.root.Forward(x, false)
 }
 
-// countWeights records one materialization pass over a weight group with
-// `tracked` stored scalars out of `elems` total, repeated `times` times
-// (worker chunks that each regenerate the group independently). Ops outside
-// an executor (the training mirror) have a nil e and count nothing.
-func (e *Executor) countWeights(tracked, elems, times int) {
-	if e == nil {
-		return
-	}
-	e.trackedReads += int64(tracked) * int64(times)
-	e.regens += int64(elems-tracked) * int64(times)
-}
-
-// WeightTraffic returns the weight-access counters accumulated since the
-// last reset as an energy.Counter: every tracked weight read is a storage
-// (DRAM) read, every untracked weight is a regeneration. Activation traffic
-// is not modeled — it is identical between the sparse and dense paths.
+// WeightTraffic returns the weight traffic of the Infer calls since the
+// last reset as an energy.Counter. It is modelled from the plan, not
+// measured in the kernels: each pass reads every stored weight once (a
+// storage, i.e. DRAM, read) and regenerates every other weight once. That
+// is the paper's per-pass traffic; a convolution split across worker
+// chunks regenerates its filters once per chunk on a CPU, which the model
+// does not add. Activation traffic is not modelled — it is identical
+// between the sparse and dense paths.
 func (e *Executor) WeightTraffic() energy.Counter {
 	return energy.Counter{
-		DRAMReads:     e.trackedReads,
-		Regenerations: e.regens,
+		DRAMReads:     e.passes * int64(e.plan.tracked),
+		Regenerations: e.passes * int64(e.plan.total-e.plan.tracked),
 	}
 }
 
-// ResetTraffic zeroes the weight-traffic counters.
-func (e *Executor) ResetTraffic() {
-	e.trackedReads, e.regens = 0, 0
-}
+// ResetTraffic zeroes the pass counter.
+func (e *Executor) ResetTraffic() { e.passes = 0 }
 
 // WeightBytes reports the executor's resident weight footprint split into
 // the plan-shared portion (one copy per process) and the per-executor

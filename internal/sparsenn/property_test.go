@@ -70,7 +70,7 @@ func randomConvNet(rng *rand.Rand, seed uint64) (*nn.Model, []int) {
 		case 0:
 			seq.Append(nn.NewBatchNorm(name+"_bn", seed, out))
 		case 1:
-			// A same-shape residual conv block stresses the container mirror.
+			// A same-shape residual conv block stresses the compiled containers.
 			body := nn.NewSequential(name+"_resbody",
 				nn.NewConv2D(name+"_res", seed, out, out, 3, 1, 1),
 				nn.NewReLU(name+"_resrelu"))

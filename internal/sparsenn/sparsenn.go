@@ -1,9 +1,9 @@
 // Package sparsenn executes frozen post-training models directly on the
 // pruned weight budget: the compiled Plan holds the tracked weights of a
-// sparse.Artifact as per-layer core.TrackedTensor CSR views (the encoding
-// the sparse trainer updates), and the executor's fused kernels stream every
-// untracked weight from the xorshift initialization stream in registers —
-// the model is never densified.
+// sparse.Artifact as per-layer nn.CSR storage (the encoding the sparse
+// trainer updates), and each executor runs the ordinary nn layers over it,
+// which regenerate every untracked weight row by row as they compute — the
+// model is never densified.
 //
 // This is the inference half of the paper's deployment contract made
 // literal. Applying an artifact to a dense model regenerates all N weights
@@ -16,35 +16,33 @@
 // Correctness contract: the sparse forward pass is bit-identical to
 // Artifact.Apply followed by a dense forward. Regeneration is deterministic
 // — an untracked weight regenerates to exactly the value Apply would have
-// written — and each sparse kernel performs the same float32 operations in
-// the same per-element order as its dense counterpart (see ops.go), so
-// exact equality is achievable and is enforced by tests.
+// written — and nn.Linear and nn.Conv2D run one kernel over either storage,
+// so exact equality holds by construction and is enforced by tests.
 //
 // Sharing contract: a Plan is immutable after Compile and is shared by every
 // Executor built from it — one copy of the tracked weights per process, not
-// per replica. Each Executor owns only activation scratch (workspaces), so
-// it is single-goroutine-only like any nn.Model, but adding a replica costs
-// activation memory alone.
+// per replica. Each Executor owns only its layers' activation scratch
+// (workspaces), so it is single-goroutine-only like any nn.Model, but adding
+// a replica costs activation memory alone.
 package sparsenn
 
 import (
 	"fmt"
 	"sort"
 
-	"dropback/internal/core"
 	"dropback/internal/nn"
 	"dropback/internal/sparse"
+	"dropback/internal/tensor"
 )
 
 // Plan is the compiled, immutable sparse execution form of one artifact
 // applied to one architecture. It holds everything inference needs — CSR
-// weight views, materialized small parameter vectors, batch-norm statistics,
+// weights, materialized small parameter vectors, batch-norm statistics,
 // and the layer topology — and is shared by every Executor built from it.
 type Plan struct {
-	seed    uint64
-	total   int // total trainable scalars
-	tracked int // artifact entries (stored weights)
-	root    layerSpec
+	total   int       // total trainable scalars
+	tracked int       // artifact entries (stored weights)
+	root    layerSpec // builds one executor's layer tree
 	// weightBytes is the resident footprint of all weight state in the plan:
 	// CSR payloads, materialized small vectors, and BN statistics.
 	weightBytes int
@@ -111,7 +109,6 @@ func Compile(m *nn.Model, art *sparse.Artifact) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{
-		seed:        art.ModelSeed,
 		total:       art.TotalParams,
 		tracked:     len(art.Entries),
 		root:        root,
@@ -141,12 +138,12 @@ func (c *compiler) span(p *nn.Param) (ents []sparse.Entry, base int) {
 	return c.entries[lo:hi], base
 }
 
-// csr builds the CSR view of a big weight parameter seen as a (rows, cols)
-// matrix — (Out, In) for Linear, (OutC, InC·KH·KW) for Conv2D. Untracked
-// elements are not stored anywhere: FillRow regenerates them from the
-// initialization stream, which is exactly what Artifact.Apply writes into a
-// dense model.
-func (c *compiler) csr(p *nn.Param, rows, cols int) (*core.TrackedTensor, error) {
+// csr builds the CSR storage of a big weight parameter seen as a (rows,
+// cols) matrix — (Out, In) for Linear, (OutC, InC·KH·KW) for Conv2D — as a
+// parameter with no dense value. Untracked elements are not stored
+// anywhere: FillRow regenerates them from the initialization stream, which
+// is exactly what Artifact.Apply writes into a dense model.
+func (c *compiler) csr(p *nn.Param, rows, cols int) (*nn.Param, error) {
 	if p.Len() != rows*cols {
 		return nil, fmt.Errorf("sparsenn: parameter %q has %d elements, want %d×%d", p.Name, p.Len(), rows, cols)
 	}
@@ -157,25 +154,27 @@ func (c *compiler) csr(p *nn.Param, rows, cols int) (*core.TrackedTensor, error)
 		idx[t] = int32(int(e.Index) - base)
 		val[t] = e.Value
 	}
-	w := core.NewTrackedTensor(p.Init, rows, cols, idx, val)
+	w := nn.NewCSR(p.Init, rows, cols, idx, val)
 	c.weightBytes += 4 * (len(w.RowPtr) + len(w.Idx) + len(w.Val))
-	return w, nil
+	return &nn.Param{Name: p.Name, ID: p.ID, Init: p.Init, CSR: w}, nil
 }
 
 // dense materializes a small parameter (bias, gamma/beta, PReLU slope) as a
-// plan-owned float32 vector — regeneration overlaid with the tracked entries
-// — and reports how many of its elements the artifact stores. Small vectors
-// are kept dense because CSR bookkeeping would cost more than it saves and
-// their kernels read every element every pass anyway.
-func (c *compiler) dense(p *nn.Param) (vals []float32, tracked int) {
+// plan-owned dense parameter — regeneration overlaid with the tracked
+// entries. Small vectors are kept dense because CSR bookkeeping would cost
+// more than it saves and their kernels read every element every pass anyway.
+func (c *compiler) dense(p *nn.Param) *nn.Param {
+	if p == nil {
+		return nil
+	}
 	ents, base := c.span(p)
-	vals = make([]float32, p.Len())
+	vals := make([]float32, p.Len())
 	p.Init.Fill(vals)
 	for _, e := range ents {
 		vals[int(e.Index)-base] = e.Value
 	}
 	c.weightBytes += 4 * len(vals)
-	return vals, len(ents)
+	return &nn.Param{Name: p.Name, ID: p.ID, Init: p.Init, Value: tensor.FromSlice(vals, len(vals))}
 }
 
 // bnStats resolves a batch-norm layer's running statistics the way
@@ -196,97 +195,103 @@ func (c *compiler) bnStats(bn *nn.BatchNorm) (mean, variance []float32, err erro
 	return mean, variance, nil
 }
 
+// layerSpec builds one executor's instance of a compiled layer: a fresh nn
+// layer (its own workspaces, per the nn concurrency contract) over the
+// plan's shared weight state.
+type layerSpec func() nn.Layer
+
+// layers compiles a list of child layers.
+func (c *compiler) layers(ls []nn.Layer) ([]layerSpec, error) {
+	specs := make([]layerSpec, len(ls))
+	for i, l := range ls {
+		s, err := c.layer(l)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = s
+	}
+	return specs, nil
+}
+
+// build instantiates a list of compiled child layers.
+func build(specs []layerSpec) []nn.Layer {
+	out := make([]nn.Layer, len(specs))
+	for i, s := range specs {
+		out[i] = s()
+	}
+	return out
+}
+
 // layer compiles one prototype layer (and its children) into a spec. The
 // type switch covers every layer the model zoo uses; anything else —
 // including the variational-dropout layers, whose log-variance state has no
 // sparse regeneration story — is rejected with an error rather than silently
 // densified.
 func (c *compiler) layer(l nn.Layer) (layerSpec, error) {
+	name := l.Name()
 	switch t := l.(type) {
 	case *nn.Sequential:
-		children := make([]layerSpec, 0, len(t.Layers()))
-		for _, child := range t.Layers() {
-			cs, err := c.layer(child)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, cs)
+		children, err := c.layers(t.Layers())
+		if err != nil {
+			return nil, err
 		}
-		return &seqSpec{name: t.Name(), children: children}, nil
+		return func() nn.Layer { return nn.NewSequential(name, build(children)...) }, nil
 	case *nn.Residual:
-		body, err := c.layer(t.Body)
+		parts, err := c.layers([]nn.Layer{t.Body, t.Shortcut})
 		if err != nil {
 			return nil, err
 		}
-		shortcut, err := c.layer(t.Shortcut)
-		if err != nil {
-			return nil, err
-		}
-		return &resSpec{name: t.Name(), body: body, shortcut: shortcut}, nil
+		return func() nn.Layer { return nn.NewResidual(name, parts[0](), parts[1]()) }, nil
 	case *nn.DenseBlock:
-		units := make([]layerSpec, 0, len(t.Units))
-		for _, u := range t.Units {
-			us, err := c.layer(u)
-			if err != nil {
-				return nil, err
-			}
-			units = append(units, us)
+		units, err := c.layers(t.Units)
+		if err != nil {
+			return nil, err
 		}
-		return &denseBlockSpec{name: t.Name(), inC: t.InC, growth: t.Growth, units: units}, nil
-	case *nn.Identity:
-		return &identitySpec{name: t.Name()}, nil
-	case *nn.Flatten:
-		return &flattenSpec{name: t.Name()}, nil
-	case *nn.ReLU:
-		return &reluSpec{name: t.Name()}, nil
-	case *nn.Dropout:
+		inC, growth := t.InC, t.Growth
+		return func() nn.Layer { return nn.NewDenseBlock(name, inC, growth, build(units)...) }, nil
+	case *nn.Identity, *nn.Dropout:
 		// Inference-mode dropout is the identity (inverted dropout scales at
-		// training time), so the sparse mirror drops the layer entirely.
-		return &identitySpec{name: t.Name()}, nil
+		// training time), so the executor drops the layer entirely.
+		return func() nn.Layer { return nn.NewIdentity(name) }, nil
+	case *nn.Flatten:
+		return func() nn.Layer { return nn.NewFlatten(name) }, nil
+	case *nn.ReLU:
+		return func() nn.Layer { return nn.NewReLU(name) }, nil
 	case *nn.MaxPool2D:
-		return &maxPoolSpec{name: t.Name(), k: t.K, stride: t.Stride}, nil
+		k, stride := t.K, t.Stride
+		return func() nn.Layer { return nn.NewMaxPool2D(name, k, stride) }, nil
 	case *nn.AvgPool2D:
-		return &avgPoolSpec{name: t.Name(), k: t.K, stride: t.Stride}, nil
+		k, stride := t.K, t.Stride
+		return func() nn.Layer { return nn.NewAvgPool2D(name, k, stride) }, nil
 	case *nn.GlobalAvgPool2D:
-		return &gapSpec{name: t.Name()}, nil
+		return func() nn.Layer { return nn.NewGlobalAvgPool2D(name) }, nil
 	case *nn.PReLU:
-		a, tracked := c.dense(t.A)
-		return &preluSpec{name: t.Name(), a: a[0], tracked: tracked, elems: len(a)}, nil
+		a := c.dense(t.A)
+		return func() nn.Layer { return nn.NewPReLUOver(name, a) }, nil
 	case *nn.BatchNorm:
-		gamma, gTracked := c.dense(t.Gamma)
-		beta, bTracked := c.dense(t.Beta)
+		gamma, beta := c.dense(t.Gamma), c.dense(t.Beta)
 		mean, variance, err := c.bnStats(t)
 		if err != nil {
 			return nil, err
 		}
-		return &bnSpec{
-			name: t.Name(), c: t.C, eps: t.Eps,
-			gamma: gamma, beta: beta, mean: mean, variance: variance,
-			tracked: gTracked + bTracked, elems: 2 * t.C,
-		}, nil
+		ch, eps := t.C, t.Eps
+		return func() nn.Layer { return nn.NewBatchNormOver(name, ch, eps, gamma, beta, mean, variance) }, nil
 	case *nn.Linear:
 		w, err := c.csr(t.W, t.Out, t.In)
 		if err != nil {
 			return nil, err
 		}
-		s := &linearSpec{name: t.Name(), in: t.In, out: t.Out, w: w}
-		if t.B != nil {
-			s.bias, s.biasTracked = c.dense(t.B)
-		}
-		return s, nil
+		b := c.dense(t.B)
+		in, out := t.In, t.Out
+		return func() nn.Layer { return nn.NewLinearOver(name, in, out, w, b) }, nil
 	case *nn.Conv2D:
 		w, err := c.csr(t.W, t.OutC, t.InC*t.KH*t.KW)
 		if err != nil {
 			return nil, err
 		}
-		s := &convSpec{
-			name: t.Name(), inC: t.InC, outC: t.OutC,
-			kh: t.KH, kw: t.KW, stride: t.Stride, pad: t.Pad, w: w,
-		}
-		if t.B != nil {
-			s.bias, s.biasTracked = c.dense(t.B)
-		}
-		return s, nil
+		b := c.dense(t.B)
+		inC, outC, k, stride, pad := t.InC, t.OutC, t.KH, t.Stride, t.Pad
+		return func() nn.Layer { return nn.NewConv2DOver(name, inC, outC, k, stride, pad, w, b) }, nil
 	default:
 		return nil, fmt.Errorf("sparsenn: unsupported layer type %T (%s)", l, l.Name())
 	}

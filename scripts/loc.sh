@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Prints the three size figures the design is held to: non-test Go lines
-# (excluding the perfbench/ module), the number of internal/ packages, and
-# the length of TrainE in lines. Exits 1 if TrainE reaches MAX_TRAINE lines,
+# (excluding the perfbench/ module and the .bench_build/ scratch tree, where
+# scripts/bench_pairs.sh extracts its base commit), the number of internal/
+# packages, and the length of TrainE in lines. Exits 1 if TrainE reaches MAX_TRAINE lines,
 # so the training loop cannot grow back unnoticed.
 set -eu
 
@@ -9,7 +10,7 @@ MAX_TRAINE=150
 
 cd "$(dirname "$0")/.."
 
-lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l)"
+lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)"
 pkgs="$(go list ./internal/... | wc -l)"
 traine="$(awk '/^func TrainE\(/ { start = NR } start && /^}/ { print NR - start + 1; exit }' trainer.go)"
 

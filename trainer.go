@@ -12,7 +12,6 @@ import (
 	"dropback/internal/metrics"
 	"dropback/internal/nn"
 	"dropback/internal/optim"
-	"dropback/internal/sparsenn"
 	"dropback/internal/stats"
 	"dropback/internal/telemetry"
 	"dropback/internal/tensor"
@@ -103,15 +102,16 @@ type TrainConfig struct {
 	// FreezeAfterEpoch freezes DropBack's tracked set after that epoch
 	// (negative: never).
 	FreezeAfterEpoch int
-	// SparseTrain runs MethodDropBack on the sparse-native training path:
-	// the optimizer stores and updates only the tracked set (CSR deltas),
-	// and the forward/backward kernels regenerate untracked weights per
-	// minibatch instead of reading dense tensors — steady-state weight
-	// state scales with Budget k, not the parameter count n. The run is
+	// SparseTrain runs MethodDropBack with every Linear and Conv2D weight
+	// on CSR storage: the engine stores and updates only the tracked set,
+	// and the same layers regenerate untracked weights row by row as they
+	// compute instead of reading dense tensors — steady-state weight state
+	// scales with Budget k, not the parameter count n. The run is
 	// bit-identical to the dense trainer (same params, masks, history,
-	// checkpoints), so checkpoints cross-resume in both directions. Not
-	// compatible with Workers>1, divergence recovery, or GradHook, all of
-	// which read dense per-step state.
+	// checkpoints), so checkpoints cross-resume in both directions, and
+	// TrainE hands the model back on dense storage. Not compatible with
+	// Workers>1, divergence recovery, or GradHook, all of which read dense
+	// per-step state.
 	SparseTrain bool
 	// DisableSwapHistory drops the per-step swap series from the
 	// constraint and from Result.SwapHistory (the Swaps summary and all
@@ -401,15 +401,14 @@ func TrainE(m *Model, train, val *Dataset, cfg TrainConfig) (*Result, error) {
 	}
 	res := r.res
 	telemetryOn := r.rec.Enabled()
+	if cfg.SparseTrain {
+		// A run that fails still hands back a model on dense storage; finish
+		// does the same before restoring the best weights.
+		defer r.db.Devirtualize()
+	}
 	if telemetryOn {
 		nn.Instrument(m.Net, r.rec)
 		defer nn.Instrument(m.Net, nil)
-		// The sparse mirror's containers are its own, so training steps
-		// need their own instrumentation to emit per-layer spans.
-		if r.mirror != nil {
-			nn.Instrument(r.mirror, r.rec)
-			defer nn.Instrument(r.mirror, nil)
-		}
 	}
 	mgr, resume, err := r.openCheckpoints()
 	if err != nil {
@@ -460,7 +459,7 @@ epochs:
 			accSum += acc
 			examples += n
 			if cfg.SnapshotEvery > 0 && r.step%cfg.SnapshotEvery == 0 {
-				if r.mirror != nil {
+				if cfg.SparseTrain {
 					r.db.Densify() // CSR tensors' model copies are stale mid-epoch
 				}
 				diff.Record(r.step, filteredSnapshot(m.Set, cfg.SnapshotParams))
@@ -522,7 +521,6 @@ type run struct {
 	res     *Result
 	c       constraint
 	db      *core.DropBack // nil unless Method is DropBack
-	mirror  nn.Layer       // sparse training mirror, nil unless SparseTrain
 	exec    *shardExecutor // nil unless Workers ≥ 2 or Dist
 	batcher *data.Batcher
 	sgd     *optim.SGD
@@ -537,8 +535,9 @@ type run struct {
 
 // newRun builds the training objects for cfg over m: the method's
 // constraint, the batcher, the optimizer and the step function, which is
-// the sparse mirror's under SparseTrain, the shard executor's under
-// Workers ≥ 2 or Dist, and the model's own otherwise.
+// the shard executor's under Workers ≥ 2 or Dist and the model's own
+// otherwise. Under SparseTrain it moves every Linear and Conv2D weight to
+// CSR storage, which the layers then compute from.
 func newRun(m *Model, train *Dataset, cfg TrainConfig) (*run, error) {
 	c, err := newConstraint(m, cfg)
 	if err != nil {
@@ -550,16 +549,12 @@ func newRun(m *Model, train *Dataset, cfg TrainConfig) (*run, error) {
 		rec: telemetry.OrNop(cfg.Telemetry), stepFn: m.Step, lrScale: 1, bestParams: m.Set.Snapshot(),
 	}
 	// db is nil for every method but DropBack, whose engine the resume
-	// state, the telemetry, the sparse mirror and the dist executor read.
+	// state, the telemetry, SparseTrain and the dist executor read.
 	r.db, _ = c.(*core.DropBack)
-	// SparseTrain (Validate admits it for DropBack only) steps a sparse
-	// mirror of the model that computes over the engine's CSR storage.
-	if cfg.SparseTrain {
-		if r.mirror, err = sparsenn.NewTrainingMirror(m, r.db); err != nil {
+	if cfg.SparseTrain { // Validate admits it for DropBack only
+		if err := virtualizeWeights(m, r.db); err != nil {
+			r.db.Devirtualize()
 			return nil, err
-		}
-		r.stepFn = func(x *tensor.Tensor, labels []int) (loss, acc float64) {
-			return sparsenn.TrainStep(m, r.mirror, x, labels)
 		}
 	}
 	// The shard executor (Workers ≥ 2, or Dist) replaces only the
@@ -574,6 +569,25 @@ func newRun(m *Model, train *Dataset, cfg TrainConfig) (*run, error) {
 		r.stepFn = r.exec.Step
 	}
 	return r, nil
+}
+
+// virtualizeWeights moves every Linear and Conv2D weight of m to CSR
+// storage under db.
+func virtualizeWeights(m *Model, db *core.DropBack) error {
+	var err error
+	nn.Walk(m.Net, func(l nn.Layer) {
+		var w *nn.Param
+		switch t := l.(type) {
+		case *nn.Linear:
+			w = t.W
+		case *nn.Conv2D:
+			w = t.W
+		}
+		if w != nil && err == nil {
+			err = db.Virtualize(w)
+		}
+	})
+	return err
 }
 
 // openCheckpoints builds the managed-checkpoint Manager (nil without
@@ -764,7 +778,7 @@ func (r *run) epochTelemetry(es EpochStats, examples int, trainDur time.Duration
 		r.rec.Gauge("dropback/regenerations", float64(r.db.Regenerations()))
 		r.rec.Gauge("dropback/tracked_writes", float64(r.db.TrackedWrites()))
 	}
-	if r.mirror != nil {
+	if r.cfg.SparseTrain {
 		// Its presence marks a run on CSR storage.
 		r.rec.Gauge("dropback/weight_state_bytes", float64(r.db.WeightStateBytes()))
 	}
@@ -783,10 +797,14 @@ func (r *run) epochTelemetry(es EpochStats, examples int, trainDur time.Duration
 	})
 }
 
-// finish completes the result once the loop ends, restoring the best
-// weights so the returned model matches BestValAcc.
+// finish completes the result once the loop ends, moving every weight back
+// to dense storage and restoring the best weights so the returned model
+// matches BestValAcc.
 func (r *run) finish(diff *stats.Diffusion) *Result {
 	res := r.res
+	if r.cfg.SparseTrain {
+		r.db.Devirtualize()
+	}
 	if res.BestEpoch > 0 {
 		r.m.Set.Restore(r.bestParams)
 		nn.RestoreBNState(r.m.Net, r.bestBN)

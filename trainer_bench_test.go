@@ -6,7 +6,6 @@ import (
 
 	"dropback/internal/core"
 	"dropback/internal/optim"
-	"dropback/internal/sparsenn"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
 )
@@ -65,8 +64,7 @@ func BenchmarkSparseTrainStep(b *testing.B) {
 	const budget = 8961 // 10% of the 89610-parameter MLP
 	m := MNIST100100(1)
 	eng := core.New(m.Set, core.Config{Budget: budget, FreezeAfterEpoch: 0})
-	mirror, err := sparsenn.NewTrainingMirror(m, eng)
-	if err != nil {
+	if err := virtualizeWeights(m, eng); err != nil {
 		b.Fatal(err)
 	}
 	x := tensor.New(batch, 784)
@@ -81,15 +79,15 @@ func BenchmarkSparseTrainStep(b *testing.B) {
 	// One pre-freeze step selects the tracked set, then freezing drops the
 	// dense candidate state; one frozen step warms the steady-state
 	// workspaces the loop reuses.
-	sparsenn.TrainStep(m, mirror, x, labels)
+	m.Step(x, labels)
 	eng.Update(sgd)
 	eng.MaybeFreezeAtEpochEnd(0)
-	sparsenn.TrainStep(m, mirror, x, labels)
+	m.Step(x, labels)
 	eng.Update(sgd)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparsenn.TrainStep(m, mirror, x, labels)
+		m.Step(x, labels)
 		eng.Update(sgd)
 	}
 	b.StopTimer()

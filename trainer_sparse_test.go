@@ -9,7 +9,6 @@ import (
 	"dropback/internal/data"
 	"dropback/internal/models"
 	"dropback/internal/nn"
-	"dropback/internal/sparsenn"
 	"dropback/internal/telemetry"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
@@ -31,10 +30,10 @@ func synthImageTrainVal(n, c, side, classes int, seed uint64) (train, val *Datas
 	return ds.Split(n * 2 / 3)
 }
 
-// sparseTestBNResModel exercises every container and shared-layer kind the
-// training mirror handles: Residual with a conv shortcut, BatchNorm (whose
-// running statistics must advance in lockstep), Dropout (whose RNG stream
-// must advance in lockstep), and a DenseBlock.
+// sparseTestBNResModel exercises every container and stateful layer a
+// SparseTrain run passes through: Residual with a conv shortcut, BatchNorm
+// (whose running statistics must advance in lockstep), Dropout (whose RNG
+// stream must advance in lockstep), and a DenseBlock.
 func sparseTestBNResModel(seed uint64) *Model {
 	net := nn.NewSequential("sbr",
 		nn.NewConv2D("sbr/c0", seed, 1, 4, 3, 1, 1),
@@ -159,9 +158,9 @@ func TestSparseTrainerBitIdenticalMLP(t *testing.T) {
 }
 
 // TestSparseTrainEmitsLayerSpans pins per-layer tracing on the sparse path:
-// the training mirror's containers are instrumented like the model's, so a
-// sparse run records the same (layer, phase) spans with the same counts as
-// the dense run of the same configuration.
+// a sparse run steps the model's own instrumented layers, so it records the
+// same (layer, phase) spans with the same counts as the dense run of the
+// same configuration.
 func TestSparseTrainEmitsLayerSpans(t *testing.T) {
 	train, val := synthImageTrainVal(18, 1, 6, 4, 45)
 	spans := func(sparse bool) map[string]int64 {
@@ -195,9 +194,9 @@ func TestSparseTrainEmitsLayerSpans(t *testing.T) {
 	}
 }
 
-// TestSparseTrainerBitIdenticalDropout pins the shared-stochastic-layer
-// contract: the mirror shares Dropout instances with the dense tree, so the
-// mask stream — and therefore the whole run — matches bit for bit.
+// TestSparseTrainerBitIdenticalDropout pins the stochastic-layer contract:
+// moving the weights to CSR storage leaves the Dropout mask stream — and
+// therefore the whole run — bit for bit where the dense run has it.
 func TestSparseTrainerBitIdenticalDropout(t *testing.T) {
 	train, val := synthTrainVal(36, 12, 4, 9)
 	for _, freeze := range []int{-1, 1} {
@@ -231,7 +230,7 @@ func TestSparseTrainerBitIdenticalConv(t *testing.T) {
 
 // TestSparseTrainerBitIdenticalBNResidualDense covers the remaining layer
 // zoo: BatchNorm statistics, Residual with identity shortcut, DenseBlock
-// channel concatenation, and Dropout — all shared with the dense tree.
+// channel concatenation, and Dropout, whose parameters stay dense.
 func TestSparseTrainerBitIdenticalBNResidualDense(t *testing.T) {
 	train, val := synthImageTrainVal(18, 1, 6, 4, 21)
 	cfg := TrainConfig{
@@ -251,6 +250,70 @@ func TestSparseTrainerBitIdenticalBNResidualDense(t *testing.T) {
 	gotLoss, gotAcc := Evaluate(mGot, val, 6)
 	assertF64BitsEqual(t, "bnres eval loss", refLoss, gotLoss)
 	assertF64BitsEqual(t, "bnres eval acc", refAcc, gotAcc)
+}
+
+// TestSparseTrainHandsBackDenseStorage pins TrainE's contract that a
+// SparseTrain run returns a plain model: no parameter is left on CSR
+// storage, and the model evaluates and takes a further step byte for byte
+// like the dense run's. A run that fails after its weights moved to CSR
+// storage hands the model back dense too.
+func TestSparseTrainHandsBackDenseStorage(t *testing.T) {
+	train, val := synthImageTrainVal(24, 1, 6, 4, 15)
+	onCSR := func(m *Model) string {
+		for _, p := range m.Set.Params() {
+			if p.CSR != nil {
+				return p.Name
+			}
+		}
+		return ""
+	}
+	for _, freeze := range []int{-1, 0} {
+		cfg := TrainConfig{
+			Method: MethodDropBack, Budget: 70, FreezeAfterEpoch: freeze,
+			Epochs: 2, BatchSize: 5, Seed: 17,
+		}
+		ctx := "freeze=" + itoa(freeze)
+		dense, sparse := parTestConvModel(9), parTestConvModel(9)
+		res, err := TrainE(dense, train, val, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BestEpoch >= cfg.Epochs {
+			t.Fatalf("%s: setup: best epoch %d is the last, so restoring it is not observable", ctx, res.BestEpoch)
+		}
+		cfg.SparseTrain = true
+		if _, err := TrainE(sparse, train, val, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if name := onCSR(sparse); name != "" {
+			t.Fatalf("%s: %s is still on CSR storage after TrainE", ctx, name)
+		}
+		assertF32BitsEqual(t, ctx+": best params", dense.Set.Snapshot(), sparse.Set.Snapshot())
+		dl, da := Evaluate(dense, val, 4)
+		sl, sa := Evaluate(sparse, val, 4)
+		assertF64BitsEqual(t, ctx+": eval loss", dl, sl)
+		assertF64BitsEqual(t, ctx+": eval acc", da, sa)
+		x, y := train.Batch(0, 5)
+		dl, da = dense.Step(x, y)
+		sl, sa = sparse.Step(x, y)
+		assertF64BitsEqual(t, ctx+": step loss", dl, sl)
+		assertF64BitsEqual(t, ctx+": step acc", da, sa)
+		for i, p := range dense.Set.Params() {
+			assertF32BitsEqual(t, ctx+": step grad "+p.Name, p.Grad.Data, sparse.Set.Params()[i].Grad.Data)
+		}
+	}
+
+	m := parTestConvModel(9)
+	cfg := TrainConfig{
+		Method: MethodDropBack, Budget: 70, Epochs: 1, BatchSize: 5, Seed: 17, SparseTrain: true,
+		ResumeFrom: &checkpoint.TrainState{Epoch: -1},
+	}
+	if _, err := TrainE(m, train, val, cfg); err == nil {
+		t.Fatal("a negative resume epoch was accepted")
+	}
+	if name := onCSR(m); name != "" {
+		t.Fatalf("failed run: %s is still on CSR storage", name)
+	}
 }
 
 // TestSparseTrainerCrossResume proves checkpoints are interchangeable
@@ -408,7 +471,7 @@ func TestWeightStateGaugeOnlyOnCSRStorage(t *testing.T) {
 		t.Fatalf("final checkpoint: state %v, err %v", ts, err)
 	}
 	eng := core.New(m.Set, core.Config{Budget: cfg.Budget, FreezeAfterEpoch: cfg.FreezeAfterEpoch})
-	if _, err := sparsenn.NewTrainingMirror(m, eng); err != nil {
+	if err := virtualizeWeights(m, eng); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RestoreState(*ts.DropBack); err != nil {
