@@ -39,11 +39,11 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short coverage-guided runs of every committed byte-decoder fuzzer
+# Short coverage-guided runs of every committed fuzzer: the byte decoders
 # (checkpoint, dist wire, sparse artifact, serve reload and predict request,
-# IDX and CIFAR-10 readers), mirroring the CI fuzz smoke steps. go test
-# fuzzes one target per run, so packages with several fuzzers take an
-# anchored -fuzz pattern each.
+# IDX and CIFAR-10 readers) and the shard executor's sample split, mirroring
+# the CI fuzz smoke steps. go test fuzzes one target per run, so packages
+# with several fuzzers take an anchored -fuzz pattern each.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run=Fuzz -fuzz=FuzzReadFrame -fuzztime=10s ./internal/dist
@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz='^FuzzReadIDXImages$$' -fuzztime=10s ./internal/data
 	$(GO) test -run=Fuzz -fuzz='^FuzzReadIDXLabels$$' -fuzztime=10s ./internal/data
 	$(GO) test -run=Fuzz -fuzz='^FuzzReadCIFAR10Binary$$' -fuzztime=10s ./internal/data
+	$(GO) test -run=Fuzz -fuzz='^FuzzShardRanges$$' -fuzztime=10s .
 
 # Repo-wide: the data-parallel training executor put goroutines in the
 # trainer hot path, so every package that touches a model now runs under

@@ -79,7 +79,8 @@ func LoadSparse(path string) (*SparseArtifact, error) { return sparse.Load(path)
 func ReadSparse(r io.Reader) (*SparseArtifact, error) { return sparse.Read(r) }
 
 // NewModelReplica wraps a dense model as a serving-pool replica, for
-// ServeConfig.Compile callbacks that rebuild dense pools from artifact bytes.
+// ServeConfig.NewSparseReplica and for Compile callbacks that rebuild dense
+// pools from artifact bytes.
 func NewModelReplica(m *Model) ServeReplica { return serve.ModelReplica{M: m} }
 
 // SaveCheckpoint writes a dense checkpoint (all weights + batch norm
@@ -187,7 +188,7 @@ var (
 	ErrBadArtifact = serve.ErrBadArtifact
 )
 
-// NewServer builds the replica pool (calling cfg.NewReplica once per
+// NewServer builds the replica pool (calling cfg.NewSparseReplica once per
 // replica — cheap for artifact-seeded models, which is the paper's
 // deployment point) and starts the micro-batcher.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }

@@ -42,6 +42,15 @@ func ftVDMLP(seed uint64) (*dropback.Model, *dropback.Dataset, *dropback.Dataset
 	return models.ReducedMNISTMLP("vd", 14, 32, 32, seed, prune.Variational{}), train, val
 }
 
+// ftVDConv is ftConv with variational-dropout convolutions and fully
+// connected layers: the noise streams of the VD layers travel with the BN
+// statistics and dropout state.
+func ftVDConv(seed uint64) (*dropback.Model, *dropback.Dataset, *dropback.Dataset) {
+	ds := dropback.CIFARLikeSized(120, 8, seed)
+	train, val := ds.Split(96)
+	return dropback.VGGSReduced(8, 2, seed, true), train, val
+}
+
 func snapshotsEqual(t *testing.T, a, b []float32, label string) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -155,6 +164,9 @@ func TestResumeDeterminism(t *testing.T) {
 		{"mlp/variational", ftVDMLP, dropback.TrainConfig{
 			Method: dropback.MethodVariational, KLScale: 1.0 / 160, Schedule: optim.Constant(0.05),
 			Epochs: 3, BatchSize: 32, Seed: 5}, 0},
+		{"conv/variational", ftVDConv, dropback.TrainConfig{
+			Method: dropback.MethodVariational, KLScale: 1.0 / 96, Schedule: optim.Constant(0.05),
+			Epochs: 3, BatchSize: 16, Seed: 5}, 0},
 		{"mlp/dsd", ftMLP, dropback.TrainConfig{
 			Method: dropback.MethodDSD, DSDSparseFraction: 0.3, DSDSparseStart: 0, DSDSparseEnd: 2,
 			Epochs: 3, BatchSize: 32, Seed: 5}, 0},

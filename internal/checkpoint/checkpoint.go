@@ -59,7 +59,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Checkpoint struct {
 	Seed   uint64
 	Params []ParamBlob
-	BNs    []BNBlob
+	BNs    []nn.BNStats
 	// Train carries the resumable training state, when the checkpoint was
 	// written mid-run (nil for plain model exports and all version-1 files).
 	Train *TrainState
@@ -72,13 +72,6 @@ type ParamBlob struct {
 	Data  []float32
 }
 
-// BNBlob is one batch-norm layer's running statistics.
-type BNBlob struct {
-	Name        string
-	RunningMean []float32
-	RunningVar  []float32
-}
-
 // Capture snapshots a model into a Checkpoint.
 func Capture(m *nn.Model) *Checkpoint {
 	ck := &Checkpoint{Seed: m.Seed}
@@ -89,15 +82,7 @@ func Capture(m *nn.Model) *Checkpoint {
 		copy(data, p.Value.Data)
 		ck.Params = append(ck.Params, ParamBlob{Name: p.Name, Shape: shape, Data: data})
 	}
-	nn.Walk(m.Net, func(l nn.Layer) {
-		if bn, ok := l.(*nn.BatchNorm); ok {
-			mean := make([]float32, bn.C)
-			variance := make([]float32, bn.C)
-			copy(mean, bn.RunningMean)
-			copy(variance, bn.RunningVar)
-			ck.BNs = append(ck.BNs, BNBlob{Name: bn.Name(), RunningMean: mean, RunningVar: variance})
-		}
-	})
+	ck.BNs = nn.CaptureBNStats(m.Net)
 	return ck
 }
 
@@ -116,38 +101,14 @@ func (ck *Checkpoint) Apply(m *nn.Model) error {
 			return fmt.Errorf("checkpoint: parameter %q has %d elements, checkpoint holds %d", blob.Name, p.Len(), len(blob.Data))
 		}
 	}
-	bnByName := map[string]BNBlob{}
-	for _, b := range ck.BNs {
-		bnByName[b.Name] = b
-	}
-	var validateErr error
-	nn.Walk(m.Net, func(l nn.Layer) {
-		bn, ok := l.(*nn.BatchNorm)
-		if !ok || validateErr != nil {
-			return
-		}
-		blob, ok := bnByName[bn.Name()]
-		if !ok {
-			return // model BN absent from checkpoint: keep defaults
-		}
-		if len(blob.RunningMean) != bn.C {
-			validateErr = fmt.Errorf("checkpoint: batch norm %q has %d channels, checkpoint holds %d", bn.Name(), bn.C, len(blob.RunningMean))
-		}
-	})
-	if validateErr != nil {
-		return validateErr
+	// The parameters are checked, so once the statistics apply (or are
+	// rejected, unwritten) nothing below can fail.
+	if err := nn.ApplyBNStats(m.Net, ck.BNs); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	for _, blob := range ck.Params {
 		copy(m.Set.ByName(blob.Name).Value.Data, blob.Data)
 	}
-	nn.Walk(m.Net, func(l nn.Layer) {
-		if bn, ok := l.(*nn.BatchNorm); ok {
-			if blob, ok := bnByName[bn.Name()]; ok {
-				copy(bn.RunningMean, blob.RunningMean)
-				copy(bn.RunningVar, blob.RunningVar)
-			}
-		}
-	})
 	return nil
 }
 
@@ -347,7 +308,7 @@ func readParamsPayload(r io.Reader, ck *Checkpoint) error {
 }
 
 // writeBNPayload encodes the batch-norm statistics.
-func writeBNPayload(w io.Writer, bns []BNBlob) error {
+func writeBNPayload(w io.Writer, bns []nn.BNStats) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(bns))); err != nil {
 		return err
 	}
@@ -397,7 +358,7 @@ func readBNPayload(r io.Reader, ck *Checkpoint) error {
 		if err != nil {
 			return err
 		}
-		ck.BNs = append(ck.BNs, BNBlob{Name: name, RunningMean: mean, RunningVar: variance})
+		ck.BNs = append(ck.BNs, nn.BNStats{Name: name, RunningMean: mean, RunningVar: variance})
 	}
 	return nil
 }

@@ -30,10 +30,10 @@ func (slowLayer) Params() []*nn.Param                       { return nil }
 func testServer(t *testing.T, serviceTime time.Duration, queueDepth int) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	s, err := serve.New(serve.Config{
-		NewReplica: func() (*nn.Model, error) {
+		NewSparseReplica: func() (serve.Replica, error) {
 			inner := models.NewMLP(models.MLPConfig{Name: "lg", In: 8, Hidden: []int{6}, Classes: 3, Seed: 2})
 			seq := nn.NewSequential("lg-slow", slowLayer{serviceTime}, inner.Net)
-			return nn.NewModel(seq, 2), nil
+			return serve.ModelReplica{M: nn.NewModel(seq, 2)}, nil
 		},
 		InputShape: []int{8},
 		Replicas:   1,

@@ -58,7 +58,8 @@ func convWeight(name string, modelSeed uint64, inC, outC, k int) *Param {
 // NewConv2DOver builds a k×k convolution over existing parameters: w holds
 // the (OutC, InC, k, k) filters on either storage and b, nil for none, the
 // OutC biases. Inference executors use it to share one copy of the weights
-// between replicas.
+// between replicas, and variational-dropout layers to compute over the
+// noisy weights they sample.
 func NewConv2DOver(name string, inC, outC, k, stride, pad int, w, b *Param) *Conv2D {
 	return &Conv2D{
 		name: name, InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad,

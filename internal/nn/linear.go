@@ -44,7 +44,8 @@ func NewLinearNoBias(name string, modelSeed uint64, in, out int) *Linear {
 // NewLinearOver builds a fully connected layer over existing parameters: w
 // holds (Out, In) weights on either storage and b, nil for none, the Out
 // biases. Inference executors use it to share one copy of the weights
-// between replicas.
+// between replicas, and variational-dropout layers to compute over the
+// noisy weights they sample.
 func NewLinearOver(name string, in, out int, w, b *Param) *Linear {
 	return &Linear{name: name, In: in, Out: out, W: w, B: b, ws: tensor.NewWorkspace()}
 }
@@ -113,7 +114,7 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		// weight partial dW_s = dy_sᵀ x_s lands in its own slab row,
 		// computed by the same k=1 kernel a batch-1 backward runs — so the
 		// trainer's ascending-sample reduction replays the full-batch
-		// MatMulTransA accumulation (ascending k from a cleared buffer) bit
+		// MatMulTransAInto accumulation (ascending k from a cleared buffer) bit
 		// for bit. Each bias row is sample s's dy row folded into a zeroed
 		// accumulator (0 + v, not a copy: dy can carry −0.0, which the
 		// sequential accumulate-from-cleared-buffer path normalizes to
@@ -136,7 +137,7 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		return l.inputGrad(dy)
 	case l.W.trackedGrad():
 		// Frozen CSR weight: only the tracked entries have a gradient. Each
-		// tracked (r,c) replays the dense MatMulTransA element alone — an
+		// tracked (r,c) replays the dense MatMulTransAInto element alone — an
 		// ascending-sample fold from zero that skips dy[p][r]==0 — which is
 		// the value the dense path would add to a zeroed W.Grad.
 		t := l.W.CSR

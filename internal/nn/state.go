@@ -1,5 +1,76 @@
 package nn
 
+import "fmt"
+
+// BNStats is one BatchNorm's running statistics under its layer name, the
+// record checkpoints and sparse artifacts store.
+type BNStats struct {
+	Name        string
+	RunningMean []float32
+	RunningVar  []float32
+}
+
+// CaptureBNStats copies the running statistics of every BatchNorm under
+// root, in walk order.
+func CaptureBNStats(root Layer) []BNStats {
+	var out []BNStats
+	Walk(root, func(l Layer) {
+		if bn, ok := l.(*BatchNorm); ok {
+			out = append(out, BNStats{
+				Name:        bn.Name(),
+				RunningMean: append([]float32(nil), bn.RunningMean...),
+				RunningVar:  append([]float32(nil), bn.RunningVar...),
+			})
+		}
+	})
+	return out
+}
+
+// LookupBNStats returns the entry of stats named after bn, or nil when
+// there is none. An entry whose channel count differs from bn's is an
+// error; its message carries no package prefix, so callers add theirs.
+func LookupBNStats(stats []BNStats, bn *BatchNorm) (*BNStats, error) {
+	for i := range stats {
+		s := &stats[i]
+		if s.Name != bn.Name() {
+			continue
+		}
+		if len(s.RunningMean) != bn.C || len(s.RunningVar) != bn.C {
+			return nil, fmt.Errorf("batch norm %q has %d channels, stored statistics hold %d", bn.Name(), bn.C, len(s.RunningMean))
+		}
+		return s, nil
+	}
+	return nil, nil
+}
+
+// ApplyBNStats writes stats into the BatchNorms under root, matched by name
+// (see LookupBNStats); a BatchNorm without an entry keeps its statistics.
+// Every entry is checked before any is written, so on error root is
+// unchanged.
+func ApplyBNStats(root Layer, stats []BNStats) error {
+	var bns []*BatchNorm
+	var found []*BNStats
+	var err error
+	Walk(root, func(l Layer) {
+		bn, ok := l.(*BatchNorm)
+		if !ok || err != nil {
+			return
+		}
+		var s *BNStats
+		if s, err = LookupBNStats(stats, bn); s != nil {
+			bns, found = append(bns, bn), append(found, s)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for i, bn := range bns {
+		copy(bn.RunningMean, found[i].RunningMean)
+		copy(bn.RunningVar, found[i].RunningVar)
+	}
+	return nil
+}
+
 // CaptureBNState copies every BatchNorm's running statistics, walking the
 // layer tree in deterministic order. One entry per BatchNorm, the layer's
 // running mean followed by its running variance. These statistics live

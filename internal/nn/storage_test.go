@@ -148,16 +148,17 @@ func TestWeightStoragesGiveSameBytes(t *testing.T) {
 // assertLinearMatchesMatMul checks a dense Linear's forward, input gradient
 // and parameter gradients (accumulated once into zeroed Grads) byte for byte
 // against the tensor matrix kernels on the same inputs: y = x Wᵀ + b with
-// MatMulTransB and AddRowVector, dx = dy W with MatMulInto, and W.Grad =
+// MatMulTransBSlice and AddRowVector, dx = dy W with MatMulInto, and W.Grad =
 // 0 + dyᵀ x with MatMulTransAInto, so the row-walking layer kernels keep
 // those kernels' float sequences.
 func assertLinearMatchesMatMul(t *testing.T, l *Linear, x, y, dy, dx *tensor.Tensor) {
 	t.Helper()
-	wantY := tensor.MatMulTransB(x, l.W.Value)
+	wantY := tensor.New(y.Shape...)
+	tensor.MatMulTransBSlice(wantY.Data, x.Data, l.W.Value.Data, x.Shape[0], l.In, l.Out)
 	if l.B != nil {
 		tensor.AddRowVector(wantY, l.B.Value)
 	}
-	assertSameBits(t, "y against MatMulTransB", y.Data, wantY.Data)
+	assertSameBits(t, "y against MatMulTransBSlice", y.Data, wantY.Data)
 	wantDx := tensor.MatMulInto(tensor.New(dx.Shape...), dy, l.W.Value)
 	assertSameBits(t, "dx against MatMulInto", dx.Data, wantDx.Data)
 	wantDW := tensor.New(l.W.Value.Shape...)

@@ -98,7 +98,8 @@ func TestMagnitudeBadFractionPanics(t *testing.T) {
 func TestVDLinearForwardEvalIsDeterministic(t *testing.T) {
 	l := NewVDLinear("vd/fc", 3, 4, 2)
 	x := tensor.Full(1, 2, 4)
-	a := l.Forward(x, false)
+	// The output is workspace-owned: clone it before the next Forward.
+	a := l.Forward(x, false).Clone()
 	b := l.Forward(x, false)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
@@ -419,13 +420,13 @@ func TestFactories(t *testing.T) {
 	if _, ok := std.Linear("f/a", 1, 2, 2).(*nn.Linear); !ok {
 		t.Fatal("Standard.Linear type")
 	}
-	if _, ok := vd.Linear("f/b", 1, 2, 2).(*VDLinear); !ok {
+	if _, ok := vd.Linear("f/b", 1, 2, 2).(*VDLayer); !ok {
 		t.Fatal("Variational.Linear type")
 	}
 	if _, ok := std.Conv2DNoBias("f/c", 1, 1, 1, 3, 1, 1).(*nn.Conv2D); !ok {
 		t.Fatal("Standard.Conv2DNoBias type")
 	}
-	if _, ok := vd.Conv2D("f/d", 1, 1, 1, 3, 1, 1).(*VDConv2D); !ok {
+	if _, ok := vd.Conv2D("f/d", 1, 1, 1, 3, 1, 1).(*VDLayer); !ok {
 		t.Fatal("Variational.Conv2D type")
 	}
 }

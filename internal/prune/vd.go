@@ -40,8 +40,8 @@ func vdKLAndGrad(logAlpha float64) (kl, grad float64) {
 	return -negKL, -dNeg
 }
 
-// vdNoise owns the θ/logα parameter pair and the per-step noise state that
-// both VD layer types share.
+// vdNoise owns a VD layer's θ/logα parameter pair and its per-step noise
+// state.
 type vdNoise struct {
 	Theta    *nn.Param
 	LogAlpha *nn.Param
@@ -123,179 +123,87 @@ func (v *vdNoise) sparsity(threshold float32) (pruned, total int) {
 	return pruned, v.LogAlpha.Len()
 }
 
-// VDLinear is a fully connected layer with variational-dropout weights.
-type VDLinear struct {
-	name    string
-	In, Out int
-	noise   *vdNoise
-	B       *nn.Param
-	x       *tensor.Tensor
+// VDLayer is a fully connected or convolution layer with variational-dropout
+// weights. It computes nothing itself: Forward samples the noisy weights
+// into the weight an ordinary nn.Linear or nn.Conv2D reads, and Backward
+// folds that weight's gradient into θ and logα.
+type VDLayer struct {
+	noise *vdNoise
+	B     *nn.Param
+	// w is the inner layer's weight: its Value is noise.noisy, and it is
+	// not in the ParamSet — θ and logα are what trains.
+	w     *nn.Param
+	inner nn.Layer
 	// PruneThreshold is the logα above which a weight is dropped at
 	// inference (Molchanov et al. use 3).
 	PruneThreshold float32
 }
 
 // NewVDLinear builds a variational-dropout fully connected layer.
-func NewVDLinear(name string, modelSeed uint64, in, out int) *VDLinear {
-	theta := nn.NewParam(name+"/theta", modelSeed, xorshift.InitScaledNormal, xorshift.LeCunScale(in), out, in)
-	logA := nn.NewParam(name+"/logalpha", modelSeed, xorshift.InitConstant, -8, out, in)
-	return &VDLinear{
-		name: name, In: in, Out: out,
-		noise:          newVDNoise(theta, logA, xorshift.TensorSeed(modelSeed, nn.NameID(name+"/noise"))),
-		B:              nn.NewParam(name+"/b", modelSeed, xorshift.InitZero, 0, out),
+func NewVDLinear(name string, modelSeed uint64, in, out int) *VDLayer {
+	l := newVDLayer(name, modelSeed, xorshift.LeCunScale(in), out, in)
+	l.inner = nn.NewLinearOver(name, in, out, l.w, l.B)
+	return l
+}
+
+// NewVDConv2D builds a variational-dropout k×k convolution.
+func NewVDConv2D(name string, modelSeed uint64, inC, outC, k, stride, pad int) *VDLayer {
+	l := newVDLayer(name, modelSeed, xorshift.HeScale(inC*k*k), outC, inC, k, k)
+	l.inner = nn.NewConv2DOver(name, inC, outC, k, stride, pad, l.w, l.B)
+	return l
+}
+
+// newVDLayer builds the parameters and noise state of a VD layer whose
+// weight has the given shape, output units first.
+func newVDLayer(name string, modelSeed uint64, scale float32, shape ...int) *VDLayer {
+	theta := nn.NewParam(name+"/theta", modelSeed, xorshift.InitScaledNormal, scale, shape...)
+	logA := nn.NewParam(name+"/logalpha", modelSeed, xorshift.InitConstant, -8, shape...)
+	noise := newVDNoise(theta, logA, xorshift.TensorSeed(modelSeed, nn.NameID(name+"/noise")))
+	return &VDLayer{
+		noise:          noise,
+		B:              nn.NewParam(name+"/b", modelSeed, xorshift.InitZero, 0, shape[0]),
+		w:              &nn.Param{Name: name + "/W", Value: tensor.FromSlice(noise.noisy, shape...), Grad: tensor.New(shape...)},
 		PruneThreshold: 3,
 	}
 }
 
 // Name implements nn.Layer.
-func (l *VDLinear) Name() string { return l.name }
+func (l *VDLayer) Name() string { return l.inner.Name() }
 
-// Forward implements nn.Layer.
-func (l *VDLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.x = x
+// Forward implements nn.Layer. The output is the inner layer's, valid until
+// the next Forward.
+func (l *VDLayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.noise.sampleNoisy(train, l.PruneThreshold)
-	w := tensor.FromSlice(l.noise.noisy, l.Out, l.In)
-	y := tensor.MatMulTransB(x, w)
-	tensor.AddRowVector(y, l.B.Value)
-	return y
+	return l.inner.Forward(x, train)
 }
 
-// Backward implements nn.Layer.
-func (l *VDLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dW := tensor.MatMulTransA(dy, l.x)
-	l.noise.accumulateGrads(dW.Data)
-	tensor.AddInPlace(l.B.Grad, tensor.ColSums(dy))
-	w := tensor.FromSlice(l.noise.noisy, l.Out, l.In)
-	return tensor.MatMul(dy, w)
+// Backward implements nn.Layer. The inner layer adds the noisy weights'
+// gradient to w.Grad, cleared first so that it holds this step's alone.
+func (l *VDLayer) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	l.w.ZeroGrad()
+	dx := l.inner.Backward(dy)
+	l.noise.accumulateGrads(l.w.Grad.Data)
+	return dx
 }
 
 // Params implements nn.Layer.
-func (l *VDLinear) Params() []*nn.Param {
+func (l *VDLayer) Params() []*nn.Param {
 	return []*nn.Param{l.noise.Theta, l.noise.LogAlpha, l.B}
 }
 
 // RNGState implements nn.RNGStateful: the noise stream's current position,
 // so checkpoints and rollback snapshots rewind the ε draws with the weights.
-func (l *VDLinear) RNGState() uint64 { return l.noise.rng.State() }
+func (l *VDLayer) RNGState() uint64 { return l.noise.rng.State() }
 
 // SetRNGState implements nn.RNGStateful.
-func (l *VDLinear) SetRNGState(s uint64) { l.noise.rng.SetState(s) }
-
-// VDConv2D is a 2-D convolution with variational-dropout weights.
-type VDConv2D struct {
-	name           string
-	InC, OutC      int
-	K, Stride, Pad int
-	noise          *vdNoise
-	B              *nn.Param
-	cols           []*tensor.Tensor
-	inShape        []int
-	outH, outW     int
-	PruneThreshold float32
-}
-
-// NewVDConv2D builds a variational-dropout convolution layer.
-func NewVDConv2D(name string, modelSeed uint64, inC, outC, k, stride, pad int) *VDConv2D {
-	fanIn := inC * k * k
-	theta := nn.NewParam(name+"/theta", modelSeed, xorshift.InitScaledNormal, xorshift.HeScale(fanIn), outC, inC, k, k)
-	logA := nn.NewParam(name+"/logalpha", modelSeed, xorshift.InitConstant, -8, outC, inC, k, k)
-	return &VDConv2D{
-		name: name, InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad,
-		noise:          newVDNoise(theta, logA, xorshift.TensorSeed(modelSeed, nn.NameID(name+"/noise"))),
-		B:              nn.NewParam(name+"/b", modelSeed, xorshift.InitZero, 0, outC),
-		PruneThreshold: 3,
-	}
-}
-
-// Name implements nn.Layer.
-func (l *VDConv2D) Name() string { return l.name }
-
-// Forward implements nn.Layer.
-func (l *VDConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	l.inShape = append(l.inShape[:0], x.Shape...)
-	l.outH = tensor.ConvOutSize(h, l.K, l.Stride, l.Pad)
-	l.outW = tensor.ConvOutSize(w, l.K, l.Stride, l.Pad)
-	l.noise.sampleNoisy(train, l.PruneThreshold)
-	wm := tensor.FromSlice(l.noise.noisy, l.OutC, l.InC*l.K*l.K)
-	y := tensor.New(n, l.OutC, l.outH, l.outW)
-	l.cols = l.cols[:0]
-	perSample := l.OutC * l.outH * l.outW
-	for i := 0; i < n; i++ {
-		img := tensor.FromSlice(x.Data[i*l.InC*h*w:(i+1)*l.InC*h*w], l.InC, h, w)
-		cols := tensor.Im2Col(img, l.K, l.K, l.Stride, l.Pad)
-		l.cols = append(l.cols, cols)
-		ym := tensor.MatMul(wm, cols)
-		copy(y.Data[i*perSample:(i+1)*perSample], ym.Data)
-	}
-	for i := 0; i < n; i++ {
-		for f := 0; f < l.OutC; f++ {
-			b := l.B.Value.Data[f]
-			base := (i*l.OutC + f) * l.outH * l.outW
-			plane := y.Data[base : base+l.outH*l.outW]
-			for j := range plane {
-				plane[j] += b
-			}
-		}
-	}
-	return y
-}
-
-// Backward implements nn.Layer.
-func (l *VDConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	n := l.inShape[0]
-	h, w := l.inShape[2], l.inShape[3]
-	wm := tensor.FromSlice(l.noise.noisy, l.OutC, l.InC*l.K*l.K)
-	dWm := tensor.New(l.OutC, l.InC*l.K*l.K)
-	dx := tensor.New(l.inShape...)
-	spatial := l.outH * l.outW
-	for i := 0; i < n; i++ {
-		dyM := tensor.FromSlice(dy.Data[i*l.OutC*spatial:(i+1)*l.OutC*spatial], l.OutC, spatial)
-		tensor.AddInPlace(dWm, tensor.MatMulTransB(dyM, l.cols[i]))
-		for f := 0; f < l.OutC; f++ {
-			var s float64
-			row := dyM.Data[f*spatial : (f+1)*spatial]
-			for _, v := range row {
-				s += float64(v)
-			}
-			l.B.Grad.Data[f] += float32(s)
-		}
-		dcols := tensor.MatMulTransA(wm, dyM)
-		dimg := tensor.Col2Im(dcols, l.InC, h, w, l.K, l.K, l.Stride, l.Pad)
-		copy(dx.Data[i*l.InC*h*w:(i+1)*l.InC*h*w], dimg.Data)
-	}
-	l.noise.accumulateGrads(dWm.Data)
-	return dx
-}
-
-// Params implements nn.Layer.
-func (l *VDConv2D) Params() []*nn.Param {
-	return []*nn.Param{l.noise.Theta, l.noise.LogAlpha, l.B}
-}
-
-// RNGState implements nn.RNGStateful (see VDLinear.RNGState).
-func (l *VDConv2D) RNGState() uint64 { return l.noise.rng.State() }
-
-// SetRNGState implements nn.RNGStateful.
-func (l *VDConv2D) SetRNGState(s uint64) { l.noise.rng.SetState(s) }
-
-// vdLayer is the coordination surface the VD controller needs.
-type vdLayer interface {
-	klNoise() *vdNoise
-	threshold() float32
-}
-
-func (l *VDLinear) klNoise() *vdNoise  { return l.noise }
-func (l *VDLinear) threshold() float32 { return l.PruneThreshold }
-func (l *VDConv2D) klNoise() *vdNoise  { return l.noise }
-func (l *VDConv2D) threshold() float32 { return l.PruneThreshold }
+func (l *VDLayer) SetRNGState(s uint64) { l.noise.rng.SetState(s) }
 
 // VD coordinates the variational-dropout layers of a model: it injects the
 // KL gradients before each optimizer step, clamps logα after it, and
 // reports the achieved sparsity.
 type VD struct {
 	set    *nn.ParamSet
-	layers []vdLayer
+	layers []*VDLayer
 	// KLScale multiplies the KL penalty (1/dataset-size in the ELBO).
 	KLScale float32
 }
@@ -305,7 +213,7 @@ type VD struct {
 func NewVD(set *nn.ParamSet, root nn.Layer, klScale float32) *VD {
 	v := &VD{set: set, KLScale: klScale}
 	nn.Walk(root, func(l nn.Layer) {
-		if t, ok := l.(vdLayer); ok {
+		if t, ok := l.(*VDLayer); ok {
 			v.layers = append(v.layers, t)
 		}
 	})
@@ -323,11 +231,11 @@ func (v *VD) BeginEpoch(int) {}
 // −1: there is no tracked set to report swaps for.
 func (v *VD) Update(opt *optim.SGD) int {
 	for _, l := range v.layers {
-		l.klNoise().addKLGrads(v.KLScale)
+		l.noise.addKLGrads(v.KLScale)
 	}
 	opt.Step(v.set)
 	for _, l := range v.layers {
-		l.klNoise().clamp()
+		l.noise.clamp()
 	}
 	return -1
 }
@@ -342,7 +250,7 @@ func (v *VD) Resume(int) {}
 // Sparsity returns the pruned and total weight counts across all VD layers.
 func (v *VD) Sparsity() (pruned, total int) {
 	for _, l := range v.layers {
-		p, t := l.klNoise().sparsity(l.threshold())
+		p, t := l.noise.sparsity(l.PruneThreshold)
 		pruned += p
 		total += t
 	}

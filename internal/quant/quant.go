@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"dropback/internal/nn"
 	"dropback/internal/sparse"
 )
 
@@ -114,7 +115,7 @@ type Artifact struct {
 	TotalParams int
 	Indices     []uint32
 	Values      Tensor
-	BNs         []sparse.BNStats
+	BNs         []nn.BNStats
 }
 
 // Compress quantizes a sparse artifact's stored values to the given bit

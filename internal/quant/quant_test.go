@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"dropback"
+	"dropback/internal/nn"
 	"dropback/internal/sparse"
 	"dropback/internal/xorshift"
 )
@@ -237,7 +238,7 @@ func TestArtifactPreservesIndicesAndBNs(t *testing.T) {
 	a := &sparse.Artifact{
 		ModelSeed: 9, TotalParams: 100,
 		Entries: []sparse.Entry{{Index: 3, Value: 0.5}, {Index: 50, Value: -0.25}},
-		BNs:     []sparse.BNStats{{Name: "bn", RunningMean: []float32{1}, RunningVar: []float32{2}}},
+		BNs:     []nn.BNStats{{Name: "bn", RunningMean: []float32{1}, RunningVar: []float32{2}}},
 	}
 	qa, err := quant.Compress(a, 8)
 	if err != nil {

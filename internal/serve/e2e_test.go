@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dropback"
+	"dropback/internal/serve"
 )
 
 func TestServeEndToEndHTTP(t *testing.T) {
@@ -37,10 +38,10 @@ func TestServeEndToEndHTTP(t *testing.T) {
 	}
 
 	srv, err := dropback.NewServer(dropback.ServeConfig{
-		NewReplica: func() (*dropback.Model, error) {
+		NewSparseReplica: serve.ModelReplicas(func() (*dropback.Model, error) {
 			m := dropback.MNIST100100(seed)
 			return m, loaded.Apply(m)
-		},
+		}),
 		InputShape: []int{784},
 		Replicas:   2,
 		MaxBatch:   4,
@@ -168,10 +169,10 @@ func TestServeQuantizedArtifact(t *testing.T) {
 	deq := qa.Decompress()
 
 	srv, err := dropback.NewServer(dropback.ServeConfig{
-		NewReplica: func() (*dropback.Model, error) {
+		NewSparseReplica: serve.ModelReplicas(func() (*dropback.Model, error) {
 			m := dropback.MNIST100100(seed)
 			return m, deq.Apply(m)
-		},
+		}),
 		InputShape: []int{784},
 		Replicas:   1,
 	})
@@ -197,10 +198,10 @@ func TestServeQuantizedArtifact(t *testing.T) {
 func ExampleNewServer() {
 	art := dropback.CompressSparse(dropback.MNIST100100(1))
 	srv, err := dropback.NewServer(dropback.ServeConfig{
-		NewReplica: func() (*dropback.Model, error) {
+		NewSparseReplica: serve.ModelReplicas(func() (*dropback.Model, error) {
 			m := dropback.MNIST100100(1) // same architecture + seed as training
 			return m, art.Apply(m)
-		},
+		}),
 		InputShape: []int{784},
 		Replicas:   2,
 	})

@@ -37,9 +37,9 @@ func FuzzPredictRequest(f *testing.F) {
 	f.Add([]byte{}, "")
 
 	s, err := serve.New(serve.Config{
-		NewReplica: func() (*nn.Model, error) {
+		NewSparseReplica: serve.ModelReplicas(func() (*nn.Model, error) {
 			return models.NewMLP(models.MLPConfig{Name: "fuzz", In: 16, Hidden: []int{12}, Classes: 4, Seed: 7}), nil
-		},
+		}),
 		InputShape: []int{16},
 		Replicas:   1,
 		MaxBatch:   4,

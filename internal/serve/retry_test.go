@@ -28,12 +28,12 @@ func setDrainRate(s *Server, rate float64) {
 func TestRetryAfterComputed(t *testing.T) {
 	gate := newGateLayer()
 	s, err := New(Config{
-		NewReplica: gatedModel(gate),
-		InputShape: testShape,
-		Replicas:   1,
-		MaxBatch:   1,
-		MaxWait:    -1,
-		QueueDepth: 8,
+		NewSparseReplica: gatedModel(gate),
+		InputShape:       testShape,
+		Replicas:         1,
+		MaxBatch:         1,
+		MaxWait:          -1,
+		QueueDepth:       8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +102,12 @@ func TestRetryAfterComputed(t *testing.T) {
 func TestRetryAfterHeaderSaturated(t *testing.T) {
 	gate := newGateLayer()
 	s, err := New(Config{
-		NewReplica: gatedModel(gate),
-		InputShape: testShape,
-		Replicas:   1,
-		MaxBatch:   1,
-		MaxWait:    -1,
-		QueueDepth: 8,
+		NewSparseReplica: gatedModel(gate),
+		InputShape:       testShape,
+		Replicas:         1,
+		MaxBatch:         1,
+		MaxWait:          -1,
+		QueueDepth:       8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dropback/internal/nn"
 	"dropback/internal/telemetry"
 	"dropback/internal/tensor"
 )
@@ -98,18 +97,13 @@ var (
 
 // Config configures a Server.
 type Config struct {
-	// NewReplica constructs one dense inference replica: a freshly built
-	// model with the deployment artifact applied. It is called Replicas
-	// times at startup; replicas must be built by the same constructor with
-	// the same seed so they are bit-identical. Exactly one of NewReplica and
-	// NewSparseReplica must be set.
-	NewReplica func() (*nn.Model, error)
-	// NewSparseReplica constructs one replica through the generic Replica
-	// interface — typically a sparsenn.Executor over a shared compiled plan
-	// (all weight state shared across replicas, only activation scratch
-	// per-replica), but any deterministic Replica implementation works,
-	// including wrapped dense models. Exactly one of NewReplica and
-	// NewSparseReplica must be set.
+	// NewSparseReplica constructs one replica of any kind; it is required.
+	// It is called Replicas times at startup, and every replica it returns
+	// must compute the same outputs. Typically it returns a
+	// sparsenn.Executor over a shared compiled plan (all weight state
+	// shared across replicas, only activation scratch per replica), or a
+	// ModelReplica around a dense model built with the same constructor and
+	// seed and the deployment artifact applied.
 	NewSparseReplica func() (Replica, error)
 	// Compile turns raw artifact bytes into a replica constructor for a new
 	// serving version — the hot-reload seam. It runs off the request path;
@@ -163,11 +157,8 @@ type Config struct {
 
 // withDefaults validates cfg and fills unset fields.
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.NewReplica == nil && cfg.NewSparseReplica == nil {
-		return cfg, errors.New("serve: one of Config.NewReplica or Config.NewSparseReplica is required")
-	}
-	if cfg.NewReplica != nil && cfg.NewSparseReplica != nil {
-		return cfg, errors.New("serve: Config.NewReplica and Config.NewSparseReplica are mutually exclusive")
+	if cfg.NewSparseReplica == nil {
+		return cfg, errors.New("serve: Config.NewSparseReplica is required")
 	}
 	if len(cfg.InputShape) == 0 {
 		return cfg, errors.New("serve: Config.InputShape is required")
@@ -316,21 +307,8 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := cfg.NewSparseReplica
-	if build == nil {
-		build = func() (Replica, error) {
-			m, err := cfg.NewReplica()
-			if err != nil {
-				return nil, err
-			}
-			if m == nil {
-				return nil, errors.New("serve: replica constructor returned nil model")
-			}
-			return ModelReplica{M: m}, nil
-		}
-	}
 	buildStart := time.Now()
-	pool, err := NewPool(cfg.Replicas, build)
+	pool, err := NewPool(cfg.Replicas, cfg.NewSparseReplica)
 	if err != nil {
 		return nil, err
 	}

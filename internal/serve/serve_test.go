@@ -28,14 +28,26 @@ func newTestModel(seed uint64) (*nn.Model, error) {
 	}), nil
 }
 
+// ModelReplicas adapts a dense-model constructor to
+// Config.NewSparseReplica, wrapping each model in a ModelReplica.
+func ModelReplicas(build func() (*nn.Model, error)) func() (Replica, error) {
+	return func() (Replica, error) {
+		m, err := build()
+		if err != nil {
+			return nil, err
+		}
+		return ModelReplica{M: m}, nil
+	}
+}
+
 func testConfig() Config {
 	return Config{
-		NewReplica: func() (*nn.Model, error) { return newTestModel(7) },
-		InputShape: testShape,
-		Replicas:   4,
-		MaxBatch:   8,
-		MaxWait:    time.Millisecond,
-		QueueDepth: 256,
+		NewSparseReplica: ModelReplicas(func() (*nn.Model, error) { return newTestModel(7) }),
+		InputShape:       testShape,
+		Replicas:         4,
+		MaxBatch:         8,
+		MaxWait:          time.Millisecond,
+		QueueDepth:       256,
 	}
 }
 
@@ -195,20 +207,13 @@ func TestPoolSizeValidation(t *testing.T) {
 	if _, err := NewPool(2, func() (Replica, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Errorf("constructor error not propagated: %v", err)
 	}
-	// The dense-path wrapper in New must reject a nil model before it is
-	// wrapped into a (non-nil) ModelReplica.
-	cfg := testConfig()
-	cfg.NewReplica = func() (*nn.Model, error) { return nil, nil }
-	if _, err := New(cfg); err == nil {
-		t.Error("nil-model constructor accepted, want error")
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{InputShape: testShape}); err == nil {
-		t.Error("missing NewReplica accepted, want error")
+		t.Error("missing NewSparseReplica accepted, want error")
 	}
-	if _, err := New(Config{NewReplica: func() (*nn.Model, error) { return newTestModel(1) }}); err == nil {
+	if _, err := New(Config{NewSparseReplica: ModelReplicas(func() (*nn.Model, error) { return newTestModel(1) })}); err == nil {
 		t.Error("missing InputShape accepted, want error")
 	}
 	cfg := testConfig()
@@ -256,12 +261,12 @@ func (l *gateLayer) Backward(dy *tensor.Tensor) *tensor.Tensor { return dy }
 func (l *gateLayer) Params() []*nn.Param                       { return nil }
 
 // gatedModel wires a gate layer in front of a linear head.
-func gatedModel(gate *gateLayer) func() (*nn.Model, error) {
-	return func() (*nn.Model, error) {
+func gatedModel(gate *gateLayer) func() (Replica, error) {
+	return ModelReplicas(func() (*nn.Model, error) {
 		seq := nn.NewSequential("gated", gate,
 			prune.Standard{}.Linear("gated/fc", 1, 16, 4))
 		return nn.NewModel(seq, 1), nil
-	}
+	})
 }
 
 // TestBackpressureOverflow fills the bounded queue behind a deliberately
@@ -270,12 +275,12 @@ func gatedModel(gate *gateLayer) func() (*nn.Model, error) {
 func TestBackpressureOverflow(t *testing.T) {
 	gate := newGateLayer()
 	s, err := New(Config{
-		NewReplica: gatedModel(gate),
-		InputShape: testShape,
-		Replicas:   1,
-		MaxBatch:   1,
-		MaxWait:    -1, // no coalescing wait: dispatch immediately
-		QueueDepth: 2,
+		NewSparseReplica: gatedModel(gate),
+		InputShape:       testShape,
+		Replicas:         1,
+		MaxBatch:         1,
+		MaxWait:          -1, // no coalescing wait: dispatch immediately
+		QueueDepth:       2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,12 +347,12 @@ func TestBackpressureOverflow(t *testing.T) {
 func TestPredictContextTimeout(t *testing.T) {
 	gate := newGateLayer()
 	s, err := New(Config{
-		NewReplica: gatedModel(gate),
-		InputShape: testShape,
-		Replicas:   1,
-		MaxBatch:   1,
-		MaxWait:    -1,
-		QueueDepth: 4,
+		NewSparseReplica: gatedModel(gate),
+		InputShape:       testShape,
+		Replicas:         1,
+		MaxBatch:         1,
+		MaxWait:          -1,
+		QueueDepth:       4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,9 +388,9 @@ func (panicLayer) Params() []*nn.Param                                 { return 
 // server keeps serving afterwards.
 func TestPanicRecovery(t *testing.T) {
 	s, err := New(Config{
-		NewReplica: func() (*nn.Model, error) {
+		NewSparseReplica: ModelReplicas(func() (*nn.Model, error) {
 			return nn.NewModel(nn.NewSequential("p", panicLayer{}), 1), nil
-		},
+		}),
 		InputShape: testShape,
 		Replicas:   1,
 		MaxBatch:   4,
@@ -411,12 +416,12 @@ func TestPanicRecovery(t *testing.T) {
 func TestBatchCoalescing(t *testing.T) {
 	gate := newGateLayer()
 	s, err := New(Config{
-		NewReplica: gatedModel(gate),
-		InputShape: testShape,
-		Replicas:   1,
-		MaxBatch:   8,
-		MaxWait:    200 * time.Millisecond,
-		QueueDepth: 64,
+		NewSparseReplica: gatedModel(gate),
+		InputShape:       testShape,
+		Replicas:         1,
+		MaxBatch:         8,
+		MaxWait:          200 * time.Millisecond,
+		QueueDepth:       64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -464,12 +469,12 @@ func TestBatchCoalescing(t *testing.T) {
 func TestCloseDrains(t *testing.T) {
 	gate := newGateLayer()
 	s, err := New(Config{
-		NewReplica: gatedModel(gate),
-		InputShape: testShape,
-		Replicas:   1,
-		MaxBatch:   4,
-		MaxWait:    -1,
-		QueueDepth: 16,
+		NewSparseReplica: gatedModel(gate),
+		InputShape:       testShape,
+		Replicas:         1,
+		MaxBatch:         4,
+		MaxWait:          -1,
+		QueueDepth:       16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,13 +29,10 @@ func TestSparseServerMatchesDense(t *testing.T) {
 	}
 
 	denseCfg := testConfig()
-	denseCfg.NewReplica = func() (*nn.Model, error) {
+	denseCfg.NewSparseReplica = ModelReplicas(func() (*nn.Model, error) {
 		m, _ := newTestModel(7)
-		if err := art.Apply(m); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
+		return m, art.Apply(m)
+	})
 	dense, err := New(denseCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +45,6 @@ func TestSparseServerMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparseCfg := testConfig()
-	sparseCfg.NewReplica = nil
 	sparseCfg.NewSparseReplica = func() (Replica, error) { return sparsenn.NewExecutor(plan), nil }
 	sp, err := New(sparseCfg)
 	if err != nil {
@@ -87,13 +83,5 @@ func TestSparseServerMatchesDense(t *testing.T) {
 	}
 	if dst.PoolBuild <= 0 || sst.PoolBuild <= 0 {
 		t.Errorf("pool build durations not recorded: dense=%v sparse=%v", dst.PoolBuild, sst.PoolBuild)
-	}
-}
-
-func TestConfigRejectsBothReplicaModes(t *testing.T) {
-	cfg := testConfig()
-	cfg.NewSparseReplica = func() (Replica, error) { return nil, nil }
-	if _, err := New(cfg); err == nil {
-		t.Error("config with both NewReplica and NewSparseReplica accepted, want error")
 	}
 }

@@ -44,14 +44,6 @@ type Entry struct {
 	Value float32
 }
 
-// BNStats is one batch-norm layer's running statistics (inference needs
-// them; they are activations statistics, not weights, and are tiny).
-type BNStats struct {
-	Name        string
-	RunningMean []float32
-	RunningVar  []float32
-}
-
 // Artifact is the compressed model.
 type Artifact struct {
 	// ModelSeed must match the seed the receiving model is built with —
@@ -63,8 +55,9 @@ type Artifact struct {
 	// Entries hold the deviating (tracked) weights in ascending index
 	// order.
 	Entries []Entry
-	// BNs hold running statistics per batch-norm layer.
-	BNs []BNStats
+	// BNs hold running statistics per batch-norm layer (inference needs
+	// them; they are activation statistics, not weights, and are tiny).
+	BNs []nn.BNStats
 }
 
 // Compress builds the artifact from a trained model: every weight whose
@@ -80,23 +73,16 @@ func Compress(m *nn.Model) *Artifact {
 			}
 		}
 	}
-	nn.Walk(m.Net, func(l nn.Layer) {
-		if bn, ok := l.(*nn.BatchNorm); ok {
-			mean := make([]float32, bn.C)
-			variance := make([]float32, bn.C)
-			copy(mean, bn.RunningMean)
-			copy(variance, bn.RunningVar)
-			a.BNs = append(a.BNs, BNStats{Name: bn.Name(), RunningMean: mean, RunningVar: variance})
-		}
-	})
+	a.BNs = nn.CaptureBNStats(m.Net)
 	return a
 }
 
 // Apply writes the artifact into a freshly constructed model. The model
 // must be built by the same constructor with the same seed: Apply verifies
-// the seed and parameter count, regenerates every weight to its
-// initialization value, then overlays the stored entries and restores batch
-// norm statistics.
+// the seed, the parameter count, every entry index and the batch norm
+// channel counts, then restores the batch norm statistics, regenerates
+// every weight to its initialization value and overlays the stored
+// entries. A rejected artifact leaves the model unchanged.
 func (a *Artifact) Apply(m *nn.Model) error {
 	if m.Seed != a.ModelSeed {
 		return fmt.Errorf("sparse: model seed %d does not match artifact seed %d", m.Seed, a.ModelSeed)
@@ -104,36 +90,22 @@ func (a *Artifact) Apply(m *nn.Model) error {
 	if m.Set.Total() != a.TotalParams {
 		return fmt.Errorf("sparse: model has %d parameters, artifact describes %d", m.Set.Total(), a.TotalParams)
 	}
+	for _, e := range a.Entries {
+		if int(e.Index) >= a.TotalParams {
+			return fmt.Errorf("sparse: entry index %d out of range", e.Index)
+		}
+	}
+	if err := nn.ApplyBNStats(m.Net, a.BNs); err != nil {
+		return fmt.Errorf("sparse: %w", err)
+	}
 	// Regenerate everything (the model may have been trained or mutated).
 	for _, p := range m.Set.Params() {
 		p.Init.Fill(p.Value.Data)
 	}
 	for _, e := range a.Entries {
-		if int(e.Index) >= a.TotalParams {
-			return fmt.Errorf("sparse: entry index %d out of range", e.Index)
-		}
 		m.Set.Set(int(e.Index), e.Value)
 	}
-	bnByName := map[string]BNStats{}
-	for _, b := range a.BNs {
-		bnByName[b.Name] = b
-	}
-	var applyErr error
-	nn.Walk(m.Net, func(l nn.Layer) {
-		bn, ok := l.(*nn.BatchNorm)
-		if !ok || applyErr != nil {
-			return
-		}
-		if blob, ok := bnByName[bn.Name()]; ok {
-			if len(blob.RunningMean) != bn.C {
-				applyErr = fmt.Errorf("sparse: batch norm %q channel mismatch", bn.Name())
-				return
-			}
-			copy(bn.RunningMean, blob.RunningMean)
-			copy(bn.RunningVar, blob.RunningVar)
-		}
-	})
-	return applyErr
+	return nil
 }
 
 // StoredWeights returns the number of explicitly stored weights.
@@ -323,7 +295,7 @@ func readBody(br io.Reader) (*Artifact, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sparse: reading BN stats: %w", err)
 		}
-		b := BNStats{
+		b := nn.BNStats{
 			Name:        string(nameBuf),
 			RunningMean: make([]float32, c),
 			RunningVar:  make([]float32, c),

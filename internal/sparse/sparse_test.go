@@ -13,6 +13,7 @@ import (
 	"dropback"
 	"dropback/internal/core"
 	"dropback/internal/models"
+	"dropback/internal/nn"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
 )
@@ -107,6 +108,62 @@ func TestApplyRejectsOutOfRangeEntry(t *testing.T) {
 	a.Entries = append(a.Entries, sparse.Entry{Index: uint32(m.Set.Total() + 5), Value: 1})
 	if err := a.Apply(dropback.MNIST100100(1)); err == nil {
 		t.Fatal("expected error for out-of-range entry")
+	}
+}
+
+// TestRejectedApplyLeavesModelUntouched checks that Apply validates the
+// whole artifact before it writes anything: an out-of-range entry or a
+// batch norm channel mismatch must leave every parameter and every running
+// statistic byte-identical, where a half-written model would keep
+// regenerated weights or overlaid entries.
+func TestRejectedApplyLeavesModelUntouched(t *testing.T) {
+	src := dropback.VGGSReduced(8, 2, 3, false)
+	for g := 0; g < src.Set.Total(); g += 7 {
+		src.Set.Set(g, 0.25)
+	}
+	good := sparse.Compress(src)
+	if len(good.BNs) == 0 {
+		t.Fatal("setup: model has no batch norm")
+	}
+	outOfRange := *good
+	outOfRange.Entries = append(append([]sparse.Entry(nil), good.Entries...),
+		sparse.Entry{Index: uint32(good.TotalParams), Value: 1})
+	mismatch := *good
+	mismatch.BNs = append([]nn.BNStats(nil), good.BNs...)
+	last := len(mismatch.BNs) - 1
+	mismatch.BNs[last].RunningMean = mismatch.BNs[last].RunningMean[1:]
+	mismatch.BNs[last].RunningVar = mismatch.BNs[last].RunningVar[1:]
+
+	for name, a := range map[string]*sparse.Artifact{"out-of-range entry": &outOfRange, "bn channel mismatch": &mismatch} {
+		m := dropback.VGGSReduced(8, 2, 3, false)
+		// Every weight off its regenerated value, every statistic off its
+		// default, so any write shows.
+		for g := 0; g < m.Set.Total(); g++ {
+			m.Set.Set(g, -3)
+		}
+		nn.Walk(m.Net, func(l nn.Layer) {
+			if bn, ok := l.(*nn.BatchNorm); ok {
+				for c := range bn.RunningMean {
+					bn.RunningMean[c], bn.RunningVar[c] = 0.5, 2
+				}
+			}
+		})
+		wantParams, wantBN := m.Set.Snapshot(), nn.CaptureBNState(m.Net)
+		if err := a.Apply(m); err == nil {
+			t.Fatalf("%s: Apply accepted the artifact", name)
+		}
+		for i, v := range m.Set.Snapshot() {
+			if v != wantParams[i] {
+				t.Fatalf("%s: rejected Apply wrote weight %d: %v, was %v", name, i, v, wantParams[i])
+			}
+		}
+		for i, s := range nn.CaptureBNState(m.Net) {
+			for j, v := range s {
+				if v != wantBN[i][j] {
+					t.Fatalf("%s: rejected Apply wrote batch norm %d statistic %d", name, i, j)
+				}
+			}
+		}
 	}
 }
 
@@ -317,7 +374,7 @@ func TestSaveAtomicOnFailure(t *testing.T) {
 	// simulate failure by making the artifact unserializable: a BN name
 	// beyond the format's length bound makes Write error mid-stream.
 	bad := *a
-	bad.BNs = append(bad.BNs, sparse.BNStats{Name: string(make([]byte, 1<<13))})
+	bad.BNs = append(bad.BNs, nn.BNStats{Name: string(make([]byte, 1<<13))})
 	if err := sparse.Save(path, &bad); err == nil {
 		t.Fatal("expected Save to fail on oversized BN name")
 	}

@@ -96,13 +96,10 @@ func Compile(m *nn.Model, art *sparse.Artifact) (*Plan, error) {
 		set:     m.Set,
 		entries: art.Entries,
 		index:   make(map[*nn.Param]int, len(m.Set.Params())),
-		bns:     make(map[string]sparse.BNStats, len(art.BNs)),
+		bns:     art.BNs,
 	}
 	for i, p := range m.Set.Params() {
 		c.index[p] = i
-	}
-	for _, b := range art.BNs {
-		c.bns[b.Name] = b
 	}
 	root, err := c.layer(m.Net)
 	if err != nil {
@@ -123,7 +120,7 @@ type compiler struct {
 	set         *nn.ParamSet
 	entries     []sparse.Entry
 	index       map[*nn.Param]int
-	bns         map[string]sparse.BNStats
+	bns         []nn.BNStats
 	weightBytes int
 	bnBytes     int
 }
@@ -183,12 +180,13 @@ func (c *compiler) dense(p *nn.Param) *nn.Param {
 func (c *compiler) bnStats(bn *nn.BatchNorm) (mean, variance []float32, err error) {
 	mean = append([]float32(nil), bn.RunningMean...)
 	variance = append([]float32(nil), bn.RunningVar...)
-	if blob, ok := c.bns[bn.Name()]; ok {
-		if len(blob.RunningMean) != bn.C {
-			return nil, nil, fmt.Errorf("sparsenn: batch norm %q channel mismatch", bn.Name())
-		}
-		copy(mean, blob.RunningMean)
-		copy(variance, blob.RunningVar)
+	s, err := nn.LookupBNStats(c.bns, bn)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sparsenn: %w", err)
+	}
+	if s != nil {
+		copy(mean, s.RunningMean)
+		copy(variance, s.RunningVar)
 	}
 	c.weightBytes += 8 * bn.C
 	c.bnBytes += 8 * bn.C

@@ -104,17 +104,3 @@ func Col2ImSlice(img, cols []float32, c, h, w, kh, kw, stride, pad int) {
 		}
 	}
 }
-
-// Col2Im is the adjoint of Im2Col: it scatters a (C*KH*KW, OH*OW) column
-// matrix back into a freshly allocated image of shape (C, H, W). It is used
-// to compute input gradients of a convolution.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with (%d,%d,%d) k=%dx%d s=%d p=%d", cols.Shape, c, h, w, kh, kw, stride, pad))
-	}
-	img := New(c, h, w)
-	Col2ImSlice(img.Data, cols.Data, c, h, w, kh, kw, stride, pad)
-	return img
-}

@@ -92,7 +92,7 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 }
 
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> for all x, y — the defining property
+	// <Im2Col(x), y> == <x, Col2ImSlice(y)> for all x, y — the defining property
 	// of an adjoint pair, which is exactly what backprop requires.
 	f := func(seed uint64) bool {
 		c, h, w, k, s, p := 2, 6, 6, 3, 1, 1
@@ -101,7 +101,9 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		ow := ConvOutSize(w, k, s, p)
 		y := randTensor(seed+1, c*k*k, oh*ow)
 		lhs := Dot(Im2Col(x, k, k, s, p), y)
-		rhs := Dot(x, Col2Im(y, c, h, w, k, k, s, p))
+		img := New(c, h, w)
+		Col2ImSlice(img.Data, y.Data, c, h, w, k, k, s, p)
+		rhs := Dot(x, img)
 		return math.Abs(lhs-rhs) < 1e-3*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -115,7 +117,7 @@ func TestCol2ImShapePanics(t *testing.T) {
 			t.Fatal("expected panic for incompatible shape")
 		}
 	}()
-	Col2Im(New(4, 4), 2, 6, 6, 3, 3, 1, 1)
+	Col2ImSlice(make([]float32, 2*6*6), make([]float32, 16), 2, 6, 6, 3, 3, 1, 1)
 }
 
 func TestIm2ColPaddingZeros(t *testing.T) {

@@ -122,20 +122,3 @@ func AddRowVector(m *Tensor, v *Tensor) {
 		}
 	}
 }
-
-// ColSums returns the length-C vector of column sums of an (N, C) matrix —
-// the bias-gradient kernel.
-func ColSums(m *Tensor) *Tensor {
-	if len(m.Shape) != 2 {
-		panic("tensor: ColSums requires a 2-D tensor")
-	}
-	n, c := m.Shape[0], m.Shape[1]
-	out := New(c)
-	for i := 0; i < n; i++ {
-		row := m.Data[i*c : (i+1)*c]
-		for j := range row {
-			out.Data[j] += row[j]
-		}
-	}
-	return out
-}

@@ -195,7 +195,7 @@ func matMulTransBRows(dst, a, b []float32, k, n, lo, hi int) {
 
 // MatMul returns a @ b for a of shape (M, K) and b of shape (K, N).
 func MatMul(a, b *Tensor) *Tensor {
-	m, _ := matMulDims("MatMul", a, b, false, false)
+	m, _ := matMulDims("MatMul", a, b, false)
 	out := New(m, b.Shape[1])
 	MatMulInto(out, a, b)
 	return out
@@ -205,7 +205,7 @@ func MatMul(a, b *Tensor) *Tensor {
 // output rows across goroutines when the work is large enough. dst is fully
 // overwritten and must not alias a or b.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k := matMulDims("MatMul", a, b, false, false)
+	m, k := matMulDims("MatMul", a, b, false)
 	n := b.Shape[1]
 	checkDst("MatMulInto", dst, m, n)
 	parallelRows(m, m*n*k, func(lo, hi int) {
@@ -214,40 +214,10 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// MatMulTransB returns a @ bᵀ for a of shape (M, K) and b of shape (N, K).
-// Used by the linear-layer forward pass when weights are stored (out, in).
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, _ := matMulDims("MatMulTransB", a, b, false, true)
-	out := New(m, b.Shape[0])
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
-// MatMulTransBInto computes dst = a @ bᵀ into a caller-owned (M, N) tensor.
-// dst is fully overwritten and must not alias a or b.
-func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
-	m, k := matMulDims("MatMulTransB", a, b, false, true)
-	n := b.Shape[0]
-	checkDst("MatMulTransBInto", dst, m, n)
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		matMulTransBRows(dst.Data, a.Data, b.Data, k, n, lo, hi)
-	})
-	return dst
-}
-
-// MatMulTransA returns aᵀ @ b for a of shape (K, M) and b of shape (K, N).
-// Used for weight gradients: dW = xᵀ @ dy.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, _ := matMulDims("MatMulTransA", a, b, true, false)
-	out := New(m, b.Shape[1])
-	MatMulTransAInto(out, a, b)
-	return out
-}
-
 // MatMulTransAInto computes dst = aᵀ @ b into a caller-owned (M, N) tensor.
 // dst is fully overwritten and must not alias a or b.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
-	m, k := matMulDims("MatMulTransA", a, b, true, false)
+	m, k := matMulDims("MatMulTransA", a, b, true)
 	n := b.Shape[1]
 	checkDst("MatMulTransAInto", dst, m, n)
 	parallelRows(m, m*n*k, func(lo, hi int) {
@@ -256,9 +226,9 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// matMulDims validates the operand shapes of a (possibly transposed) matrix
-// product and returns (M, K) — the output row count and inner dimension.
-func matMulDims(op string, a, b *Tensor, transA, transB bool) (m, k int) {
+// matMulDims validates the operand shapes of a matrix product, a possibly
+// transposed, and returns (M, K) — the output row count and inner dimension.
+func matMulDims(op string, a, b *Tensor, transA bool) (m, k int) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: %s requires 2-D tensors", op))
 	}
@@ -266,11 +236,7 @@ func matMulDims(op string, a, b *Tensor, transA, transB bool) (m, k int) {
 	if transA {
 		m, k = k, m
 	}
-	kb := b.Shape[0]
-	if transB {
-		kb = b.Shape[1]
-	}
-	if k != kb {
+	if k != b.Shape[0] {
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v", op, a.Shape, b.Shape))
 	}
 	return m, k

@@ -78,10 +78,12 @@ func TestMatMulTransBMatchesNaive(t *testing.T) {
 			b.Set(bT.At(i, j), j, i)
 		}
 	}
-	got := MatMulTransB(a, bT)
+	got := New(13, 11)
+	garbageFill(got.Data)
+	MatMulTransBSlice(got.Data, a.Data, bT.Data, 13, 7, 11)
 	want := naiveMatMul(a, b)
 	if !tensorsClose(got, want, 1e-4) {
-		t.Fatal("MatMulTransB mismatch with naive oracle")
+		t.Fatal("MatMulTransBSlice mismatch with naive oracle")
 	}
 }
 
@@ -94,18 +96,20 @@ func TestMatMulTransAMatchesNaive(t *testing.T) {
 			a.Set(aT.At(i, j), j, i)
 		}
 	}
-	got := MatMulTransA(aT, b)
+	got := New(13, 5)
+	garbageFill(got.Data)
+	MatMulTransAInto(got, aT, b)
 	want := naiveMatMul(a, b)
 	if !tensorsClose(got, want, 1e-4) {
-		t.Fatal("MatMulTransA mismatch with naive oracle")
+		t.Fatal("MatMulTransAInto mismatch with naive oracle")
 	}
 }
 
 func TestMatMulDimensionPanics(t *testing.T) {
 	cases := []func(){
 		func() { MatMul(New(2, 3), New(4, 2)) },
-		func() { MatMulTransB(New(2, 3), New(4, 4)) },
-		func() { MatMulTransA(New(3, 2), New(4, 4)) },
+		func() { MatMulTransAInto(New(2, 4), New(3, 2), New(4, 4)) },
+		func() { MatMulTransAInto(New(3, 4), New(4, 2), New(4, 4)) },
 		func() { MatMul(New(6), New(2, 3)) },
 	}
 	for i, f := range cases {
@@ -218,17 +222,13 @@ func TestApply(t *testing.T) {
 	}
 }
 
-func TestAddRowVectorAndColSums(t *testing.T) {
+func TestAddRowVector(t *testing.T) {
 	m := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := FromSlice([]float32{10, 20, 30}, 3)
 	AddRowVector(m, v)
 	want := FromSlice([]float32{11, 22, 33, 14, 25, 36}, 2, 3)
 	if !tensorsClose(m, want, 0) {
 		t.Fatalf("AddRowVector = %v", m.Data)
-	}
-	cs := ColSums(want)
-	if !tensorsClose(cs, FromSlice([]float32{25, 47, 69}, 3), 0) {
-		t.Fatalf("ColSums = %v", cs.Data)
 	}
 }
 
