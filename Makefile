@@ -91,7 +91,7 @@ bench-guard-train:
 # ParallelChunks fan-out adds goroutine and closure allocations per forward.
 bench-guard-sparse:
 	GOMAXPROCS=1 $(GO) test -bench 'BenchmarkSparseForward|BenchmarkDenseForward' \
-		-benchmem -benchtime 20x -run '^$$' ./internal/sparsenn > bench_sparse.out
+		-benchmem -benchtime 20x -run '^$$' ./internal/sparse > bench_sparse.out
 	$(GO) run ./cmd/benchguard -baseline BENCH_sparse.json -input bench_sparse.out
 
 # Multi-node training-step gate: BenchmarkDistTrainStep (2-node loopback

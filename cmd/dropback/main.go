@@ -119,10 +119,6 @@ func run() error {
 	}
 	if *workers > 1 {
 		cfg.Workers = *workers
-		cfg.WorkerModel = func() (*dropback.Model, error) {
-			r, _, err := buildModel(*model, *seed, variational)
-			return r, err
-		}
 	}
 	if *distPeer != "" {
 		peers := strings.Split(*distPeer, ",")

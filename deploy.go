@@ -8,7 +8,6 @@ import (
 	"dropback/internal/quant"
 	"dropback/internal/serve"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 )
 
 // SparseArtifact is the deployment form of a DropBack-trained model: the
@@ -41,16 +40,17 @@ func QuantizeSparse(a *SparseArtifact, bits int) (*QuantizedArtifact, error) {
 func ValidateQuantBits(bits int) error { return quant.ValidateBits(bits) }
 
 // SparsePlan is the compiled sparse-native execution form of an artifact:
-// tracked weights in per-layer CSR slices, small vectors materialized, and
-// the layer topology. A plan is immutable and shared by every executor
-// built from it — one copy of the weight state per process.
-type SparsePlan = sparsenn.Plan
+// the prototype model with its Linear and Conv2D weights on CSR storage
+// holding only the tracked entries. A plan is immutable and shared by every
+// executor built from it — one copy of the weight state per process.
+type SparsePlan = sparse.Plan
 
-// SparseExecutor runs inference straight off a SparsePlan, regenerating
-// untracked weights inside the kernel loops instead of densifying. Outputs
-// are bit-identical to applying the artifact to a dense model and running
-// its forward pass. Like a Model, an executor is single-goroutine-only.
-type SparseExecutor = sparsenn.Executor
+// SparseExecutor runs inference straight off a SparsePlan through a replica
+// of its model, regenerating untracked weights inside the kernel loops
+// instead of densifying. Outputs are bit-identical to applying the artifact
+// to a dense model and running its forward pass. Like a Model, an executor
+// is single-goroutine-only.
+type SparseExecutor = sparse.Executor
 
 // ServeReplica is the serving pool's replica interface, implemented by both
 // the dense model wrapper and SparseExecutor.
@@ -58,14 +58,14 @@ type ServeReplica = serve.Replica
 
 // CompileSparse compiles an artifact against a freshly constructed
 // prototype model (same constructor and seed as training) into a SparsePlan.
-// The prototype is only read during compilation and can be dropped after.
+// The plan takes the prototype over: do not use it afterwards.
 func CompileSparse(m *Model, a *SparseArtifact) (*SparsePlan, error) {
-	return sparsenn.Compile(m, a)
+	return sparse.Compile(m, a)
 }
 
 // NewSparseExecutor builds an inference executor over a shared plan; the
 // per-executor cost is activation scratch only.
-func NewSparseExecutor(p *SparsePlan) *SparseExecutor { return sparsenn.NewExecutor(p) }
+func NewSparseExecutor(p *SparsePlan) *SparseExecutor { return sparse.NewExecutor(p) }
 
 // SaveSparse writes a sparse artifact to a file.
 func SaveSparse(path string, a *SparseArtifact) error { return sparse.Save(path, a) }

@@ -3,6 +3,8 @@ package dropback
 import (
 	"path/filepath"
 	"testing"
+
+	"dropback/internal/sparse"
 )
 
 func TestDeployPipelineFacade(t *testing.T) {
@@ -70,5 +72,41 @@ func TestCheckpointFacade(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("checkpoint facade round trip mismatch")
 		}
+	}
+}
+
+// TestCompileValidation covers the artifact/prototype mismatch paths of
+// CompileSparse: a different seed, a different architecture, an entry index
+// out of range, and entry indices that repeat or descend.
+func TestCompileValidation(t *testing.T) {
+	m := MNIST100100(1)
+	for i := 0; i < m.Set.Total(); i += 20 {
+		m.Set.Set(i, 0.5)
+	}
+	art := CompressSparse(m)
+	edited := func(edit func(es []sparse.Entry)) *SparseArtifact {
+		a := *art
+		a.Entries = append([]sparse.Entry(nil), art.Entries...)
+		edit(a.Entries)
+		return &a
+	}
+	bad := []struct {
+		name  string
+		proto *Model
+		art   *SparseArtifact
+	}{
+		{"seed mismatch", MNIST100100(2), art},
+		{"parameter-count mismatch", LeNet300100(1), art},
+		{"index out of range", MNIST100100(1), edited(func(es []sparse.Entry) { es[len(es)-1].Index = uint32(art.TotalParams) })},
+		{"repeated index", MNIST100100(1), edited(func(es []sparse.Entry) { es[1].Index = es[0].Index })},
+		{"descending indices", MNIST100100(1), edited(func(es []sparse.Entry) { es[0], es[1] = es[1], es[0] })},
+	}
+	for _, tc := range bad {
+		if _, err := CompileSparse(tc.proto, tc.art); err == nil {
+			t.Errorf("%s: CompileSparse accepted the artifact", tc.name)
+		}
+	}
+	if _, err := CompileSparse(MNIST100100(1), art); err != nil {
+		t.Errorf("valid compile failed: %v", err)
 	}
 }

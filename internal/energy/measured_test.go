@@ -7,7 +7,6 @@ import (
 	"dropback/internal/energy"
 	"dropback/internal/models"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 	"dropback/internal/tensor"
 )
 
@@ -28,11 +27,11 @@ func TestMeasuredSparseTrafficMatchesAnalytical(t *testing.T) {
 		}
 	}
 	art := sparse.Compress(trained)
-	plan, err := sparsenn.Compile(models.MNIST100100(1), art)
+	plan, err := sparse.Compile(models.MNIST100100(1), art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := sparsenn.NewExecutor(plan)
+	ex := sparse.NewExecutor(plan)
 
 	x := tensor.New(3, 784)
 	for i := range x.Data {

@@ -73,7 +73,7 @@ func NewPReLU(name string, modelSeed uint64) *PReLU {
 }
 
 // NewPReLUOver returns a parametric ReLU over an existing one-element slope
-// parameter, which inference executors share between replicas.
+// parameter, which Model.Replica shares between replicas.
 func NewPReLUOver(name string, a *Param) *PReLU {
 	return &PReLU{name: name, A: a, ws: tensor.NewWorkspace()}
 }

@@ -51,8 +51,8 @@ func NewBatchNorm(name string, modelSeed uint64, c int) *BatchNorm {
 }
 
 // NewBatchNormOver builds a batch-normalization layer over existing scale
-// and shift parameters and running statistics, which inference executors
-// share between replicas; inference only reads them.
+// and shift parameters and running statistics, which Model.Replica shares
+// between replicas; inference only reads them.
 func NewBatchNormOver(name string, c int, eps float32, gamma, beta *Param, mean, variance []float32) *BatchNorm {
 	return &BatchNorm{
 		name: name, C: c, Eps: eps, Gamma: gamma, Beta: beta,

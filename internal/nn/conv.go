@@ -57,7 +57,7 @@ func convWeight(name string, modelSeed uint64, inC, outC, k int) *Param {
 
 // NewConv2DOver builds a k×k convolution over existing parameters: w holds
 // the (OutC, InC, k, k) filters on either storage and b, nil for none, the
-// OutC biases. Inference executors use it to share one copy of the weights
+// OutC biases. Model.Replica uses it to share one copy of the weights
 // between replicas, and variational-dropout layers to compute over the
 // noisy weights they sample.
 func NewConv2DOver(name string, inC, outC, k, stride, pad int, w, b *Param) *Conv2D {

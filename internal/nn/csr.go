@@ -8,9 +8,9 @@ import "dropback/internal/xorshift"
 // RowLen give the matrix shape the layers walk: dimension 0 of the weight's
 // shape by the product of the rest — Linear (Out, In), Conv2D
 // (OutC, InC·KH·KW). It is the one sparse weight encoding of training
-// (core.DropBack mutates it) and of inference (a compiled sparsenn plan
-// shares it read-only across executors), and it holds no reference to a
-// dense tensor.
+// (core.DropBack mutates it) and of inference (a compiled sparse.Plan
+// shares it read-only with its executors' replicas), and it holds no
+// reference to a dense tensor.
 type CSR struct {
 	Init   xorshift.Init
 	Rows   int

@@ -43,7 +43,7 @@ func NewLinearNoBias(name string, modelSeed uint64, in, out int) *Linear {
 
 // NewLinearOver builds a fully connected layer over existing parameters: w
 // holds (Out, In) weights on either storage and b, nil for none, the Out
-// biases. Inference executors use it to share one copy of the weights
+// biases. Model.Replica uses it to share one copy of the weights
 // between replicas, and variational-dropout layers to compute over the
 // noisy weights they sample.
 func NewLinearOver(name string, in, out int, w, b *Param) *Linear {

@@ -27,7 +27,8 @@ import (
 // stored, the rest regenerated from Init row by row. core.DropBack moves a
 // training weight there (Virtualize) and back (Devirtualize); while it is
 // there, Value is a host copy that DropBack.Densify refreshes at epoch
-// boundaries. An inference executor's weights are CSR only, with no Value.
+// boundaries. A compiled sparse.Plan's weights are CSR only, with no Value.
+// Model.Replica makes new Params that share both storages with the source.
 type Param struct {
 	// Name is the globally unique parameter name, "layer/param".
 	Name string

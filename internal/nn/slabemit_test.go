@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"dropback/internal/gradcheck"
 	"dropback/internal/nn"
 	"dropback/internal/tensor"
 	"dropback/internal/xorshift"
@@ -98,7 +97,7 @@ func TestSlabEmissionMatchesPerSampleLoop(t *testing.T) {
 		shards := 1 + int(rng.Uint32n(6)) // may exceed n: empty trailing shards
 		ctx := fmt.Sprintf("trial %d (in=%v classes=%d n=%d shards=%d)", trial, tr.inShape, tr.classes, n, shards)
 
-		x := gradcheck.RandInput(uint64(trial)^0xABCD, append([]int{n}, tr.inShape...)...)
+		x := randInput(uint64(trial)^0xABCD, append([]int{n}, tr.inShape...)...)
 		labels := make([]int, n)
 		for i := range labels {
 			labels[i] = int(rng.Uint32n(uint32(tr.classes)))

@@ -26,7 +26,6 @@ import (
 	"dropback/internal/nn"
 	"dropback/internal/serve"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 	"dropback/internal/tensor"
 )
 
@@ -66,9 +65,9 @@ func artifactBytes(t testing.TB, a *sparse.Artifact) []byte {
 }
 
 // compilePlan compiles an artifact against the prototype.
-func compilePlan(t testing.TB, a *sparse.Artifact) *sparsenn.Plan {
+func compilePlan(t testing.TB, a *sparse.Artifact) *sparse.Plan {
 	t.Helper()
-	plan, err := sparsenn.Compile(chaosProto(), a)
+	plan, err := sparse.Compile(chaosProto(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +82,11 @@ func chaosCompile() func(io.Reader) (func() (serve.Replica, error), error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := sparsenn.Compile(chaosProto(), art)
+		plan, err := sparse.Compile(chaosProto(), art)
 		if err != nil {
 			return nil, err
 		}
-		return func() (serve.Replica, error) { return sparsenn.NewExecutor(plan), nil }, nil
+		return func() (serve.Replica, error) { return sparse.NewExecutor(plan), nil }, nil
 	}
 }
 
@@ -146,7 +145,7 @@ func TestReloadUnderLoadZeroLoss(t *testing.T) {
 	artA, artB := trainedArtifact(1), trainedArtifact(2)
 	planA := compilePlan(t, artA)
 	s, err := serve.New(serve.Config{
-		NewSparseReplica: func() (serve.Replica, error) { return sparsenn.NewExecutor(planA), nil },
+		NewSparseReplica: func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
 		Compile:          chaosCompile(),
 		InputShape:       chaosShape,
 		Replicas:         2,
@@ -252,7 +251,7 @@ func TestCorruptReloadRejected(t *testing.T) {
 	artA := trainedArtifact(1)
 	planA := compilePlan(t, artA)
 	s, err := serve.New(serve.Config{
-		NewSparseReplica: func() (serve.Replica, error) { return sparsenn.NewExecutor(planA), nil },
+		NewSparseReplica: func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
 		Compile:          chaosCompile(),
 		InputShape:       chaosShape,
 		Replicas:         1,
@@ -318,7 +317,7 @@ func TestCanaryAutoRollback(t *testing.T) {
 	artA := trainedArtifact(1)
 	planA := compilePlan(t, artA)
 	s, err := serve.New(serve.Config{
-		NewSparseReplica: func() (serve.Replica, error) { return sparsenn.NewExecutor(planA), nil },
+		NewSparseReplica: func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
 		// The chaos canary: verification's single probe call per replica
 		// succeeds, then every second call panics — a latent fault that only
 		// live traffic exposes, exactly what canarying exists to catch.
@@ -327,12 +326,12 @@ func TestCanaryAutoRollback(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			plan, err := sparsenn.Compile(chaosProto(), art)
+			plan, err := sparse.Compile(chaosProto(), art)
 			if err != nil {
 				return nil, err
 			}
 			return func() (serve.Replica, error) {
-				return &faults.ChaosReplica{R: sparsenn.NewExecutor(plan), PanicEvery: 2}, nil
+				return &faults.ChaosReplica{R: sparse.NewExecutor(plan), PanicEvery: 2}, nil
 			}, nil
 		},
 		InputShape:        chaosShape,
@@ -411,7 +410,7 @@ func TestCanaryPromotion(t *testing.T) {
 	artA, artB := trainedArtifact(1), trainedArtifact(2)
 	planA := compilePlan(t, artA)
 	s, err := serve.New(serve.Config{
-		NewSparseReplica:   func() (serve.Replica, error) { return sparsenn.NewExecutor(planA), nil },
+		NewSparseReplica:   func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
 		Compile:            chaosCompile(),
 		InputShape:         chaosShape,
 		Replicas:           2,
@@ -473,7 +472,7 @@ func TestTierSheddingUnderStall(t *testing.T) {
 	entered := make(chan struct{}, 64)
 	s, err := serve.New(serve.Config{
 		NewSparseReplica: func() (serve.Replica, error) {
-			return &faults.ChaosReplica{R: sparsenn.NewExecutor(planA), Stall: stall, Entered: entered}, nil
+			return &faults.ChaosReplica{R: sparse.NewExecutor(planA), Stall: stall, Entered: entered}, nil
 		},
 		InputShape: chaosShape,
 		Replicas:   1,
@@ -582,7 +581,7 @@ func TestExpiredRequestReleasesBatcher(t *testing.T) {
 	planA := compilePlan(t, artA)
 	stall := make(chan struct{})
 	entered := make(chan struct{}, 64)
-	chaos := &faults.ChaosReplica{R: sparsenn.NewExecutor(planA), Stall: stall, Entered: entered}
+	chaos := &faults.ChaosReplica{R: sparse.NewExecutor(planA), Stall: stall, Entered: entered}
 	s, err := serve.New(serve.Config{
 		NewSparseReplica: func() (serve.Replica, error) { return chaos, nil },
 		InputShape:       chaosShape,
@@ -641,7 +640,7 @@ func TestExpiredRequestReleasesBatcher(t *testing.T) {
 func TestAcquireCtxStarvedPool(t *testing.T) {
 	artA := trainedArtifact(1)
 	planA := compilePlan(t, artA)
-	p, err := serve.NewPool(1, func() (serve.Replica, error) { return sparsenn.NewExecutor(planA), nil })
+	p, err := serve.NewPool(1, func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil })
 	if err != nil {
 		t.Fatal(err)
 	}

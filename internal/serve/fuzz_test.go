@@ -20,7 +20,7 @@ import (
 
 	"dropback/internal/faults"
 	"dropback/internal/serve"
-	"dropback/internal/sparsenn"
+	"dropback/internal/sparse"
 )
 
 func FuzzReloadArtifact(f *testing.F) {
@@ -43,7 +43,7 @@ func FuzzReloadArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, offset int64, bit uint8, truncate int) {
 		planA := compilePlan(t, artA)
 		s, err := serve.New(serve.Config{
-			NewSparseReplica: func() (serve.Replica, error) { return sparsenn.NewExecutor(planA), nil },
+			NewSparseReplica: func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
 			Compile:          chaosCompile(),
 			InputShape:       chaosShape,
 			Replicas:         1,

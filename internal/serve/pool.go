@@ -13,9 +13,10 @@ import (
 // single-goroutine-only (they own mutable activation scratch), which is why
 // they live in a Pool: a checked-out replica belongs to one batch at a time.
 //
-// Two implementations exist: ModelReplica wraps a densified *nn.Model, and
-// sparsenn.Executor runs straight off the compressed artifact with all
-// weight state shared across replicas.
+// Any single-goroutine inference engine can be one. ModelReplica wraps a
+// densified *nn.Model with private weights; sparse.Executor runs a replica
+// (nn.Model.Replica) of a compiled plan's model, straight off the
+// compressed artifact, with all weight state shared across replicas.
 type Replica interface {
 	// Infer runs one forward pass in inference mode. The returned tensor may
 	// be replica-owned scratch, valid until the next Infer call.

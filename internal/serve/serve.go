@@ -100,20 +100,16 @@ type Config struct {
 	// NewSparseReplica constructs one replica of any kind; it is required.
 	// It is called Replicas times at startup, and every replica it returns
 	// must compute the same outputs. Typically it returns a
-	// sparsenn.Executor over a shared compiled plan (all weight state
-	// shared across replicas, only activation scratch per replica), or a
-	// ModelReplica around a dense model built with the same constructor and
-	// seed and the deployment artifact applied.
+	// sparse.Executor over a shared compiled plan (a replica of the plan's
+	// model: all weight state shared, only activation scratch per replica),
+	// or a ModelReplica around a dense model built with the same
+	// constructor and seed and the deployment artifact applied.
 	NewSparseReplica func() (Replica, error)
 	// Compile turns raw artifact bytes into a replica constructor for a new
 	// serving version — the hot-reload seam. It runs off the request path;
 	// errors reject the reload and leave the serving version untouched. Nil
 	// disables Reload (and POST /v1/reload answers 501).
 	Compile func(artifact io.Reader) (func() (Replica, error), error)
-	// ProbeInput optionally fixes the verification probe vector used before
-	// a reloaded pool may serve (length must equal the input length). Nil
-	// uses a deterministic default pattern.
-	ProbeInput []float32
 	// InputShape is the per-sample input shape, e.g. [784] for the MLPs or
 	// [3, 12, 12] for the reduced convolutional models. Batches are formed
 	// as [n, InputShape...].

@@ -8,13 +8,12 @@ import (
 
 	"dropback/internal/nn"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 )
 
 // TestSparseServerMatchesDense runs the same traffic through a dense pool
 // (Artifact.Apply per replica) and a sparse pool (one shared compiled plan)
 // and requires bit-identical predictions — the serving-layer restatement of
-// the sparsenn bit-identity contract.
+// the sparse.Plan bit-identity contract.
 func TestSparseServerMatchesDense(t *testing.T) {
 	trained, _ := newTestModel(7)
 	rng := rand.New(rand.NewSource(1))
@@ -40,12 +39,12 @@ func TestSparseServerMatchesDense(t *testing.T) {
 	defer dense.Close()
 
 	proto, _ := newTestModel(7)
-	plan, err := sparsenn.Compile(proto, art)
+	plan, err := sparse.Compile(proto, art)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sparseCfg := testConfig()
-	sparseCfg.NewSparseReplica = func() (Replica, error) { return sparsenn.NewExecutor(plan), nil }
+	sparseCfg.NewSparseReplica = func() (Replica, error) { return sparse.NewExecutor(plan), nil }
 	sp, err := New(sparseCfg)
 	if err != nil {
 		t.Fatal(err)

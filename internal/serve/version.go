@@ -277,18 +277,13 @@ func (s *Server) verifyPool(pool *Pool) (classes int, err error) {
 			classes, err = 0, fmt.Errorf("probe inference panicked: %v", p)
 		}
 	}()
-	probe := s.cfg.ProbeInput
-	if probe == nil {
-		probe = make([]float32, s.inputLen)
-		for i := range probe {
-			probe[i] = float32(i%17) / 17
-		}
+	xa := tensor.New(append([]int{1}, s.cfg.InputShape...)...)
+	for i := range xa.Data {
+		xa.Data[i] = float32(i%17) / 17
 	}
-	shape := append([]int{1}, s.cfg.InputShape...)
+	xb := xa.Clone() // the second pass gets its own copy of the probe
 
 	a, _ := pool.TryAcquire() // fresh pool: never empty
-	xa := tensor.New(shape...)
-	copy(xa.Data, probe)
 	outA := a.Infer(xa)
 	if len(outA.Shape) != 2 || outA.Shape[0] != 1 || outA.Shape[1] <= 0 {
 		pool.Release(a)
@@ -304,8 +299,6 @@ func (s *Server) verifyPool(pool *Pool) (classes int, err error) {
 	if pool.Size() > 1 {
 		b, _ = pool.TryAcquire()
 	}
-	xb := tensor.New(shape...)
-	copy(xb.Data, probe)
 	outB := b.Infer(xb)
 	defer func() {
 		pool.Release(a)

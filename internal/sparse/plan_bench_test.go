@@ -1,4 +1,4 @@
-package sparsenn_test
+package sparse_test
 
 import (
 	"testing"
@@ -6,13 +6,12 @@ import (
 	"dropback/internal/models"
 	"dropback/internal/nn"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 	"dropback/internal/tensor"
 )
 
 // benchSetup compresses a perturbed model at ~20× and returns the artifact
 // plus a dense model with the artifact applied.
-func benchSetup(b *testing.B, build func(seed uint64) *nn.Model) (*sparse.Artifact, *nn.Model, *sparsenn.Executor) {
+func benchSetup(b *testing.B, build func(seed uint64) *nn.Model) (*sparse.Artifact, *nn.Model, *sparse.Executor) {
 	trained := build(1)
 	perturb(trained, 0.05, 7)
 	art := sparse.Compress(trained)
@@ -20,17 +19,17 @@ func benchSetup(b *testing.B, build func(seed uint64) *nn.Model) (*sparse.Artifa
 	if err := art.Apply(dense); err != nil {
 		b.Fatal(err)
 	}
-	plan, err := sparsenn.Compile(build(1), art)
+	plan, err := sparse.Compile(build(1), art)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return art, dense, sparsenn.NewExecutor(plan)
+	return art, dense, sparse.NewExecutor(plan)
 }
 
 // reportWeightBytes attaches the resident-weight metrics so the benchmark
 // output records the memory collapse alongside ns/op (benchguard ignores
 // extra ReportMetric columns).
-func reportWeightBytes(b *testing.B, plan *sparsenn.Plan, sparsePath bool) {
+func reportWeightBytes(b *testing.B, plan *sparse.Plan, sparsePath bool) {
 	if sparsePath {
 		b.ReportMetric(float64(plan.WeightBytes()), "weightB/replica")
 	} else {

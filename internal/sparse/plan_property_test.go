@@ -1,4 +1,4 @@
-package sparsenn_test
+package sparse_test
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 
 	"dropback/internal/nn"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 )
 
 // randomStack builds a random frozen-inference model: either an MLP or a
@@ -123,11 +122,11 @@ func TestPropertySparseForwardMatchesDense(t *testing.T) {
 			t.Fatalf("trial %d: Apply: %v", trial, err)
 		}
 		proto := nn.NewModel(cloneLayer(trained.Net, seed), seed)
-		plan, err := sparsenn.Compile(proto, art)
+		plan, err := sparse.Compile(proto, art)
 		if err != nil {
 			t.Fatalf("trial %d: Compile: %v", trial, err)
 		}
-		ex := sparsenn.NewExecutor(plan)
+		ex := sparse.NewExecutor(plan)
 
 		for _, n := range []int{1, 3, 8} {
 			x := input(stackRng.Int63(), append([]int{n}, shape...)...)

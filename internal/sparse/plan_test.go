@@ -1,4 +1,4 @@
-package sparsenn_test
+package sparse_test
 
 import (
 	"math"
@@ -9,7 +9,6 @@ import (
 	"dropback/internal/nn"
 	"dropback/internal/prune"
 	"dropback/internal/sparse"
-	"dropback/internal/sparsenn"
 	"dropback/internal/tensor"
 )
 
@@ -85,11 +84,11 @@ func TestSparseForwardBitIdentical(t *testing.T) {
 			if err := art.Apply(dense); err != nil {
 				t.Fatalf("Apply: %v", err)
 			}
-			plan, err := sparsenn.Compile(tc.build(seed), art)
+			plan, err := sparse.Compile(tc.build(seed), art)
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			ex := sparsenn.NewExecutor(plan)
+			ex := sparse.NewExecutor(plan)
 
 			for _, n := range []int{1, 5} {
 				x := input(int64(100+n), append([]int{n}, tc.shape...)...)
@@ -110,23 +109,6 @@ func TestSparseForwardBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompileValidation covers the artifact/prototype mismatch paths.
-func TestCompileValidation(t *testing.T) {
-	m := models.MNIST100100(1)
-	perturb(m, 0.05, 3)
-	art := sparse.Compress(m)
-
-	if _, err := sparsenn.Compile(models.MNIST100100(2), art); err == nil {
-		t.Error("expected seed-mismatch error")
-	}
-	if _, err := sparsenn.Compile(models.LeNet300100(1), art); err == nil {
-		t.Error("expected parameter-count mismatch error")
-	}
-	if _, err := sparsenn.Compile(models.MNIST100100(1), art); err != nil {
-		t.Errorf("valid compile failed: %v", err)
-	}
-}
-
 // TestCompileRejectsVariational: variational-dropout layers carry
 // log-variance state with no sparse regeneration story and must be rejected,
 // not silently densified.
@@ -134,7 +116,7 @@ func TestCompileRejectsVariational(t *testing.T) {
 	m := models.NewVGGS(models.VGGSReduced(12, 8, 1, prune.Variational{}))
 	perturb(m, 0.05, 3)
 	art := sparse.Compress(m)
-	if _, err := sparsenn.Compile(models.NewVGGS(models.VGGSReduced(12, 8, 1, prune.Variational{})), art); err == nil {
+	if _, err := sparse.Compile(models.NewVGGS(models.VGGSReduced(12, 8, 1, prune.Variational{})), art); err == nil {
 		t.Fatal("expected unsupported-layer error for variational model")
 	}
 }
@@ -145,11 +127,11 @@ func TestExecutorsSharePlan(t *testing.T) {
 	trained := models.MNIST100100(3)
 	perturb(trained, 0.05, 5)
 	art := sparse.Compress(trained)
-	plan, err := sparsenn.Compile(models.MNIST100100(3), art)
+	plan, err := sparse.Compile(models.MNIST100100(3), art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sparsenn.NewExecutor(plan), sparsenn.NewExecutor(plan)
+	a, b := sparse.NewExecutor(plan), sparse.NewExecutor(plan)
 	x := input(9, 4, 784)
 	ya, yb := a.Infer(x), b.Infer(x)
 	for i := range ya.Data {
@@ -173,7 +155,7 @@ func TestWeightBytesCollapse(t *testing.T) {
 	if r := art.CompressionRatio(); r < 20 {
 		t.Fatalf("setup: compression ratio %.1f, want >= 20", r)
 	}
-	plan, err := sparsenn.Compile(models.MNIST100100(1), art)
+	plan, err := sparse.Compile(models.MNIST100100(1), art)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +174,11 @@ func TestSparseForwardAllocFree(t *testing.T) {
 	trained := models.MNIST100100(1)
 	perturb(trained, 0.05, 7)
 	art := sparse.Compress(trained)
-	plan, err := sparsenn.Compile(models.MNIST100100(1), art)
+	plan, err := sparse.Compile(models.MNIST100100(1), art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := sparsenn.NewExecutor(plan)
+	ex := sparse.NewExecutor(plan)
 	x := input(2, 4, 784)
 	ex.Infer(x) // warm the workspaces
 	if allocs := testing.AllocsPerRun(10, func() { ex.Infer(x) }); allocs != 0 {

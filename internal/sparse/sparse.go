@@ -11,6 +11,10 @@
 // the artifact works for any training method (for baseline-trained models
 // it degenerates to roughly dense storage, which is the point of the
 // comparison).
+//
+// Compile turns an artifact into a serving Plan that computes straight off
+// the tracked weights, and NewExecutor replicates the plan's model once
+// per concurrent worker (plan.go).
 package sparse
 
 import (
@@ -21,6 +25,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 
 	"dropback/internal/fsatomic"
 	"dropback/internal/nn"
@@ -79,10 +84,13 @@ func Compress(m *nn.Model) *Artifact {
 
 // Apply writes the artifact into a freshly constructed model. The model
 // must be built by the same constructor with the same seed: Apply verifies
-// the seed, the parameter count, every entry index and the batch norm
-// channel counts, then restores the batch norm statistics, regenerates
-// every weight to its initialization value and overlays the stored
-// entries. A rejected artifact leaves the model unchanged.
+// the seed, the parameter count, that entry indices are in range and
+// strictly ascending, and the batch norm channel counts, then restores the
+// batch norm statistics and writes each parameter into whichever storage
+// it has. A CSR weight holds exactly the artifact's entries for it (every
+// other element regenerates as the layers compute); a dense Value is
+// regenerated to its initialization and overlaid with the entries. A
+// rejected artifact leaves the model unchanged.
 func (a *Artifact) Apply(m *nn.Model) error {
 	if m.Seed != a.ModelSeed {
 		return fmt.Errorf("sparse: model seed %d does not match artifact seed %d", m.Seed, a.ModelSeed)
@@ -90,22 +98,45 @@ func (a *Artifact) Apply(m *nn.Model) error {
 	if m.Set.Total() != a.TotalParams {
 		return fmt.Errorf("sparse: model has %d parameters, artifact describes %d", m.Set.Total(), a.TotalParams)
 	}
-	for _, e := range a.Entries {
+	for i, e := range a.Entries {
 		if int(e.Index) >= a.TotalParams {
 			return fmt.Errorf("sparse: entry index %d out of range", e.Index)
+		}
+		if i > 0 && e.Index <= a.Entries[i-1].Index {
+			return fmt.Errorf("sparse: entry indices not strictly ascending at entry %d", i)
 		}
 	}
 	if err := nn.ApplyBNStats(m.Net, a.BNs); err != nil {
 		return fmt.Errorf("sparse: %w", err)
 	}
-	// Regenerate everything (the model may have been trained or mutated).
-	for _, p := range m.Set.Params() {
-		p.Init.Fill(p.Value.Data)
-	}
-	for _, e := range a.Entries {
-		m.Set.Set(int(e.Index), e.Value)
+	ents := a.Entries
+	for i, p := range m.Set.Params() {
+		base := m.Set.Offset(i)
+		n := sort.Search(len(ents), func(j int) bool { return int(ents[j].Index) >= base+p.Len() })
+		write(p, ents[:n], base)
+		ents = ents[n:]
 	}
 	return nil
+}
+
+// write stores parameter p's entries, whose global indices start at base,
+// into p's storage.
+func write(p *nn.Param, ents []Entry, base int) {
+	if p.CSR != nil {
+		idx := make([]int32, len(ents))
+		val := make([]float32, len(ents))
+		for t, e := range ents {
+			idx[t], val[t] = int32(int(e.Index)-base), e.Value
+		}
+		p.CSR.Idx, p.CSR.Val = idx, val
+		p.CSR.RebuildRowPtr()
+	}
+	if p.Value != nil {
+		p.Init.Fill(p.Value.Data)
+		for _, e := range ents {
+			p.Value.Data[int(e.Index)-base] = e.Value
+		}
+	}
 }
 
 // StoredWeights returns the number of explicitly stored weights.

@@ -112,8 +112,9 @@ func TestApplyRejectsOutOfRangeEntry(t *testing.T) {
 }
 
 // TestRejectedApplyLeavesModelUntouched checks that Apply validates the
-// whole artifact before it writes anything: an out-of-range entry or a
-// batch norm channel mismatch must leave every parameter and every running
+// whole artifact before it writes anything: an out-of-range entry, entry
+// indices that descend or repeat, or a batch norm channel mismatch must
+// leave every parameter and every running
 // statistic byte-identical, where a half-written model would keep
 // regenerated weights or overlaid entries.
 func TestRejectedApplyLeavesModelUntouched(t *testing.T) {
@@ -128,13 +129,22 @@ func TestRejectedApplyLeavesModelUntouched(t *testing.T) {
 	outOfRange := *good
 	outOfRange.Entries = append(append([]sparse.Entry(nil), good.Entries...),
 		sparse.Entry{Index: uint32(good.TotalParams), Value: 1})
+	descending := *good
+	descending.Entries = append([]sparse.Entry(nil), good.Entries...)
+	descending.Entries[0], descending.Entries[1] = descending.Entries[1], descending.Entries[0]
+	repeated := *good
+	repeated.Entries = append([]sparse.Entry(nil), good.Entries...)
+	repeated.Entries[len(repeated.Entries)-1].Index = repeated.Entries[len(repeated.Entries)-2].Index
 	mismatch := *good
 	mismatch.BNs = append([]nn.BNStats(nil), good.BNs...)
 	last := len(mismatch.BNs) - 1
 	mismatch.BNs[last].RunningMean = mismatch.BNs[last].RunningMean[1:]
 	mismatch.BNs[last].RunningVar = mismatch.BNs[last].RunningVar[1:]
 
-	for name, a := range map[string]*sparse.Artifact{"out-of-range entry": &outOfRange, "bn channel mismatch": &mismatch} {
+	for name, a := range map[string]*sparse.Artifact{
+		"out-of-range entry": &outOfRange, "descending entries": &descending,
+		"repeated entry": &repeated, "bn channel mismatch": &mismatch,
+	} {
 		m := dropback.VGGSReduced(8, 2, 3, false)
 		// Every weight off its regenerated value, every statistic off its
 		// default, so any write shows.

@@ -191,19 +191,14 @@ type TrainConfig struct {
 	// historical sequential step; W ≥ 2 splits every minibatch across W
 	// workers whose per-sample gradient rows are reduced deterministically,
 	// so results are bit-identical to Workers = 1 at any GOMAXPROCS (see
-	// DESIGN.md §8). Requires WorkerModel, and a model whose layers pass
+	// DESIGN.md §8). The extra workers run replicas of the model
+	// (nn.Model.Replica) over its weights, so its layers must pass
 	// nn.CheckShardable (BatchNorm and PReLU models must train
 	// sequentially). The worker count is an execution detail: it is not
 	// recorded in checkpoints, and a run may resume under a different
 	// Workers value bit-identically. With Dist, it is this node's local
 	// width over its share of every minibatch, and nodes may differ.
 	Workers int
-	// WorkerModel builds one structurally identical model replica per extra
-	// worker — in practice the same constructor call that built the primary
-	// model, with the same seed. Replica parameter values are aliased to
-	// the primary's; only their gradient buffers and layer workspaces stay
-	// private. Required when Workers ≥ 2, ignored otherwise.
-	WorkerModel func() (*Model, error)
 
 	// Dist, if non-nil, joins a multi-node training cluster: this process
 	// trains the contiguous shard of every minibatch that Dist.Rank owns
@@ -271,9 +266,6 @@ func (c TrainConfig) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("dropback: Workers must be non-negative, got %d", c.Workers)
-	}
-	if c.Workers > 1 && c.WorkerModel == nil {
-		return fmt.Errorf("dropback: Workers = %d requires a WorkerModel factory", c.Workers)
 	}
 	if c.SparseTrain {
 		if c.Method != MethodDropBack {
@@ -563,7 +555,7 @@ func newRun(m *Model, train *Dataset, cfg TrainConfig) (*run, error) {
 	// method constraint — runs unchanged on the primary model, once per
 	// minibatch, exactly as in the sequential path.
 	if cfg.Workers > 1 || cfg.Dist != nil {
-		if r.exec, err = newShardExecutor(m, max(cfg.Workers, 1), cfg.WorkerModel, cfg.Telemetry); err != nil {
+		if r.exec, err = newShardExecutor(m, max(cfg.Workers, 1), cfg.Telemetry); err != nil {
 			return nil, err
 		}
 		r.stepFn = r.exec.Step

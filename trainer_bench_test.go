@@ -32,9 +32,7 @@ func BenchmarkTrainStep(b *testing.B) {
 			sgd := optim.NewSGD(0.1)
 			stepFn := m.Step
 			if workers > 1 {
-				exec, err := newShardExecutor(m, workers, func() (*Model, error) {
-					return MNIST100100(1), nil
-				}, nil)
+				exec, err := newShardExecutor(m, workers, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

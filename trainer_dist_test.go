@@ -229,7 +229,6 @@ func TestDistLocalWorkersBitIdentical(t *testing.T) {
 					for _, l := range layouts {
 						results, params := distTrainN(t, mc.factory, 3, l.world, cfg, mc.train, mc.val, func(rank int, c *TrainConfig) {
 							c.Workers = l.workers(rank)
-							c.WorkerModel = func() (*Model, error) { return mc.factory(3), nil }
 						})
 						for r := 0; r < l.world; r++ {
 							ctx := fmt.Sprintf("N=%d/node%d/W=%d", l.world, r, l.workers(r))
@@ -430,7 +429,6 @@ func distExecMesh(t testing.TB, factory func(uint64) *Model, budget, world, work
 	dbs := make([]*core.DropBack, world)
 	errs := make([]error, world)
 	hs := dist.Handshake{Seed: 1, Method: uint32(MethodDropBack), Budget: uint64(budget), FreezeAfter: 0, Batch: 8}
-	replica := func() (*Model, error) { return factory(41), nil }
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		ms[r] = factory(41)
@@ -440,7 +438,7 @@ func distExecMesh(t testing.TB, factory func(uint64) *Model, budget, world, work
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			e, err := newShardExecutor(ms[r], workers, replica, nil)
+			e, err := newShardExecutor(ms[r], workers, nil)
 			if err == nil {
 				err = e.join(dbs[r], dcfgs[r], hs)
 			}

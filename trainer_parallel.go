@@ -63,10 +63,10 @@ func shardRangesInto(out []shardRange, n int) []shardRange {
 // DESIGN.md §8, and §12 for the exchange.
 //
 // Worker 0 runs the primary model on the calling goroutine; workers 1…W−1
-// run structurally identical replicas whose parameter Value tensors alias
-// the primary's (read-only during the pass; the join provides the
-// happens-before edge the post-reduction optimizer update needs). The
-// worker count is local: ranks of one cluster may run different W.
+// run replicas of it (nn.Model.Replica) that share its weight storage
+// (read-only during the pass; the join provides the happens-before edge the
+// post-reduction optimizer update needs). The worker count is local: ranks
+// of one cluster may run different W.
 type shardExecutor struct {
 	primary  *Model
 	replicas []*Model // replicas[0] == primary
@@ -101,13 +101,8 @@ type shardExecutor struct {
 }
 
 // newShardExecutor validates the model for shard-parallel training and
-// builds workers−1 replicas with the factory. Factory models must be
-// structurally identical to the primary (same parameters, names, shapes) —
-// in practice, built by the same constructor with the same seed.
-func newShardExecutor(m *Model, workers int, factory func() (*Model, error), rec telemetry.Recorder) (*shardExecutor, error) {
-	if workers > 1 && factory == nil {
-		return nil, fmt.Errorf("dropback: Workers = %d requires a WorkerModel factory to build the %d extra replicas", workers, workers-1)
-	}
+// builds workers−1 replicas of it (nn.Model.Replica).
+func newShardExecutor(m *Model, workers int, rec telemetry.Recorder) (*shardExecutor, error) {
 	if err := nn.CheckShardable(m.Net); err != nil {
 		return nil, fmt.Errorf("dropback: model is not shard-parallel safe: %w", err)
 	}
@@ -124,29 +119,10 @@ func newShardExecutor(m *Model, workers int, factory func() (*Model, error), rec
 		shardDur: make([]time.Duration, workers),
 	}
 	e.replicas[0] = m
-	primaryParams := m.Set.Params()
 	for w := 1; w < workers; w++ {
-		r, err := factory()
+		r, err := m.Replica()
 		if err != nil {
 			return nil, fmt.Errorf("dropback: building worker replica %d: %w", w, err)
-		}
-		if r == nil || r == m {
-			return nil, fmt.Errorf("dropback: WorkerModel must build a fresh model per call")
-		}
-		rp := r.Set.Params()
-		if len(rp) != len(primaryParams) || r.Set.Total() != e.total {
-			return nil, fmt.Errorf("dropback: worker replica %d has %d parameters (%d scalars), primary has %d (%d)",
-				w, len(rp), r.Set.Total(), len(primaryParams), e.total)
-		}
-		for i, p := range primaryParams {
-			if rp[i].Name != p.Name || !rp[i].Value.SameShape(p.Value) {
-				return nil, fmt.Errorf("dropback: worker replica %d parameter %d is %q %v, primary has %q %v",
-					w, i, rp[i].Name, rp[i].Value.Shape, p.Name, p.Value.Shape)
-			}
-			// Alias the weights: replicas read the primary's parameter
-			// values directly, so the post-reduction update is visible to
-			// every worker at the next step without any copying.
-			rp[i].Value = p.Value
 		}
 		e.replicas[w] = r
 	}

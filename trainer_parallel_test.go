@@ -101,7 +101,6 @@ func runEquivalence(t *testing.T, factory func(uint64) *Model, seed uint64, work
 	m := factory(seed)
 	if workers > 1 {
 		cfg.Workers = workers
-		cfg.WorkerModel = func() (*Model, error) { return factory(seed), nil }
 	}
 	res, err := TrainE(m, train, val, cfg)
 	if err != nil {
@@ -177,7 +176,7 @@ func TestParallelTrainerDropoutBitIdentical(t *testing.T) {
 func TestParallelStepMatchesSequential(t *testing.T) {
 	seq := parTestDropoutMLP(21)
 	par := parTestDropoutMLP(21)
-	exec, err := newShardExecutor(par, 3, func() (*Model, error) { return parTestDropoutMLP(21), nil }, nil)
+	exec, err := newShardExecutor(par, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func TestParallelStepMatchesSequential(t *testing.T) {
 func TestParallelConvStepMatchesSequential(t *testing.T) {
 	seq := parTestConvModel(37)
 	par := parTestConvModel(37)
-	exec, err := newShardExecutor(par, 3, func() (*Model, error) { return parTestConvModel(37), nil }, nil)
+	exec, err := newShardExecutor(par, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +269,6 @@ func TestParallelResumeFromSequentialCheckpoint(t *testing.T) {
 	second := base
 	second.Checkpoint = &CheckpointSpec{Dir: dir, Resume: true}
 	second.Workers = 4
-	second.WorkerModel = func() (*Model, error) { return parTestDropoutMLP(7), nil }
 	m2 := parTestDropoutMLP(7)
 	got, err := TrainE(m2, train, val, second)
 	if err != nil {
@@ -296,7 +294,7 @@ func TestParallelRejectsUnshardableModel(t *testing.T) {
 	}
 	train, val := synthTrainVal(18, 8, 3, 31)
 	cfg := TrainConfig{Method: MethodBaseline, Epochs: 1, BatchSize: 3, Seed: 1,
-		Workers: 2, WorkerModel: func() (*Model, error) { return bnModel(1), nil }}
+		Workers: 2}
 	if _, err := TrainE(bnModel(1), train, val, cfg); err == nil {
 		t.Fatal("BatchNorm model accepted for shard-parallel training")
 	}
@@ -318,10 +316,5 @@ func TestParallelConfigValidation(t *testing.T) {
 	cfg := TrainConfig{Method: MethodBaseline, Epochs: 1, BatchSize: 3, Seed: 1, Workers: -1}
 	if _, err := TrainE(parTestMLP(1), train, val, cfg); err == nil {
 		t.Fatal("negative Workers accepted")
-	}
-	cfg.Workers = 3
-	cfg.WorkerModel = nil
-	if _, err := TrainE(parTestMLP(1), train, val, cfg); err == nil {
-		t.Fatal("Workers > 1 without WorkerModel accepted")
 	}
 }

@@ -373,12 +373,7 @@ func TestSparseTrainValidation(t *testing.T) {
 	}
 	bad := []TrainConfig{
 		func() TrainConfig { c := valid; c.Method = MethodBaseline; return c }(),
-		func() TrainConfig {
-			c := valid
-			c.Workers = 2
-			c.WorkerModel = func() (*Model, error) { return nil, nil }
-			return c
-		}(),
+		func() TrainConfig { c := valid; c.Workers = 2; return c }(),
 		func() TrainConfig { c := valid; c.MaxRecoveryRetries = 1; return c }(),
 		func() TrainConfig { c := valid; c.GradHook = func(int, *nn.ParamSet) {}; return c }(),
 	}
