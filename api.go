@@ -29,6 +29,8 @@
 package dropback
 
 import (
+	"fmt"
+
 	"dropback/internal/data"
 	"dropback/internal/models"
 	"dropback/internal/nn"
@@ -141,4 +143,34 @@ func DenseNetReduced(depth, growth int, seed uint64, variational bool) *Model {
 		f = prune.Variational{}
 	}
 	return models.NewDenseNet(models.DenseNetReduced(depth, growth, seed, f))
+}
+
+// ModelByName builds one of the five models the command-line tools train,
+// evaluate and serve (mnist100, lenet300, vggs-reduced, wrn-reduced,
+// densenet-reduced) and returns it with its per-sample input shape: [784]
+// for the MLPs, [3, 12, 12] for the reduced convolutional models, which are
+// sized for 12×12 inputs. variational asks for variational-dropout layers,
+// which only the convolutional models have here.
+func ModelByName(name string, seed uint64, variational bool) (*Model, []int, error) {
+	mlp, image := []int{784}, []int{3, 12, 12}
+	switch name {
+	case "mnist100":
+		if variational {
+			return nil, nil, fmt.Errorf("use vggs-reduced for a variational demo; mnist100 VD is exercised by the experiments harness")
+		}
+		return MNIST100100(seed), mlp, nil
+	case "lenet300":
+		if variational {
+			return nil, nil, fmt.Errorf("lenet300 has no variational variant in this CLI")
+		}
+		return LeNet300100(seed), mlp, nil
+	case "vggs-reduced":
+		return VGGSReduced(12, 8, seed, variational), image, nil
+	case "wrn-reduced":
+		return WRNReduced(10, 2, seed, variational), image, nil
+	case "densenet-reduced":
+		return DenseNetReduced(13, 6, seed, variational), image, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown model %q", name)
+	}
 }

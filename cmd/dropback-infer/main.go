@@ -70,7 +70,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	m, imageModel, err := buildModel(*model, *seed)
+	m, shape, err := dropback.ModelByName(*model, *seed, false)
 	if err != nil {
 		return err
 	}
@@ -98,7 +98,7 @@ func run() error {
 	}
 
 	var ds *dropback.Dataset
-	if imageModel {
+	if len(shape) > 1 {
 		ds = dropback.CIFARLikeSized(*samples, 12, *dataSeed)
 	} else {
 		ds = dropback.MNISTLike(*samples, *dataSeed).Flatten()
@@ -115,7 +115,7 @@ func run() error {
 	}
 
 	if *sparseRun {
-		proto, _, err := buildModel(*model, *seed)
+		proto, _, err := dropback.ModelByName(*model, *seed, false)
 		if err != nil {
 			return err
 		}
@@ -196,22 +196,4 @@ func sparseSideBySide(dense, proto *dropback.Model, art *dropback.SparseArtifact
 	fmt.Printf("  weight traffic: %d tracked reads, %d regenerations (outputs bit-identical to dense)\n",
 		traffic.DRAMReads, traffic.Regenerations)
 	return nil
-}
-
-// buildModel mirrors cmd/dropback's model registry.
-func buildModel(name string, seed uint64) (*dropback.Model, bool, error) {
-	switch name {
-	case "mnist100":
-		return dropback.MNIST100100(seed), false, nil
-	case "lenet300":
-		return dropback.LeNet300100(seed), false, nil
-	case "vggs-reduced":
-		return dropback.VGGSReduced(12, 8, seed, false), true, nil
-	case "wrn-reduced":
-		return dropback.WRNReduced(10, 2, seed, false), true, nil
-	case "densenet-reduced":
-		return dropback.DenseNetReduced(13, 6, seed, false), true, nil
-	default:
-		return nil, false, fmt.Errorf("unknown model %q", name)
-	}
 }

@@ -91,9 +91,14 @@ func run() error {
 		return errors.New("missing -artifact")
 	}
 
-	build, inputShape, err := modelFactory(*model, *seed)
+	_, inputShape, err := dropback.ModelByName(*model, *seed, false)
 	if err != nil {
 		return err
+	}
+	// build makes a fresh model; the name was validated above.
+	build := func() *dropback.Model {
+		m, _, _ := dropback.ModelByName(*model, *seed, false)
+		return m
 	}
 
 	// prep applies the -quant-bits roundtrip, so hot-reloaded artifacts get
@@ -284,23 +289,4 @@ func run() error {
 		}
 	}
 	return shutdownErr
-}
-
-// modelFactory mirrors cmd/dropback's registry and reports the per-sample
-// input shape the server should batch over.
-func modelFactory(name string, seed uint64) (func() *dropback.Model, []int, error) {
-	switch name {
-	case "mnist100":
-		return func() *dropback.Model { return dropback.MNIST100100(seed) }, []int{784}, nil
-	case "lenet300":
-		return func() *dropback.Model { return dropback.LeNet300100(seed) }, []int{784}, nil
-	case "vggs-reduced":
-		return func() *dropback.Model { return dropback.VGGSReduced(12, 8, seed, false) }, []int{3, 12, 12}, nil
-	case "wrn-reduced":
-		return func() *dropback.Model { return dropback.WRNReduced(10, 2, seed, false) }, []int{3, 12, 12}, nil
-	case "densenet-reduced":
-		return func() *dropback.Model { return dropback.DenseNetReduced(13, 6, seed, false) }, []int{3, 12, 12}, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown model %q", name)
-	}
 }

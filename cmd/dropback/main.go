@@ -88,10 +88,11 @@ func run() error {
 	}
 
 	variational := *method == "variational"
-	m, imageModel, err := buildModel(*model, *seed, variational)
+	m, shape, err := dropback.ModelByName(*model, *seed, variational)
 	if err != nil {
 		return err
 	}
+	imageModel := len(shape) > 1
 
 	if *loadCkpt != "" {
 		if err := dropback.LoadCheckpoint(*loadCkpt, m); err != nil {
@@ -244,31 +245,6 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-// buildModel constructs the requested model; imageModel reports whether it
-// consumes (N,C,H,W) input rather than flattened vectors.
-func buildModel(name string, seed uint64, variational bool) (*dropback.Model, bool, error) {
-	switch name {
-	case "mnist100":
-		if variational {
-			return nil, false, fmt.Errorf("use vggs-reduced for a variational demo; mnist100 VD is exercised by the experiments harness")
-		}
-		return dropback.MNIST100100(seed), false, nil
-	case "lenet300":
-		if variational {
-			return nil, false, fmt.Errorf("lenet300 has no variational variant in this CLI")
-		}
-		return dropback.LeNet300100(seed), false, nil
-	case "vggs-reduced":
-		return dropback.VGGSReduced(12, 8, seed, variational), true, nil
-	case "wrn-reduced":
-		return dropback.WRNReduced(10, 2, seed, variational), true, nil
-	case "densenet-reduced":
-		return dropback.DenseNetReduced(13, 6, seed, variational), true, nil
-	default:
-		return nil, false, fmt.Errorf("unknown model %q", name)
-	}
 }
 
 // buildDataset returns the right dataset for the model: real MNIST when IDX

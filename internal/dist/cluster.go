@@ -31,9 +31,6 @@ type Config struct {
 	// StepTimeout bounds each step's exchange with every peer; a stalled
 	// peer trips it instead of hanging the fold (30s if zero).
 	StepTimeout time.Duration
-	// MaxFrame bounds incoming payload sizes (128 MiB if zero). The dense
-	// pre-freeze exchange needs batch × paramTotal × 4 bytes per frame.
-	MaxFrame int
 	// WrapConn, if non-nil, wraps each established peer connection after
 	// the handshake — the fault-injection seam internal/faults' connection
 	// injectors plug into. Production leaves it nil.
@@ -57,16 +54,12 @@ func (c *Config) Validate() error {
 	if c.ConnectTimeout < 0 || c.StepTimeout < 0 {
 		return fmt.Errorf("dist: timeouts must be non-negative")
 	}
-	if c.MaxFrame < 0 {
-		return fmt.Errorf("dist: MaxFrame must be non-negative")
-	}
 	return nil
 }
 
 const (
 	defaultConnectTimeout = 10 * time.Second
 	defaultStepTimeout    = 30 * time.Second
-	defaultMaxFrame       = 128 << 20
 	// handshakeMaxFrame bounds frames read during the handshake, where only
 	// hello and abort payloads are legal.
 	handshakeMaxFrame = 4096
@@ -113,6 +106,9 @@ type Cluster struct {
 	world int
 	peers []*peerLink // indexed by rank; nil at own rank
 	ln    net.Listener
+	// maxFrame bounds each incoming step payload (stepMaxPayload), checked
+	// against the length prefix before a receive buffer grows.
+	maxFrame int
 
 	frame    []byte   // scratch for the broadcast frame
 	recvBufs [][]byte // per-peer receive buffers, reused across steps
@@ -120,6 +116,14 @@ type Cluster struct {
 	errs     []error  // per-goroutine error slots, reused across steps
 
 	closed bool
+}
+
+// stepMaxPayload is the largest step payload a peer can legally send in the
+// run hs describes: the whole batch, each row carrying every parameter (the
+// dense pre-freeze exchange). It never drops below handshakeMaxFrame, so an
+// abort frame always fits.
+func stepMaxPayload(hs Handshake) int {
+	return max(StepFrameBytes(int(hs.Batch), int(hs.ParamTotal))-frameOverhead, handshakeMaxFrame)
 }
 
 // Connect builds the full mesh: rank r accepts one connection from every
@@ -138,9 +142,6 @@ func Connect(cfg Config, hs Handshake) (*Cluster, error) {
 	if cfg.StepTimeout == 0 {
 		cfg.StepTimeout = defaultStepTimeout
 	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = defaultMaxFrame
-	}
 	world := len(cfg.Peers)
 	hs.Version = wireVersion
 	hs.Rank = uint32(cfg.Rank)
@@ -150,6 +151,7 @@ func Connect(cfg Config, hs Handshake) (*Cluster, error) {
 		cfg:      cfg,
 		rank:     cfg.Rank,
 		world:    world,
+		maxFrame: stepMaxPayload(hs),
 		peers:    make([]*peerLink, world),
 		recvBufs: make([][]byte, world),
 		out:      make([][]byte, world),
@@ -353,7 +355,7 @@ func (c *Cluster) Exchange(step uint64, payload []byte) ([][]byte, error) {
 		go func(r int, p *peerLink) {
 			defer wg.Done()
 			p.conn.SetReadDeadline(deadline)
-			pl, err := ReadFrame(p.conn, &c.recvBufs[r], c.cfg.MaxFrame)
+			pl, err := ReadFrame(p.conn, &c.recvBufs[r], c.maxFrame)
 			if err != nil {
 				c.errs[2*r+1] = fmt.Errorf("dist: step %d: receiving from peer %d: %w", step, r, err)
 				return

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -331,12 +332,64 @@ func TestClusterConfigValidate(t *testing.T) {
 		{Rank: -1, Peers: []string{"a:1", "b:2"}}, // negative rank
 		{Rank: 0, Peers: []string{"a:1", ""}},     // missing peer address
 		{Rank: 0, Peers: []string{"a:1", "b:2"}, ConnectTimeout: -1},
-		{Rank: 0, Peers: []string{"a:1", "b:2"}, MaxFrame: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestClusterStepFrameBound pins the receive bound Connect derives from the
+// handshake: a full dense step of the whole batch fits exactly, one byte
+// more is refused from the length prefix alone, and tiny runs keep room for
+// abort frames.
+func TestClusterStepFrameBound(t *testing.T) {
+	for _, hs := range []Handshake{{Batch: 32, ParamTotal: 89610}, {Batch: 16, ParamTotal: 3_000_000}, {Batch: 2, ParamTotal: 3}, {}} {
+		want := StepFrameBytes(int(hs.Batch), int(hs.ParamTotal)) - frameOverhead
+		if want < handshakeMaxFrame {
+			want = handshakeMaxFrame
+		}
+		if got := stepMaxPayload(hs); got != want {
+			t.Fatalf("batch %d, %d params: bound %d, want %d", hs.Batch, hs.ParamTotal, got, want)
+		}
+	}
+
+	hs := Handshake{Seed: 8, Batch: 2, ParamTotal: 1500}
+	rows := [][]float32{make([]float32, hs.ParamTotal), make([]float32, hs.ParamTotal)}
+	full := buildStepPayload(StepHeader{Rank: 1, Step: 0, Lo: 0, Hi: 2, Active: uint32(hs.ParamTotal)},
+		[]float64{0.5, 0.25}, []uint8{1, 0}, rows, nil)
+	clusters := connectMesh(t, meshConfigs(t, 2), hs)
+	if clusters[0].maxFrame != len(full) || len(full) != stepMaxPayload(hs) {
+		t.Fatalf("bound %d, full dense step payload %d bytes, stepMaxPayload %d", clusters[0].maxFrame, len(full), stepMaxPayload(hs))
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := clusters[1].Exchange(0, full)
+		done <- err
+	}()
+	got, err := clusters[0].Exchange(0, stepPayloadFor(0, 0))
+	if err != nil {
+		t.Fatalf("full dense step at the bound: %v", err)
+	}
+	if string(got[1]) != string(full) {
+		t.Fatal("full dense step payload arrived altered")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	clusters = connectMesh(t, meshConfigs(t, 2), hs)
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], uint32(stepMaxPayload(hs)+1))
+	if _, err := clusters[1].peers[0].conn.Write(prefix[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clusters[0].Exchange(0, stepPayloadFor(0, 0)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("frame one byte over the bound: got %v, want ErrFrameTooLarge", err)
+	}
+	if n := cap(clusters[0].recvBufs[1]); n != 0 {
+		t.Fatalf("receiver grew a %d-byte buffer for a refused frame", n)
 	}
 }
 

@@ -41,7 +41,7 @@ func runAnalysisSuite(o Options) []analysisRun {
 	}
 	base := dropback.TrainConfig{
 		Epochs: epochs, BatchSize: o.batchSize(), Schedule: mnistSchedule(epochs),
-		Seed: o.Seed, SnapshotEvery: 1, MaxSnapshots: 0, Progress: progress(o),
+		Seed: o.Seed, SnapshotEvery: 1, Progress: progress(o),
 		SnapshotParams: weightOnly,
 	}
 	// SnapshotEvery=1 gives per-step diffusion; storing every snapshot

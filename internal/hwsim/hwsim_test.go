@@ -209,84 +209,3 @@ func TestGenerateStepsScalesWithSteps(t *testing.T) {
 		t.Fatalf("3-step trace has %d events, want %d", len(b), 3*len(a))
 	}
 }
-
-func TestSetAssociativeHitsAndEviction(t *testing.T) {
-	// 4 words, 2 ways -> 2 sets. Indices 0 and 2 map to set 0.
-	s := NewSetAssociative(Config{SRAMWords: 4}, 2)
-	if s.Ways() != 2 {
-		t.Fatal("ways accessor wrong")
-	}
-	s.Step(Access{Kind: Read, Index: 0}) // miss, set 0 way 0
-	s.Step(Access{Kind: Read, Index: 2}) // miss, set 0 way 1
-	s.Step(Access{Kind: Read, Index: 0}) // hit
-	s.Step(Access{Kind: Read, Index: 2}) // hit
-	st := s.Stats()
-	if st.SRAMHits != 2 || st.SRAMMisses != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 2/2", st.SRAMHits, st.SRAMMisses)
-	}
-	// Index 4 also maps to set 0: evicts LRU (index 0, older than 2).
-	s.Step(Access{Kind: Read, Index: 4})
-	s.Step(Access{Kind: Read, Index: 2}) // must still hit
-	if s.Stats().SRAMHits != 3 {
-		t.Fatal("per-set LRU evicted the wrong way")
-	}
-	s.Step(Access{Kind: Read, Index: 0}) // miss again
-	if s.Stats().SRAMMisses != 4 {
-		t.Fatalf("misses = %d, want 4", s.Stats().SRAMMisses)
-	}
-}
-
-func TestSetAssociativeDirtyWriteback(t *testing.T) {
-	s := NewSetAssociative(Config{SRAMWords: 2}, 2) // one set, two ways
-	s.Step(Access{Kind: Write, Index: 0})
-	s.Step(Access{Kind: Write, Index: 1})
-	s.Step(Access{Kind: Read, Index: 2}) // evicts dirty LRU (0) -> writeback
-	if s.Stats().DRAMWrites != 1 {
-		t.Fatalf("DRAM writes = %d, want 1", s.Stats().DRAMWrites)
-	}
-}
-
-func TestSetAssociativeBeatsDirectMappedOnConflicts(t *testing.T) {
-	// Two hot indices aliasing the same direct-mapped slot ping-pong a
-	// direct-mapped buffer but coexist in a 2-way set.
-	trace := make([]Access, 0, 40)
-	for i := 0; i < 20; i++ {
-		trace = append(trace, Access{Kind: Read, Index: 0}, Access{Kind: Read, Index: 8})
-	}
-	dm := NewSimulator(Config{SRAMWords: 8, Policy: DirectMapped})
-	dm.Run(trace)
-	sa := NewSetAssociative(Config{SRAMWords: 8}, 2)
-	sa.Run(trace)
-	if dm.Stats().SRAMHits != 0 {
-		t.Fatalf("direct-mapped should thrash on aliases, hits = %d", dm.Stats().SRAMHits)
-	}
-	if sa.Stats().SRAMMisses != 2 {
-		t.Fatalf("2-way should only cold-miss, misses = %d", sa.Stats().SRAMMisses)
-	}
-}
-
-func TestSetAssociativeRegenBypass(t *testing.T) {
-	s := NewSetAssociative(Config{SRAMWords: 2}, 1)
-	s.Step(Access{Kind: Regen, Index: 5})
-	st := s.Stats()
-	if st.Regenerations != 1 || st.SRAMMisses != 0 {
-		t.Fatalf("regen must bypass the hierarchy: %+v", st)
-	}
-}
-
-func TestSetAssociativePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewSetAssociative(Config{SRAMWords: 0}, 1) },
-		func() { NewSetAssociative(Config{SRAMWords: 4}, 3) }, // not divisible
-		func() { NewSetAssociative(Config{SRAMWords: 4}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

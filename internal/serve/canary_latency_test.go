@@ -11,7 +11,6 @@ import (
 // samples (p99 would be the maximum), and rolls a uniformly slow canary back
 // once both have enough.
 func TestCanaryLatencyRuleWaitsForSettledP99(t *testing.T) {
-	s := &Server{cfg: Config{RollbackErrorRatio: 2, RollbackLatencyRatio: 3}}
 	stable, canary := &version{}, &version{}
 	for i := 0; i < minP99Samples; i++ {
 		stable.observe(100 * time.Microsecond)
@@ -20,7 +19,7 @@ func TestCanaryLatencyRuleWaitsForSettledP99(t *testing.T) {
 		canary.observe(100 * time.Microsecond)
 	}
 	canary.observe(50 * time.Millisecond) // one stall among few samples
-	if reason := s.canaryRegression(canary, stable, 0); reason != "" {
+	if reason := canaryRegression(canary, stable, 0); reason != "" {
 		t.Fatalf("one stall in %d samples rolled the canary back: %s", canary.lat.Count(), reason)
 	}
 
@@ -28,7 +27,7 @@ func TestCanaryLatencyRuleWaitsForSettledP99(t *testing.T) {
 	for i := 0; i < minP99Samples; i++ {
 		slow.observe(time.Millisecond)
 	}
-	if reason := s.canaryRegression(slow, stable, 0); !strings.Contains(reason, "p99") {
+	if reason := canaryRegression(slow, stable, 0); !strings.Contains(reason, "p99") {
 		t.Fatalf("uniformly 10x slower canary not rolled back on p99: %q", reason)
 	}
 }

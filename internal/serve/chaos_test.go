@@ -334,11 +334,10 @@ func TestCanaryAutoRollback(t *testing.T) {
 				return &faults.ChaosReplica{R: sparse.NewExecutor(plan), PanicEvery: 2}, nil
 			}, nil
 		},
-		InputShape:        chaosShape,
-		Replicas:          2,
-		MaxBatch:          4,
-		QueueDepth:        64,
-		CanaryMinRequests: 4,
+		InputShape: chaosShape,
+		Replicas:   2,
+		MaxBatch:   4,
+		QueueDepth: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -410,14 +409,12 @@ func TestCanaryPromotion(t *testing.T) {
 	artA, artB := trainedArtifact(1), trainedArtifact(2)
 	planA := compilePlan(t, artA)
 	s, err := serve.New(serve.Config{
-		NewSparseReplica:   func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
-		Compile:            chaosCompile(),
-		InputShape:         chaosShape,
-		Replicas:           2,
-		MaxBatch:           4,
-		QueueDepth:         64,
-		CanaryMinRequests:  4,
-		CanaryPromoteAfter: 16,
+		NewSparseReplica: func() (serve.Replica, error) { return sparse.NewExecutor(planA), nil },
+		Compile:          chaosCompile(),
+		InputShape:       chaosShape,
+		Replicas:         2,
+		MaxBatch:         4,
+		QueueDepth:       64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,12 @@ func (r ModelReplica) WeightBytes() (shared, private int) {
 // of goroutines can run inference concurrently as long as each uses its own
 // checked-out replica.
 //
-// Replicas are built by a constructor rather than copied from a prototype:
-// the sparse-artifact deployment path makes construction cheap (regenerate
-// from the seed, overlay the tracked weights), and independent construction
-// guarantees no hidden mutable state is shared between replicas.
+// Replicas come from a constructor, never from copying one another. A
+// sparse replica (sparse.Executor) runs an nn.Model.Replica of one compiled
+// plan's model: every replica shares the plan's weight storage and owns only
+// its layers' activation scratch. A dense ModelReplica is a model built with
+// the same constructor and seed and the artifact applied, with every weight
+// private.
 type Pool struct {
 	replicas chan Replica
 	size     int
@@ -63,13 +65,14 @@ type Pool struct {
 }
 
 // NewPool builds n replicas with build and returns the pool. Every replica
-// must come out bit-identical (same constructor, same seed, same artifact)
-// so that which replica serves a request can never change the answer.
+// must compute bit-identical outputs (one shared plan, or one constructor,
+// seed and artifact) so that which replica serves a request can never change
+// the answer.
 //
-// Replicas are built concurrently: construction cost is dominated by
-// regenerating the untracked weights (or compiling activation scratch),
-// which is pure CPU work with no shared state, so cold-start latency is the
-// slowest single build rather than the sum of all of them.
+// Replicas are built concurrently, so cold-start latency is the slowest
+// single build rather than the sum of all of them: a sparse build makes a
+// fresh layer tree over the shared plan, a dense one regenerates every
+// weight and overlays the tracked ones.
 func NewPool(n int, build func() (Replica, error)) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("serve: pool size must be positive, got %d", n)

@@ -126,25 +126,6 @@ type Config struct {
 	// QueueDepth bounds each tier's request queue (default 16×MaxBatch). A
 	// full tier queue rejects with ErrOverloaded.
 	QueueDepth int
-	// TierShedAt holds the per-tier admission thresholds: the fraction of
-	// total queue capacity (summed across tiers) at or above which the tier
-	// is shed preemptively. Zero values take the defaults {1.0, 0.7, 0.4};
-	// values must be positive and non-increasing from interactive down, so
-	// pressure always sheds the lowest tier first.
-	TierShedAt [NumTiers]float64
-	// CanaryMinRequests is the minimum number of completed canary requests
-	// before rollback/promotion is evaluated (default 32).
-	CanaryMinRequests int
-	// RollbackErrorRatio rolls the canary back when its error rate exceeds
-	// stable's by this factor plus an absolute 1% floor (default 2).
-	RollbackErrorRatio float64
-	// RollbackLatencyRatio rolls the canary back when its p99 latency
-	// exceeds stable's by this factor (default 3). The rule waits until
-	// both versions have served 100 requests: on fewer, p99 is the maximum.
-	RollbackLatencyRatio float64
-	// CanaryPromoteAfter promotes a healthy canary to stable after this many
-	// completed canary requests (default 256).
-	CanaryPromoteAfter int
 	// Telemetry optionally receives serve counters, gauges, and a per-request
 	// end-to-end latency sample stream (via Recorder.StepDone, which feeds
 	// the collector's latency quantiles). Nil disables recording.
@@ -177,31 +158,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16 * cfg.MaxBatch
-	}
-	if cfg.TierShedAt == ([NumTiers]float64{}) {
-		cfg.TierShedAt = defaultTierShedAt
-	}
-	prev := cfg.TierShedAt[0]
-	for t, f := range cfg.TierShedAt {
-		if f <= 0 {
-			return cfg, fmt.Errorf("serve: TierShedAt[%s] = %g, want > 0", Tier(t), f)
-		}
-		if f > prev {
-			return cfg, fmt.Errorf("serve: TierShedAt must be non-increasing by descending priority, got %v", cfg.TierShedAt)
-		}
-		prev = f
-	}
-	if cfg.CanaryMinRequests <= 0 {
-		cfg.CanaryMinRequests = 32
-	}
-	if cfg.RollbackErrorRatio <= 0 {
-		cfg.RollbackErrorRatio = 2
-	}
-	if cfg.RollbackLatencyRatio <= 0 {
-		cfg.RollbackLatencyRatio = 3
-	}
-	if cfg.CanaryPromoteAfter < cfg.CanaryMinRequests {
-		cfg.CanaryPromoteAfter = max(256, cfg.CanaryMinRequests)
 	}
 	return cfg, nil
 }
@@ -390,7 +346,7 @@ func (s *Server) PredictTier(ctx context.Context, input []float32, tier Tier) (P
 		s.mu.RUnlock()
 		return Prediction{}, ErrDraining
 	}
-	if s.occupancy() >= s.cfg.TierShedAt[tier] {
+	if s.occupancy() >= tierShedAt[tier] {
 		s.mu.RUnlock()
 		return Prediction{}, s.shed(tier)
 	}

@@ -48,10 +48,10 @@ func ParseTier(s string) (Tier, error) {
 	return TierInteractive, fmt.Errorf("%w: unknown priority tier %q (want interactive, batch, or best-effort)", ErrBadInput, s)
 }
 
-// defaultTierShedAt is the default per-tier admission threshold: the
-// fraction of total queue capacity (summed over every tier's queue) at or
-// above which the tier is shed preemptively. Interactive sheds only when the
-// whole queue space is exhausted (which implies its own queue is full);
-// batch gives up at 70% occupancy and best-effort at 40%, so pressure
-// strictly consumes the lowest tiers first.
-var defaultTierShedAt = [NumTiers]float64{1.0, 0.7, 0.4}
+// tierShedAt is the per-tier admission threshold: the fraction of total
+// queue capacity (summed over every tier's queue) at or above which the tier
+// is shed preemptively. Interactive sheds only when the whole queue space is
+// exhausted (which implies its own queue is full); batch gives up at 70%
+// occupancy and best-effort at 40%, so pressure strictly consumes the lowest
+// tiers first.
+var tierShedAt = [NumTiers]float64{1.0, 0.7, 0.4}

@@ -34,24 +34,20 @@ func TestParseTier(t *testing.T) {
 	}
 }
 
+// TestTierShedConfigValidation pins the invariant the fixed admission
+// thresholds must keep: every threshold is positive and they do not increase
+// from interactive down, so pressure always sheds the lowest tier first.
 func TestTierShedConfigValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.TierShedAt = [NumTiers]float64{0.4, 0.7, 1.0} // increasing: wrong way
-	if _, err := New(cfg); err == nil {
-		t.Error("increasing TierShedAt accepted, want error (must shed lowest tier first)")
+	prev := tierShedAt[0]
+	for tier, f := range tierShedAt {
+		if f <= 0 || f > prev {
+			t.Fatalf("tierShedAt[%s] = %g in %v: want positive and non-increasing", Tier(tier), f, tierShedAt)
+		}
+		prev = f
 	}
-	cfg = testConfig()
-	cfg.TierShedAt = [NumTiers]float64{1.0, 0.7, -0.1}
-	if _, err := New(cfg); err == nil {
-		t.Error("negative TierShedAt accepted, want error")
+	if tierShedAt[TierInteractive] != 1 {
+		t.Fatalf("interactive threshold %g: interactive must shed only when every queue is full", tierShedAt[TierInteractive])
 	}
-	cfg = testConfig()
-	cfg.TierShedAt = [NumTiers]float64{1.0, 1.0, 1.0} // uniform: allowed
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("uniform TierShedAt rejected: %v", err)
-	}
-	s.Close()
 }
 
 func TestPredictTierInvalidTier(t *testing.T) {

@@ -75,6 +75,18 @@ func (v *version) p99() time.Duration {
 	return v.lat.Quantile(0.99)
 }
 
+// Canary settlement: a canary is judged once it has completed
+// canaryMinRequests requests. It is rolled back when its error rate exceeds
+// the stable's by rollbackErrorRatio plus an absolute 1% floor, or its p99
+// latency exceeds the stable's by rollbackLatencyRatio, and it is promoted
+// to stable after canaryPromoteAfter completed requests.
+const (
+	canaryMinRequests    = 32
+	rollbackErrorRatio   = 2.0
+	rollbackLatencyRatio = 3.0
+	canaryPromoteAfter   = 256
+)
+
 // minP99Samples is the fewest latency samples on which a p99 is compared.
 // Below 100 the nearest-rank p99 is the sample maximum, so a single
 // scheduler or GC stall on one request would decide a canary's fate.
@@ -330,7 +342,7 @@ func (s *Server) verifyPool(pool *Pool) (classes int, err error) {
 // canary request re-evaluates.
 func (s *Server) maybeSettleCanary(v *version) {
 	rate, total := v.errorRate()
-	if total < uint64(s.cfg.CanaryMinRequests) {
+	if total < canaryMinRequests {
 		return
 	}
 	if !s.reloadMu.TryLock() {
@@ -341,7 +353,7 @@ func (s *Server) maybeSettleCanary(v *version) {
 		return // already promoted, rolled back or replaced by a newer reload
 	}
 	st := s.stable.Load()
-	if reason := s.canaryRegression(v, st, rate); reason != "" {
+	if reason := canaryRegression(v, st, rate); reason != "" {
 		s.canaryPct.Store(0)
 		s.canaryV.Store(nil)
 		s.retire(v)
@@ -353,7 +365,7 @@ func (s *Server) maybeSettleCanary(v *version) {
 		s.statsMu.Unlock()
 		return
 	}
-	if total >= uint64(s.cfg.CanaryPromoteAfter) {
+	if total >= canaryPromoteAfter {
 		old := s.stable.Swap(v)
 		s.canaryPct.Store(0)
 		s.canaryV.Store(nil)
@@ -365,19 +377,19 @@ func (s *Server) maybeSettleCanary(v *version) {
 }
 
 // canaryRegression reports why the canary must roll back, or "" when it is
-// healthy: its error rate exceeds the stable rate by the configured ratio
+// healthy: its error rate exceeds the stable rate by rollbackErrorRatio
 // (plus an absolute 1% floor so a perfectly clean stable does not make any
-// single canary error fatal), or its p99 exceeds the stable p99 by the
-// configured ratio once both have minP99Samples latency samples.
-func (s *Server) canaryRegression(c, st *version, canaryRate float64) string {
+// single canary error fatal), or its p99 exceeds the stable p99 by
+// rollbackLatencyRatio once both have minP99Samples latency samples.
+func canaryRegression(c, st *version, canaryRate float64) string {
 	stableRate, _ := st.errorRate()
-	if limit := stableRate*s.cfg.RollbackErrorRatio + 0.01; canaryRate > limit {
+	if limit := stableRate*rollbackErrorRatio + 0.01; canaryRate > limit {
 		return fmt.Sprintf("error rate %.4f exceeds %.4f (stable %.4f x ratio %.1f + 0.01)",
-			canaryRate, limit, stableRate, s.cfg.RollbackErrorRatio)
+			canaryRate, limit, stableRate, rollbackErrorRatio)
 	}
 	if sp99 := st.settledP99(); sp99 > 0 {
-		if cp99 := c.settledP99(); cp99 > time.Duration(float64(sp99)*s.cfg.RollbackLatencyRatio) {
-			return fmt.Sprintf("p99 %v exceeds stable %v x ratio %.1f", cp99, sp99, s.cfg.RollbackLatencyRatio)
+		if cp99 := c.settledP99(); cp99 > time.Duration(float64(sp99)*rollbackLatencyRatio) {
+			return fmt.Sprintf("p99 %v exceeds stable %v x ratio %.1f", cp99, sp99, rollbackLatencyRatio)
 		}
 	}
 	return ""

@@ -74,9 +74,8 @@ func TestMonobitBalance(t *testing.T) {
 	const n = 50000
 	g64 := NewState64(12345)
 	gens := map[string]func() uint32{
-		"xorshift32":  NewState32(12345).Next,
-		"xorshift64":  func() uint32 { return uint32(g64.Next()) },
-		"xorshift128": NewState128(12345).Next,
+		"xorshift32": NewState32(12345).Next,
+		"xorshift64": func() uint32 { return uint32(g64.Next()) },
 	}
 	for name, next := range gens {
 		frac := bitBalance(n, next)
@@ -91,8 +90,7 @@ func TestByteFrequencyChi2(t *testing.T) {
 	// data (roughly ±4σ).
 	const n = 100000
 	gens := map[string]func() uint32{
-		"xorshift32":  NewState32(999).Next,
-		"xorshift128": NewState128(999).Next,
+		"xorshift32": NewState32(999).Next,
 	}
 	for name, next := range gens {
 		chi2 := byteChi2(n, next)
@@ -108,10 +106,6 @@ func TestSerialCorrelationLow(t *testing.T) {
 	if r := serialCorrelation(n, g64.Float64); math.Abs(r) > 0.01 {
 		t.Errorf("xorshift64 lag-1 correlation %v too high", r)
 	}
-	g128 := NewState128(77)
-	if r := serialCorrelation(n, func() float64 { return float64(g128.Float32()) }); math.Abs(r) > 0.01 {
-		t.Errorf("xorshift128 lag-1 correlation %v too high", r)
-	}
 	// The indexed stream (DropBack's regeneration path) must also be
 	// serially uncorrelated across adjacent indices.
 	i := uint64(0)
@@ -122,42 +116,5 @@ func TestSerialCorrelationLow(t *testing.T) {
 	}
 	if r := serialCorrelation(n, indexed); math.Abs(r) > 0.01 {
 		t.Errorf("indexed stream lag-1 correlation %v too high", r)
-	}
-}
-
-func TestState128ZeroSeedRemapped(t *testing.T) {
-	g := NewState128(0)
-	if g.x|g.y|g.z|g.w == 0 {
-		t.Fatal("all-zero state must be remapped")
-	}
-	seen := map[uint32]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[g.Next()] = true
-	}
-	if len(seen) < 990 {
-		t.Fatalf("xorshift128 emitted %d distinct values of 1000", len(seen))
-	}
-}
-
-func TestState128Float32Range(t *testing.T) {
-	g := NewState128(42)
-	for i := 0; i < 10000; i++ {
-		f := g.Float32()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of range: %v", f)
-		}
-	}
-}
-
-func TestState128DistinctSeedsDiverge(t *testing.T) {
-	a, b := NewState128(1), NewState128(2)
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Next() == b.Next() {
-			same++
-		}
-	}
-	if same > 5 {
-		t.Fatalf("distinct seeds coincide on %d of 1000 outputs", same)
 	}
 }

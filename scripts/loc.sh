@@ -2,10 +2,12 @@
 # Prints the three size figures the design is held to: non-test Go lines
 # (excluding the perfbench/ module and the .bench_build/ scratch tree, where
 # scripts/bench_pairs.sh extracts its base commit), the number of internal/
-# packages, and the length of TrainE in lines. Exits 1 if TrainE reaches MAX_TRAINE lines,
-# so the training loop cannot grow back unnoticed.
+# packages, and the length of TrainE in lines. Exits 1 if the non-test lines
+# reach MAX_LINES or TrainE reaches MAX_TRAINE lines, so neither the tree nor
+# the training loop can grow back unnoticed.
 set -eu
 
+MAX_LINES=20000
 MAX_TRAINE=150
 
 cd "$(dirname "$0")/.."
@@ -18,6 +20,10 @@ echo "non-test Go lines (excluding perfbench/): $lines"
 echo "internal/ packages: $pkgs"
 echo "TrainE lines: $traine"
 
+if [ "$lines" -ge "$MAX_LINES" ]; then
+	echo "$lines non-test Go lines; they must stay under $MAX_LINES"
+	exit 1
+fi
 if [ -z "$traine" ]; then
 	echo "TrainE not found in trainer.go"
 	exit 1

@@ -143,8 +143,6 @@ type TrainConfig struct {
 	// every N steps; 0 disables. Snapshots are memory-hungry: use only
 	// with small models.
 	SnapshotEvery int
-	// MaxSnapshots bounds the number of stored snapshots (0 = no bound).
-	MaxSnapshots int
 	// SnapshotParams, if non-nil, restricts snapshots and diffusion
 	// tracking to parameters whose name it accepts. Used to compare weight
 	// trajectories across methods whose parameter sets differ (a
@@ -247,8 +245,8 @@ func (c TrainConfig) Validate() error {
 	if c.Patience < 0 {
 		return fmt.Errorf("dropback: Patience must be non-negative, got %d", c.Patience)
 	}
-	if c.SnapshotEvery < 0 || c.MaxSnapshots < 0 {
-		return fmt.Errorf("dropback: SnapshotEvery and MaxSnapshots must be non-negative")
+	if c.SnapshotEvery < 0 {
+		return fmt.Errorf("dropback: SnapshotEvery must be non-negative, got %d", c.SnapshotEvery)
 	}
 	if c.MaxRecoveryRetries < 0 {
 		return fmt.Errorf("dropback: MaxRecoveryRetries must be non-negative, got %d", c.MaxRecoveryRetries)
@@ -660,8 +658,21 @@ func (r *run) restore(ts *checkpoint.TrainState, trainLen int) error {
 	if ts.Batcher.Pos > trainLen {
 		return fmt.Errorf("resume state batcher cursor %d exceeds the dataset length %d — the dataset shrank since the checkpoint was written", ts.Batcher.Pos, trainLen)
 	}
-	if ts.BestEpoch > 0 && ts.BestParams != nil && len(ts.BestParams) != r.m.Set.Total() {
-		return fmt.Errorf("resume state's best snapshot has %d weights, model has %d", len(ts.BestParams), r.m.Set.Total())
+	if ts.BestEpoch > 0 && ts.BestParams != nil {
+		if len(ts.BestParams) != r.m.Set.Total() {
+			return fmt.Errorf("resume state's best snapshot has %d weights, model has %d", len(ts.BestParams), r.m.Set.Total())
+		}
+		// RestoreBNState matches entries by position and skips a wrong
+		// width, so a malformed snapshot would restore the wrong layers.
+		want := nn.CaptureBNState(r.m.Net)
+		if len(ts.BestBN) != len(want) {
+			return fmt.Errorf("resume state's best snapshot has %d BatchNorm entries, model has %d", len(ts.BestBN), len(want))
+		}
+		for i := range want {
+			if len(ts.BestBN[i]) != len(want[i]) {
+				return fmt.Errorf("resume state's best snapshot has %d statistics for BatchNorm %d, model has %d", len(ts.BestBN[i]), i, len(want[i]))
+			}
+		}
 	}
 	if ts.OptName != "" && ts.OptName != "sgd" {
 		return fmt.Errorf("resume state was captured with optimizer %q, trainer runs plain SGD", ts.OptName)
@@ -843,13 +854,9 @@ func paramsFinite(set *nn.ParamSet) bool {
 	return true
 }
 
-// maybeSnapshot appends a weight snapshot to the result, respecting the
-// MaxSnapshots bound.
+// maybeSnapshot appends a weight snapshot to the result.
 func maybeSnapshot(res *Result, cfg TrainConfig, step int, set *nn.ParamSet) {
 	if cfg.SnapshotEvery <= 0 {
-		return
-	}
-	if cfg.MaxSnapshots > 0 && len(res.Snapshots) >= cfg.MaxSnapshots {
 		return
 	}
 	res.Snapshots = append(res.Snapshots, filteredSnapshot(set, cfg.SnapshotParams))

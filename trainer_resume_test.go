@@ -145,3 +145,45 @@ func TestResumeRejectsCorruptCheckpointFile(t *testing.T) {
 		}
 	})
 }
+
+// TestResumeRejectsMalformedBestBN: the best-epoch BatchNorm snapshot is
+// restored by position, so one with an entry missing or of the wrong width
+// would silently skip layers or fill the wrong ones. Resume must refuse both
+// before training.
+func TestResumeRejectsMalformedBestBN(t *testing.T) {
+	dir := t.TempDir()
+	cfg := dropback.TrainConfig{Method: dropback.MethodBaseline, Epochs: 1, BatchSize: 16, Seed: 17,
+		Checkpoint: &dropback.CheckpointSpec{Dir: dir, Every: 1}}
+	m, train, val := ftConv(17)
+	dropback.Train(m, train, val, cfg)
+	files, err := filepath.Glob(filepath.Join(dir, "*.dbck"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("expected 1 checkpoint, found %v (err %v)", files, err)
+	}
+	cfg.Epochs, cfg.Checkpoint = 2, nil
+
+	for name, poison := range map[string]func(bn [][]float32) [][]float32{
+		"entry dropped": func(bn [][]float32) [][]float32 { return bn[1:] },
+		"wrong width": func(bn [][]float32) [][]float32 {
+			bn[1] = append(bn[1], 0)
+			return bn
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, train, val := ftConv(17)
+			ts, err := dropback.LoadTrainCheckpoint(files[0], m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ts.BestEpoch == 0 || len(ts.BestBN) < 2 {
+				t.Fatalf("fixture has best epoch %d with %d BatchNorm entries; want a best snapshot over 2+", ts.BestEpoch, len(ts.BestBN))
+			}
+			ts.BestBN = poison(ts.BestBN)
+			c := cfg
+			c.ResumeFrom = ts
+			if _, err := dropback.TrainE(m, train, val, c); err == nil || !strings.Contains(err.Error(), "BatchNorm") {
+				t.Fatalf("resume with a malformed best BatchNorm snapshot: got %v, want a BatchNorm error", err)
+			}
+		})
+	}
+}

@@ -393,7 +393,7 @@ func TestSparseTrainSnapshotsMatchDense(t *testing.T) {
 	for _, freeze := range []int{-1, 0, 1} {
 		cfg := TrainConfig{
 			Method: MethodDropBack, Budget: 80, FreezeAfterEpoch: freeze,
-			Epochs: 3, BatchSize: 4, Seed: 59, SnapshotEvery: 2, MaxSnapshots: 20,
+			Epochs: 3, BatchSize: 4, Seed: 59, SnapshotEvery: 2,
 		}
 		ref, refParams := runSparseOrDense(t, parTestMLP, 7, false, cfg, train, val)
 		got, gotParams := runSparseOrDense(t, parTestMLP, 7, true, cfg, train, val)

@@ -181,10 +181,9 @@ func TestTrainSnapshotsAndDiffusion(t *testing.T) {
 	train, val := smallData(200, 9)
 	cfg := quickCfg(MethodBaseline)
 	cfg.SnapshotEvery = 3
-	cfg.MaxSnapshots = 5
 	res := Train(smallMLP(9), train, val, cfg)
-	if len(res.Snapshots) == 0 || len(res.Snapshots) > 5 {
-		t.Fatalf("snapshots = %d, want 1..5", len(res.Snapshots))
+	if len(res.Snapshots) == 0 {
+		t.Fatal("no snapshots recorded")
 	}
 	if len(res.DiffusionSteps) < 2 {
 		t.Fatal("diffusion series too short")
