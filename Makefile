@@ -41,13 +41,15 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short coverage-guided runs of every committed fuzzer: the byte decoders
-# (checkpoint, dist wire, sparse artifact, serve reload and predict request,
+# (checkpoint, dist wire and partial-sum payload, sparse artifact, serve
+# reload and predict request,
 # IDX and CIFAR-10 readers) and the shard executor's sample split, mirroring
 # the CI fuzz smoke steps. go test fuzzes one target per run, so packages
 # with several fuzzers take an anchored -fuzz pattern each.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint
-	$(GO) test -run=Fuzz -fuzz=FuzzReadFrame -fuzztime=10s ./internal/dist
+	$(GO) test -run=Fuzz -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/dist
+	$(GO) test -run=Fuzz -fuzz='^FuzzParsePartial$$' -fuzztime=10s ./internal/dist
 	$(GO) test -run=Fuzz -fuzz=FuzzRead -fuzztime=10s ./internal/sparse
 	$(GO) test -run=Fuzz -fuzz='^FuzzReloadArtifact$$' -fuzztime=10s ./internal/serve
 	$(GO) test -run=Fuzz -fuzz='^FuzzPredictRequest$$' -fuzztime=10s ./internal/serve
@@ -96,8 +98,10 @@ bench-guard-sparse:
 	$(GO) run ./cmd/benchguard -baseline BENCH_sparse.json -input bench_sparse.out
 
 # Multi-node training-step gate: BenchmarkDistTrainStep (2-node loopback
-# mesh, frozen O(k) exchange) must stay under the alloc ceiling and its
-# wire-B/step metric must equal StepFrameBytes exactly, per BENCH_dist.json.
+# mesh, frozen O(k) exchange) and BenchmarkDistTrainStepLive (the dense
+# rank chain) must stay under their alloc ceilings, and their wire-B/step
+# metrics must equal StepFrameBytes and PartialFrameBytes exactly, per
+# BENCH_dist.json.
 bench-guard-dist:
 	$(GO) test -bench BenchmarkDistTrainStep -benchmem -benchtime 20x \
 		-run '^$$' . > bench_dist.out

@@ -28,8 +28,9 @@ type Config struct {
 	// ConnectTimeout bounds the whole mesh build, including dial retries
 	// while lower-rank peers are still starting (10s if zero).
 	ConnectTimeout time.Duration
-	// StepTimeout bounds each step's exchange with every peer; a stalled
-	// peer trips it instead of hanging the fold (30s if zero).
+	// StepTimeout bounds each step-time transfer (an Exchange, a Send, a
+	// Recv); a stalled peer trips it instead of hanging the fold (30s if
+	// zero).
 	StepTimeout time.Duration
 	// WrapConn, if non-nil, wraps each established peer connection after
 	// the handshake — the fault-injection seam internal/faults' connection
@@ -96,21 +97,22 @@ func (c *countingConn) Write(p []byte) (int, error) {
 }
 
 // Cluster is one node's view of the full training mesh: an open connection
-// to every other rank, plus the per-step exchange that broadcasts this
-// node's shard frame and collects every peer's. It is single-goroutine like
-// the trainer that owns it (Exchange runs internal goroutines but does not
-// return until they finish).
+// to every other rank, plus the per-step transfers — the all-to-all
+// Exchange of shard frames and the point-to-point Send and Recv of the rank
+// chain's partial sums. It is single-goroutine like the trainer that owns
+// it (Exchange runs internal goroutines but does not return until they
+// finish).
 type Cluster struct {
 	cfg   Config
 	rank  int
 	world int
 	peers []*peerLink // indexed by rank; nil at own rank
 	ln    net.Listener
-	// maxFrame bounds each incoming step payload (stepMaxPayload), checked
-	// against the length prefix before a receive buffer grows.
+	// maxFrame bounds each payload received during a step (stepMaxPayload),
+	// checked against the length prefix before a receive buffer grows.
 	maxFrame int
 
-	frame    []byte   // scratch for the broadcast frame
+	frame    []byte   // scratch for the outgoing frame
 	recvBufs [][]byte // per-peer receive buffers, reused across steps
 	out      [][]byte // per-peer payload views returned by Exchange
 	errs     []error  // per-goroutine error slots, reused across steps
@@ -118,12 +120,17 @@ type Cluster struct {
 	closed bool
 }
 
-// stepMaxPayload is the largest step payload a peer can legally send in the
-// run hs describes: the whole batch, each row carrying every parameter (the
-// dense pre-freeze exchange). It never drops below handshakeMaxFrame, so an
-// abort frame always fits.
+// stepMaxPayload is the largest payload a peer can legally send during a
+// step of the run hs describes: a partial frame of ParamTotal running sums
+// (the dense rank chain) or, for a run with a DropBack budget, a frozen step
+// frame carrying the whole batch's rows of k tracked values. It never drops
+// below handshakeMaxFrame, so an abort frame always fits.
 func stepMaxPayload(hs Handshake) int {
-	return max(StepFrameBytes(int(hs.Batch), int(hs.ParamTotal))-frameOverhead, handshakeMaxFrame)
+	bound := PartialFrameBytes(int(hs.ParamTotal))
+	if hs.Budget > 0 {
+		bound = max(bound, StepFrameBytes(int(hs.Batch), int(min(hs.Budget, hs.ParamTotal))))
+	}
+	return max(bound-frameOverhead, handshakeMaxFrame)
 }
 
 // Connect builds the full mesh: rank r accepts one connection from every
@@ -355,35 +362,7 @@ func (c *Cluster) Exchange(step uint64, payload []byte) ([][]byte, error) {
 		go func(r int, p *peerLink) {
 			defer wg.Done()
 			p.conn.SetReadDeadline(deadline)
-			pl, err := ReadFrame(p.conn, &c.recvBufs[r], c.maxFrame)
-			if err != nil {
-				c.errs[2*r+1] = fmt.Errorf("dist: step %d: receiving from peer %d: %w", step, r, err)
-				return
-			}
-			magic, err := PayloadMagic(pl)
-			if err != nil {
-				c.errs[2*r+1] = fmt.Errorf("dist: step %d: peer %d: %w", step, r, err)
-				return
-			}
-			switch magic {
-			case magicAbort:
-				rank, reason, _ := DecodeAbort(pl)
-				c.errs[2*r+1] = fmt.Errorf("%w: rank %d: %s", ErrPeerAborted, rank, reason)
-			case magicStep:
-				hdr, err := DecodeStepHeader(pl)
-				switch {
-				case err != nil:
-					c.errs[2*r+1] = fmt.Errorf("dist: step %d: peer %d: %w", step, r, err)
-				case hdr.Step != step:
-					c.errs[2*r+1] = fmt.Errorf("%w: peer %d sent step %d during step %d", ErrStaleStep, r, hdr.Step, step)
-				case hdr.Rank != uint32(r):
-					c.errs[2*r+1] = fmt.Errorf("%w: peer %d's frame claims rank %d", ErrShardMismatch, r, hdr.Rank)
-				default:
-					c.out[r] = pl
-				}
-			default:
-				c.errs[2*r+1] = fmt.Errorf("dist: step %d: peer %d sent an unexpected %08x payload mid-training", step, r, magic)
-			}
+			c.out[r], c.errs[2*r+1] = c.receive(step, r, magicStep)
 		}(r, p)
 	}
 	wg.Wait()
@@ -391,6 +370,72 @@ func (c *Cluster) Exchange(step uint64, payload []byte) ([][]byte, error) {
 		return nil, err
 	}
 	return c.out, nil
+}
+
+// receive reads peer r's next frame under the deadline already set on its
+// connection and checks it is a payload of kind want that carries this step
+// and r's rank; an abort frame surfaces as ErrPeerAborted with its reason.
+// The payload aliases r's receive buffer until its next read.
+func (c *Cluster) receive(step uint64, r int, want uint32) ([]byte, error) {
+	pl, err := ReadFrame(c.peers[r].conn, &c.recvBufs[r], c.maxFrame)
+	if err != nil {
+		return nil, fmt.Errorf("dist: step %d: receiving from peer %d: %w", step, r, err)
+	}
+	magic, err := PayloadMagic(pl)
+	if err != nil {
+		return nil, fmt.Errorf("dist: step %d: peer %d: %w", step, r, err)
+	}
+	var rank uint32
+	var got uint64
+	switch {
+	case magic == magicAbort:
+		rank, reason, _ := DecodeAbort(pl)
+		return nil, fmt.Errorf("%w: rank %d: %s", ErrPeerAborted, rank, reason)
+	case magic != want:
+		return nil, fmt.Errorf("dist: step %d: peer %d sent an unexpected %08x payload mid-training", step, r, magic)
+	case magic == magicStep:
+		var h StepHeader
+		h, err = DecodeStepHeader(pl)
+		rank, got = h.Rank, h.Step
+	default:
+		var h PartialHeader
+		h, err = decodePartialHeader(pl)
+		rank, got = h.Rank, h.Step
+	}
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("dist: step %d: peer %d: %w", step, r, err)
+	case got != step:
+		return nil, fmt.Errorf("%w: peer %d sent step %d during step %d", ErrStaleStep, r, got, step)
+	case rank != uint32(r):
+		return nil, fmt.Errorf("%w: peer %d's frame claims rank %d", ErrShardMismatch, r, rank)
+	}
+	return pl, nil
+}
+
+// Send frames a partial payload and writes it to peer `to` under a
+// StepTimeout deadline: one hop of the dense rank chain.
+func (c *Cluster) Send(step uint64, to int, payload []byte) error {
+	c.frame = AppendFrame(c.frame[:0], payload)
+	p := c.peers[to]
+	p.conn.SetWriteDeadline(time.Now().Add(c.cfg.StepTimeout))
+	if _, err := p.conn.Write(c.frame); err != nil {
+		return fmt.Errorf("dist: step %d: sending to peer %d: %w", step, to, err)
+	}
+	return nil
+}
+
+// Recv reads and parses peer `from`'s partial payload for step under a
+// StepTimeout deadline, with Exchange's freshness, provenance and abort
+// checks. The view aliases an internal buffer valid until the next read
+// from that peer.
+func (c *Cluster) Recv(step uint64, from int) (PartialPayload, error) {
+	c.peers[from].conn.SetReadDeadline(time.Now().Add(c.cfg.StepTimeout))
+	pl, err := c.receive(step, from, magicPartial)
+	if err != nil {
+		return PartialPayload{}, err
+	}
+	return ParsePartial(pl)
 }
 
 // Abort tells every peer why this node is leaving, best-effort with a short

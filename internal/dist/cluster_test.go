@@ -209,6 +209,84 @@ func TestClusterHandshakeMismatch(t *testing.T) {
 	}
 }
 
+// partialFor builds a partial payload stamped with rank and step.
+func partialFor(rank int, step uint64) []byte {
+	return AppendSampleValues(AppendPartialHeader(nil, PartialHeader{
+		Rank: uint32(rank), Step: step, Rows: 1, Active: 2, Loss: float64(rank), Correct: 1,
+	}), []float32{float32(rank), 2}, nil)
+}
+
+// reencode rebuilds the payload bytes a parsed partial came from.
+func reencode(sp PartialPayload) string {
+	sums := make([]float32, sp.Hdr.Active)
+	sp.CopyValues(sums, 0)
+	return string(AppendSampleValues(AppendPartialHeader(nil, sp.Hdr), sums, nil))
+}
+
+// TestClusterSendRecvChain runs the dense chain's traffic over a 3-node
+// mesh — 0 → 1 → 2, then 2 → {0, 1} — and then each way Recv must refuse a
+// frame: a stale step, a payload stamped with another rank, a step payload
+// where a partial belongs, and an abort, which carries its reason.
+func TestClusterSendRecvChain(t *testing.T) {
+	clusters := connectMesh(t, meshConfigs(t, 3), Handshake{Seed: 5})
+	recv := func(c *Cluster, step uint64, from int) string {
+		t.Helper()
+		pl, err := c.Recv(step, from)
+		if err != nil {
+			t.Fatalf("rank %d receiving from %d: %v", c.Rank(), from, err)
+		}
+		return reencode(pl)
+	}
+	send := func(c *Cluster, step uint64, to int, p []byte) {
+		t.Helper()
+		if err := c.Send(step, to, p); err != nil {
+			t.Fatalf("rank %d sending to %d: %v", c.Rank(), to, err)
+		}
+	}
+	sent0, recv0 := clusters[0].PeerBytes(1) // the hellos
+	for step := uint64(0); step < 3; step++ {
+		send(clusters[0], step, 1, partialFor(0, step))
+		if recv(clusters[1], step, 0) != string(partialFor(0, step)) {
+			t.Fatal("rank 1 received altered sums")
+		}
+		send(clusters[1], step, 2, partialFor(1, step))
+		recv(clusters[2], step, 1)
+		send(clusters[2], step, 0, partialFor(2, step))
+		send(clusters[2], step, 1, partialFor(2, step))
+		for r := 0; r < 2; r++ {
+			if recv(clusters[r], step, 2) != string(partialFor(2, step)) {
+				t.Fatalf("rank %d received altered totals", r)
+			}
+		}
+	}
+	if sent, recvd := clusters[0].PeerBytes(1); sent-sent0 != 3*int64(PartialFrameBytes(2)) || recvd != recv0 {
+		t.Fatalf("rank 0 ↔ 1: sent %d, received %d; want %d and 0", sent-sent0, recvd-recv0, 3*PartialFrameBytes(2))
+	}
+
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"stale step", partialFor(0, 2), ErrStaleStep},
+		{"wrong rank", partialFor(2, 3), ErrShardMismatch},
+	} {
+		send(clusters[0], 3, 1, tc.payload)
+		if _, err := clusters[1].Recv(3, 0); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	send(clusters[0], 3, 1, stepPayloadFor(0, 3))
+	if _, err := clusters[1].Recv(3, 0); err == nil || !strings.Contains(err.Error(), "unexpected") {
+		t.Fatalf("step payload in place of a partial: got %v", err)
+	}
+	const reason = "chain broken on node 2"
+	clusters[2].Abort(reason)
+	if _, err := clusters[0].Recv(3, 2); !errors.Is(err, ErrPeerAborted) || !strings.Contains(err.Error(), reason) {
+		t.Fatalf("abort during Recv: got %v, want ErrPeerAborted with %q", err, reason)
+	}
+}
+
 // TestClusterStaleStep desynchronizes the step counters: both nodes must
 // fail the exchange, at least one classifying it as ErrStaleStep.
 func TestClusterStaleStep(t *testing.T) {
@@ -341,51 +419,90 @@ func TestClusterConfigValidate(t *testing.T) {
 }
 
 // TestClusterStepFrameBound pins the receive bound Connect derives from the
-// handshake: a full dense step of the whole batch fits exactly, one byte
-// more is refused from the length prefix alone, and tiny runs keep room for
-// abort frames.
+// handshake — the larger of a partial frame over every parameter and, with
+// a DropBack budget, a frozen step frame of the whole batch's k-value rows,
+// never below the handshake bound so abort frames fit. A largest legal
+// frame of each kind arrives intact, and one byte more is refused from the
+// length prefix alone.
 func TestClusterStepFrameBound(t *testing.T) {
-	for _, hs := range []Handshake{{Batch: 32, ParamTotal: 89610}, {Batch: 16, ParamTotal: 3_000_000}, {Batch: 2, ParamTotal: 3}, {}} {
-		want := StepFrameBytes(int(hs.Batch), int(hs.ParamTotal)) - frameOverhead
-		if want < handshakeMaxFrame {
-			want = handshakeMaxFrame
+	for _, hs := range []Handshake{
+		{Batch: 32, ParamTotal: 89610},
+		{Batch: 32, ParamTotal: 89610, Budget: 8961},
+		{Batch: 16, ParamTotal: 3_000_000, Budget: 150_000},
+		{Batch: 2, ParamTotal: 3, Budget: 50},
+		{},
+	} {
+		want := PartialFrameBytes(int(hs.ParamTotal))
+		if hs.Budget > 0 {
+			want = max(want, StepFrameBytes(int(hs.Batch), int(min(hs.Budget, hs.ParamTotal))))
 		}
+		want = max(want-frameOverhead, handshakeMaxFrame)
 		if got := stepMaxPayload(hs); got != want {
-			t.Fatalf("batch %d, %d params: bound %d, want %d", hs.Batch, hs.ParamTotal, got, want)
+			t.Fatalf("batch %d, %d params, budget %d: bound %d, want %d", hs.Batch, hs.ParamTotal, hs.Budget, got, want)
 		}
 	}
 
+	// Baseline run: the largest legal payload is a partial over every
+	// parameter, sent point to point.
 	hs := Handshake{Seed: 8, Batch: 2, ParamTotal: 1500}
-	rows := [][]float32{make([]float32, hs.ParamTotal), make([]float32, hs.ParamTotal)}
-	full := buildStepPayload(StepHeader{Rank: 1, Step: 0, Lo: 0, Hi: 2, Active: uint32(hs.ParamTotal)},
-		[]float64{0.5, 0.25}, []uint8{1, 0}, rows, nil)
+	full := AppendSampleValues(AppendPartialHeader(nil, PartialHeader{Rank: 1, Rows: 2, Active: 1500}),
+		make([]float32, hs.ParamTotal), nil)
 	clusters := connectMesh(t, meshConfigs(t, 2), hs)
 	if clusters[0].maxFrame != len(full) || len(full) != stepMaxPayload(hs) {
-		t.Fatalf("bound %d, full dense step payload %d bytes, stepMaxPayload %d", clusters[0].maxFrame, len(full), stepMaxPayload(hs))
+		t.Fatalf("bound %d, full partial payload %d bytes, stepMaxPayload %d", clusters[0].maxFrame, len(full), stepMaxPayload(hs))
 	}
 	done := make(chan error, 1)
-	go func() {
-		_, err := clusters[1].Exchange(0, full)
-		done <- err
-	}()
-	got, err := clusters[0].Exchange(0, stepPayloadFor(0, 0))
+	go func() { done <- clusters[1].Send(0, 0, full) }()
+	got, err := clusters[0].Recv(0, 1)
 	if err != nil {
-		t.Fatalf("full dense step at the bound: %v", err)
+		t.Fatalf("full partial at the bound: %v", err)
 	}
-	if string(got[1]) != string(full) {
-		t.Fatal("full dense step payload arrived altered")
+	if reencode(got) != string(full) {
+		t.Fatal("full partial payload arrived altered")
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	refuseOverBound(t, hs, func(c *Cluster) error { _, err := c.Recv(0, 1); return err })
 
+	// DropBack run whose frozen whole-batch step frame outgrows the partial.
+	hs = Handshake{Seed: 9, Batch: 2, ParamTotal: 1500, Budget: 1400}
+	rows := [][]float32{make([]float32, hs.Budget), make([]float32, hs.Budget)}
+	step := buildStepPayload(StepHeader{Rank: 1, Step: 0, Lo: 0, Hi: 2, Active: uint32(hs.Budget)},
+		[]float64{0.5, 0.25}, []uint8{1, 0}, rows, nil)
 	clusters = connectMesh(t, meshConfigs(t, 2), hs)
+	if clusters[0].maxFrame != len(step) {
+		t.Fatalf("bound %d, whole-batch frozen step payload %d bytes", clusters[0].maxFrame, len(step))
+	}
+	go func() {
+		_, err := clusters[1].Exchange(0, step)
+		done <- err
+	}()
+	replies, err := clusters[0].Exchange(0, stepPayloadFor(0, 0))
+	if err != nil {
+		t.Fatalf("whole-batch frozen step at the bound: %v", err)
+	}
+	if string(replies[1]) != string(step) {
+		t.Fatal("frozen step payload arrived altered")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	refuseOverBound(t, hs, func(c *Cluster) error { _, err := c.Exchange(0, stepPayloadFor(0, 0)); return err })
+}
+
+// refuseOverBound connects a fresh 2-node mesh for hs, has rank 1 write a
+// length prefix one byte over the bound, and requires rank 0's read to fail
+// with ErrFrameTooLarge without growing a receive buffer.
+func refuseOverBound(t *testing.T, hs Handshake, read func(*Cluster) error) {
+	t.Helper()
+	clusters := connectMesh(t, meshConfigs(t, 2), hs)
 	var prefix [4]byte
 	binary.BigEndian.PutUint32(prefix[:], uint32(stepMaxPayload(hs)+1))
 	if _, err := clusters[1].peers[0].conn.Write(prefix[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clusters[0].Exchange(0, stepPayloadFor(0, 0)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := read(clusters[0]); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("frame one byte over the bound: got %v, want ErrFrameTooLarge", err)
 	}
 	if n := cap(clusters[0].recvBufs[1]); n != 0 {

@@ -49,6 +49,7 @@ func FuzzReadFrame(f *testing.F) {
 	abort := AppendAbort(nil, 0, "deliberate shutdown")
 	f.Add(AppendFrame(nil, hello))
 	f.Add(AppendFrame(nil, step))
+	f.Add(AppendFrame(nil, partialSeed()))
 	f.Add(AppendFrame(nil, abort))
 
 	// Truncations at interesting boundaries.
@@ -129,10 +130,59 @@ func FuzzReadFrame(f *testing.F) {
 					sp.CopyValues(i, dst, nil)
 				}
 			}
+		case magicPartial:
+			checkPartial(t, payload)
 		case magicAbort:
 			if _, _, derr := DecodeAbort(payload); derr != nil && !isTypedWireError(derr) {
 				t.Fatalf("untyped abort error: %v", derr)
 			}
 		}
 	})
+}
+
+// partialSeed is a well-formed partial payload: three sums over rows [0, 5).
+func partialSeed() []byte {
+	return AppendSampleValues(AppendPartialHeader(nil, PartialHeader{
+		Rank: 1, Step: 4, Rows: 5, Active: 3, Loss: 2.5, Correct: 4,
+	}), []float32{0.5, -1, 7}, nil)
+}
+
+// checkPartial holds ParsePartial to its contract on one payload: a typed
+// error, or a view whose every value can be read in bounds and which
+// re-encodes to exactly the input bytes.
+func checkPartial(t *testing.T, p []byte) {
+	sp, err := ParsePartial(p)
+	if err != nil {
+		if !isTypedWireError(err) {
+			t.Fatalf("untyped partial error: %v", err)
+		}
+		return
+	}
+	if sp.Hdr.Correct > sp.Hdr.Rows {
+		t.Fatalf("accepted %d correct of %d rows", sp.Hdr.Correct, sp.Hdr.Rows)
+	}
+	// The length check bounds Active by len(p), so this is never larger
+	// than the input.
+	sums := make([]float32, sp.Hdr.Active)
+	sp.CopyValues(sums, 0)
+	if !bytes.Equal(AppendSampleValues(AppendPartialHeader(nil, sp.Hdr), sums, nil), p) {
+		t.Fatalf("partial payload did not round-trip: %+v", sp.Hdr)
+	}
+}
+
+// FuzzParsePartial feeds arbitrary payload bytes (already deframed) to the
+// dense chain's partial-sum parser: every input must be rejected with a
+// typed error or parse to a view whose accessors stay in bounds and which
+// re-encodes byte for byte — never a panic, never an over-read.
+func FuzzParsePartial(f *testing.F) {
+	good := partialSeed()
+	f.Add(good)
+	f.Add(good[:partialHeaderLen])   // header only, Active says 3
+	f.Add(good[:partialHeaderLen-1]) // short header
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add(AppendPartialHeader(nil, PartialHeader{Rows: 1, Correct: 2}))
+	f.Add(AppendPartialHeader(nil, PartialHeader{Active: 0xFFFFFFFF}))
+	f.Add(AppendStepHeader(nil, StepHeader{}))
+	f.Add([]byte{})
+	f.Fuzz(checkPartial)
 }

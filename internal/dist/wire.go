@@ -1,15 +1,16 @@
 // Package dist implements stdlib-only multi-process data-parallel training:
 // every node trains a contiguous shard of each minibatch through the batched
-// shard kernels and exchanges per-sample gradient rows (tracked-set values
-// only, once DropBack freezes) over TCP, length-prefixed and CRC-framed, so
-// the fold replays the sequential trainer's arithmetic bit-for-bit.
+// shard kernels and, over TCP, length-prefixed and CRC-framed, either passes
+// running gradient sums down the rank chain (while the exchange is dense) or
+// exchanges per-sample tracked-set rows (once DropBack freezes), so the fold
+// replays the sequential trainer's arithmetic bit-for-bit.
 //
 // The wire layer in this file is deliberately dumb: fixed-layout big-endian
-// frames with a CRC32 trailer, three payload kinds (hello, step, abort), and
-// typed errors for every way a frame can be wrong. Anything a peer sends —
-// truncated, bit-flipped, oversized, stale — must surface as one of these
-// errors, never a panic and never a silent misfold; FuzzReadFrame holds the
-// decoder to that.
+// frames with a CRC32 trailer, four payload kinds (hello, step, partial,
+// abort), and typed errors for every way a frame can be wrong. Anything a
+// peer sends — truncated, bit-flipped, oversized, stale — must surface as
+// one of these errors, never a panic and never a silent misfold;
+// FuzzReadFrame and FuzzParsePartial hold the decoders to that.
 package dist
 
 import (
@@ -49,14 +50,16 @@ var (
 )
 
 // wireVersion is bumped on any incompatible frame-layout change; peers with
-// different versions refuse each other at handshake.
-const wireVersion = 1
+// different versions refuse each other at handshake. Version 2 added the
+// partial-sum payload of the dense rank chain.
+const wireVersion = 2
 
 // Payload magics (first four bytes of every payload).
 const (
-	magicHello uint32 = 0x44424831 // "DBH1"
-	magicStep  uint32 = 0x44425331 // "DBS1"
-	magicAbort uint32 = 0x44424131 // "DBA1"
+	magicHello   uint32 = 0x44424831 // "DBH1"
+	magicStep    uint32 = 0x44425331 // "DBS1"
+	magicPartial uint32 = 0x44425031 // "DBP1"
+	magicAbort   uint32 = 0x44424131 // "DBA1"
 )
 
 // frameOverhead is the framing cost around every payload: a 4-byte
@@ -131,7 +134,7 @@ func ReadFrame(r io.Reader, buf *[]byte, maxPayload int) ([]byte, error) {
 	}
 	b := (*buf)[:need]
 	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, fmt.Errorf("%w: stream ended inside a %d-byte frame: %v", ErrTruncatedFrame, n, err)
+		return nil, fmt.Errorf("%w: stream ended inside a %d-byte frame: %w", ErrTruncatedFrame, n, err)
 	}
 	payload := b[:n]
 	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(b[n:]); got != want {
@@ -148,7 +151,7 @@ func PayloadMagic(p []byte) (uint32, error) {
 	}
 	m := binary.BigEndian.Uint32(p)
 	switch m {
-	case magicHello, magicStep, magicAbort:
+	case magicHello, magicStep, magicPartial, magicAbort:
 		return m, nil
 	}
 	return 0, fmt.Errorf("%w: %08x", ErrBadMagic, m)
@@ -247,8 +250,9 @@ func DecodeAbort(p []byte) (rank uint32, reason string, err error) {
 
 // StepHeader is the fixed header of a step payload: who sent it, which
 // optimizer step it belongs to, the contiguous batch-row span [Lo, Hi) the
-// sender computed, and how many gradient values each row carries (the dense
-// parameter total before DropBack freezes, the tracked budget k after).
+// sender computed, and how many gradient values each row carries (the
+// tracked budget k: step frames carry the frozen phase, while the dense
+// phase sends partial payloads down the rank chain).
 type StepHeader struct {
 	Rank   uint32
 	Step   uint64
@@ -291,9 +295,10 @@ func AppendSample(dst []byte, loss float64, correct uint8) []byte {
 	return append(dst, correct)
 }
 
-// AppendSampleValues appends one sample's gradient values. With idx nil the
-// whole row goes on the wire (dense exchange); otherwise only row[i] for the
-// ascending tracked indices in idx (the O(k) frozen-set exchange).
+// AppendSampleValues appends one row of gradient values. With idx nil the
+// whole row goes on the wire (a partial payload's running sums); otherwise
+// only row[i] for the ascending tracked indices in idx (the O(k) frozen-set
+// exchange).
 func AppendSampleValues(dst []byte, row []float32, idx []int32) []byte {
 	if idx == nil {
 		for _, v := range row {
@@ -362,6 +367,97 @@ func (s *StepPayload) CopyValues(i int, dst []float32, idx []int32) {
 	}
 	for j, g := range idx {
 		dst[g] = math.Float32frombits(binary.BigEndian.Uint32(s.body[off+j*4:]))
+	}
+}
+
+// partialHeaderLen is the fixed partial-payload header: magic, rank, step,
+// rows, active, loss, correct.
+const partialHeaderLen = 4 + 4 + 8 + 4 + 4 + 8 + 4
+
+// PartialFrameBytes returns the exact on-wire size of one partial frame
+// carrying `active` running gradient sums: what each hop of the dense rank
+// chain sends, independent of how many batch rows the sums cover.
+func PartialFrameBytes(active int) int {
+	return frameOverhead + partialHeaderLen + active*4
+}
+
+// PartialHeader is the fixed header of a partial payload: who sent it, which
+// optimizer step it belongs to, and the running sums it carries — gradient
+// sums over batch rows [0, Rows) (Active values follow the header), the
+// float64 sum of those rows' loss terms and their count of correct
+// predictions, each accumulated in ascending sample order from zero.
+type PartialHeader struct {
+	Rank    uint32
+	Step    uint64
+	Rows    uint32
+	Active  uint32
+	Loss    float64
+	Correct uint32
+}
+
+// AppendPartialHeader appends the partial header to dst; the Active values
+// follow it (AppendSampleValues with a nil index list).
+func AppendPartialHeader(dst []byte, h PartialHeader) []byte {
+	dst = appendU32(dst, magicPartial)
+	dst = appendU32(dst, h.Rank)
+	dst = appendU64(dst, h.Step)
+	dst = appendU32(dst, h.Rows)
+	dst = appendU32(dst, h.Active)
+	dst = appendU64(dst, math.Float64bits(h.Loss))
+	return appendU32(dst, h.Correct)
+}
+
+// decodePartialHeader parses just the fixed header of a partial payload.
+func decodePartialHeader(p []byte) (PartialHeader, error) {
+	var h PartialHeader
+	if len(p) < partialHeaderLen {
+		return h, fmt.Errorf("%w: partial payload is %d bytes, header needs %d", ErrBadPayload, len(p), partialHeaderLen)
+	}
+	if binary.BigEndian.Uint32(p) != magicPartial {
+		return h, fmt.Errorf("%w: not a partial payload", ErrBadMagic)
+	}
+	h.Rank = binary.BigEndian.Uint32(p[4:])
+	h.Step = binary.BigEndian.Uint64(p[8:])
+	h.Rows = binary.BigEndian.Uint32(p[16:])
+	h.Active = binary.BigEndian.Uint32(p[20:])
+	h.Loss = math.Float64frombits(binary.BigEndian.Uint64(p[24:]))
+	h.Correct = binary.BigEndian.Uint32(p[32:])
+	return h, nil
+}
+
+// PartialPayload is a validated view over a received partial payload.
+type PartialPayload struct {
+	Hdr    PartialHeader
+	values []byte // Active big-endian float32 sums
+}
+
+// ParsePartial validates a partial payload's structure — header magic, a
+// correct count no larger than the rows covered, and a body of exactly
+// Active values — and returns the accessor view. Like ParseStep it leaves
+// step/rank freshness to the cluster and the row count to the caller.
+func ParsePartial(p []byte) (PartialPayload, error) {
+	var s PartialPayload
+	h, err := decodePartialHeader(p)
+	if err != nil {
+		return s, err
+	}
+	if h.Correct > h.Rows {
+		return s, fmt.Errorf("%w: partial sums count %d correct of %d rows", ErrBadPayload, h.Correct, h.Rows)
+	}
+	if got, want := int64(len(p)-partialHeaderLen), int64(h.Active)*4; got != want {
+		return s, fmt.Errorf("%w: partial body is %d bytes, %d values need %d", ErrBadPayload, got, h.Active, want)
+	}
+	s.Hdr = h
+	s.values = p[partialHeaderLen:]
+	return s, nil
+}
+
+// CopyValues copies sums [from, from+len(dst)) into dst; the range must lie
+// within the Active carried values.
+func (s *PartialPayload) CopyValues(dst []float32, from int) {
+	v := s.values[from*4 : (from+len(dst))*4]
+	for j := range dst {
+		dst[j] = math.Float32frombits(binary.BigEndian.Uint32(v[j*4:]))
 	}
 }
 

@@ -263,10 +263,72 @@ func TestParseStepRejectsMalformed(t *testing.T) {
 	}
 }
 
+// buildPartialPayload assembles a partial payload the way the executor
+// does: the fixed header, then the running sums.
+func buildPartialPayload(h PartialHeader, sums []float32) []byte {
+	return AppendSampleValues(AppendPartialHeader(nil, h), sums, nil)
+}
+
+// TestPartialFrameBytesMatchesEncoder pins the dense chain's frame formula
+// against the encoder, and its independence from the rows the sums cover.
+func TestPartialFrameBytesMatchesEncoder(t *testing.T) {
+	sums := []float32{1, 2, 3, 4, 5, 6, 7}
+	for _, rows := range []uint32{0, 1, 32} {
+		p := buildPartialPayload(PartialHeader{Rank: 1, Step: 42, Rows: rows, Active: 7}, sums)
+		if got, want := len(AppendFrame(nil, p)), PartialFrameBytes(7); got != want {
+			t.Fatalf("%d rows: partial frame is %d bytes, PartialFrameBytes says %d", rows, got, want)
+		}
+	}
+}
+
+func TestPartialPayloadRoundTrip(t *testing.T) {
+	sums := []float32{1.5, float32(math.Copysign(0, -1)), float32(math.Inf(-1)), 4.25, -5}
+	h := PartialHeader{Rank: 2, Step: 77, Rows: 9, Active: 5, Loss: 3.0000000000000004, Correct: 9}
+	sp, err := ParsePartial(buildPartialPayload(h, sums))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Hdr != h {
+		t.Fatalf("header round-tripped to %+v, want %+v", sp.Hdr, h)
+	}
+	// Copy in two pieces, the way the executor fills parameter by parameter.
+	dst := make([]float32, 5)
+	sp.CopyValues(dst[:2], 0)
+	sp.CopyValues(dst[2:], 2)
+	for j := range dst {
+		if math.Float32bits(dst[j]) != math.Float32bits(sums[j]) {
+			t.Fatalf("value %d: %v vs %v", j, dst[j], sums[j])
+		}
+	}
+}
+
+func TestParsePartialRejectsMalformed(t *testing.T) {
+	h := PartialHeader{Rank: 0, Step: 1, Rows: 2, Active: 3, Loss: 1, Correct: 2}
+	good := buildPartialPayload(h, []float32{1, 2, 3})
+	if _, err := ParsePartial(good); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string][]byte{
+		"short body":   good[:len(good)-1],
+		"long body":    append(append([]byte(nil), good...), 0),
+		"short header": good[:partialHeaderLen-1],
+		"correct > rows": buildPartialPayload(PartialHeader{Rows: 2, Active: 1, Correct: 3},
+			[]float32{1}),
+	} {
+		if _, err := ParsePartial(p); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("%s: got %v, want ErrBadPayload", name, err)
+		}
+	}
+	if _, err := ParsePartial(AppendHello(nil, Handshake{})); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("hello payload: got %v, want ErrBadMagic", err)
+	}
+}
+
 func TestPayloadMagic(t *testing.T) {
 	for _, p := range [][]byte{
 		AppendHello(nil, Handshake{}),
 		AppendStepHeader(nil, StepHeader{}),
+		AppendPartialHeader(nil, PartialHeader{}),
 		AppendAbort(nil, 0, "r"),
 	} {
 		if _, err := PayloadMagic(p); err != nil {

@@ -6,28 +6,39 @@ import (
 	"time"
 )
 
-// TestCanaryLatencyRuleWaitsForSettledP99: the p99 latency rule ignores a
-// single slow request while either version has fewer than minP99Samples
-// samples (p99 would be the maximum), and rolls a uniformly slow canary back
-// once both have enough.
-func TestCanaryLatencyRuleWaitsForSettledP99(t *testing.T) {
-	stable, canary := &version{}, &version{}
-	for i := 0; i < minP99Samples; i++ {
-		stable.observe(100 * time.Microsecond)
+// observeN records n requests of latency d on v.
+func observeN(v *version, n int, d time.Duration) {
+	for i := 0; i < n; i++ {
+		v.observe(d)
 	}
-	for i := 0; i < 19; i++ {
-		canary.observe(100 * time.Microsecond)
+}
+
+// TestCanaryLatencyRuleWaitsForSettledQuantile: the latency rule ignores
+// slow requests while either version has fewer than minLatencySamples
+// samples, ignores a few stalls on a healthy canary once both have enough
+// (it compares p90s, which at least 10 samples lie beyond), and rolls a
+// uniformly slow canary back.
+func TestCanaryLatencyRuleWaitsForSettledQuantile(t *testing.T) {
+	stable := &version{}
+	observeN(stable, minLatencySamples, 100*time.Microsecond)
+
+	early := &version{}
+	observeN(early, 16, 100*time.Microsecond)
+	observeN(early, 4, 50*time.Millisecond) // a fifth of few samples stalled
+	if reason := canaryRegression(early, stable, 0); reason != "" {
+		t.Fatalf("stalls in %d samples rolled the canary back: %s", early.lat.Count(), reason)
 	}
-	canary.observe(50 * time.Millisecond) // one stall among few samples
-	if reason := canaryRegression(canary, stable, 0); reason != "" {
-		t.Fatalf("one stall in %d samples rolled the canary back: %s", canary.lat.Count(), reason)
+
+	stalled := &version{}
+	observeN(stalled, minLatencySamples-9, 100*time.Microsecond)
+	observeN(stalled, 9, 50*time.Millisecond) // nine scheduler stalls
+	if reason := canaryRegression(stalled, stable, 0); reason != "" {
+		t.Fatalf("healthy canary with 9 stalls in %d samples rolled back: %s", stalled.lat.Count(), reason)
 	}
 
 	slow := &version{}
-	for i := 0; i < minP99Samples; i++ {
-		slow.observe(time.Millisecond)
-	}
-	if reason := canaryRegression(slow, stable, 0); !strings.Contains(reason, "p99") {
-		t.Fatalf("uniformly 10x slower canary not rolled back on p99: %q", reason)
+	observeN(slow, minLatencySamples, 301*time.Microsecond)
+	if reason := canaryRegression(slow, stable, 0); !strings.Contains(reason, "p90") {
+		t.Fatalf("uniformly 3x slower canary not rolled back on p90: %q", reason)
 	}
 }

@@ -77,7 +77,7 @@ func (v *version) p99() time.Duration {
 
 // Canary settlement: a canary is judged once it has completed
 // canaryMinRequests requests. It is rolled back when its error rate exceeds
-// the stable's by rollbackErrorRatio plus an absolute 1% floor, or its p99
+// the stable's by rollbackErrorRatio plus an absolute 1% floor, or its p90
 // latency exceeds the stable's by rollbackLatencyRatio, and it is promoted
 // to stable after canaryPromoteAfter completed requests.
 const (
@@ -87,20 +87,22 @@ const (
 	canaryPromoteAfter   = 256
 )
 
-// minP99Samples is the fewest latency samples on which a p99 is compared.
-// Below 100 the nearest-rank p99 is the sample maximum, so a single
-// scheduler or GC stall on one request would decide a canary's fate.
-const minP99Samples = 100
+// minLatencySamples is the fewest latency samples on which the latency rule
+// compares versions, and it compares their p90: from 100 samples on, at
+// least 10 lie beyond it, so a few scheduler or GC stalls on a healthy
+// canary cannot decide its fate, while a uniformly slow canary moves every
+// quantile. (A p99 from 100 samples is the second largest.)
+const minLatencySamples = 100
 
-// settledP99 returns the version's p99 latency, or 0 while it has fewer
-// than minP99Samples samples.
-func (v *version) settledP99() time.Duration {
+// settledP90 returns the version's p90 latency, or 0 while it has fewer
+// than minLatencySamples samples.
+func (v *version) settledP90() time.Duration {
 	v.latMu.Lock()
 	defer v.latMu.Unlock()
-	if v.lat.Count() < minP99Samples {
+	if v.lat.Count() < minLatencySamples {
 		return 0
 	}
-	return v.lat.Quantile(0.99)
+	return v.lat.Quantile(0.90)
 }
 
 // errorRate returns the fraction of failed requests and the total sample
@@ -379,17 +381,17 @@ func (s *Server) maybeSettleCanary(v *version) {
 // canaryRegression reports why the canary must roll back, or "" when it is
 // healthy: its error rate exceeds the stable rate by rollbackErrorRatio
 // (plus an absolute 1% floor so a perfectly clean stable does not make any
-// single canary error fatal), or its p99 exceeds the stable p99 by
-// rollbackLatencyRatio once both have minP99Samples latency samples.
+// single canary error fatal), or its p90 exceeds the stable p90 by
+// rollbackLatencyRatio once both have minLatencySamples latency samples.
 func canaryRegression(c, st *version, canaryRate float64) string {
 	stableRate, _ := st.errorRate()
 	if limit := stableRate*rollbackErrorRatio + 0.01; canaryRate > limit {
 		return fmt.Sprintf("error rate %.4f exceeds %.4f (stable %.4f x ratio %.1f + 0.01)",
 			canaryRate, limit, stableRate, rollbackErrorRatio)
 	}
-	if sp99 := st.settledP99(); sp99 > 0 {
-		if cp99 := c.settledP99(); cp99 > time.Duration(float64(sp99)*rollbackLatencyRatio) {
-			return fmt.Sprintf("p99 %v exceeds stable %v x ratio %.1f", cp99, sp99, rollbackLatencyRatio)
+	if sp90 := st.settledP90(); sp90 > 0 {
+		if cp90 := c.settledP90(); cp90 > time.Duration(float64(sp90)*rollbackLatencyRatio) {
+			return fmt.Sprintf("p90 %v exceeds stable %v x ratio %.1f", cp90, sp90, rollbackLatencyRatio)
 		}
 	}
 	return ""

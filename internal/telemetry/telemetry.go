@@ -59,8 +59,9 @@ const (
 	// CounterDistBytesReceived accumulates bytes read from all peers.
 	CounterDistBytesReceived = "dist/bytes_received"
 	// CounterDistFoldWaitSeconds accumulates wall time each step spends in
-	// the gradient exchange (send + wait for every peer's frame) — the
-	// communication share of the step.
+	// the gradient transfers (sending frames and waiting for peers' frames,
+	// down the rank chain or in the frozen exchange) — the communication
+	// share of the step.
 	CounterDistFoldWaitSeconds = "dist/fold_wait_seconds"
 )
 

@@ -200,11 +200,12 @@ type TrainConfig struct {
 
 	// Dist, if non-nil, joins a multi-node training cluster: this process
 	// trains the contiguous shard of every minibatch that Dist.Rank owns
-	// and exchanges per-sample gradient rows with every peer over TCP
-	// (tracked-set values only, once DropBack freezes), folding them in the
-	// same ascending order the sequential trainer uses — the run is
-	// bit-identical to a sequential run with Dist disabled on every node
-	// (DESIGN.md §12). Every node must run the same model, dataset, and
+	// and combines gradients with its peers over TCP: while the exchange is
+	// dense it continues its predecessor's running sums down the rank
+	// chain, and once DropBack freezes it exchanges per-sample tracked-set
+	// rows. Either way every gradient is folded in the ascending sample
+	// order the sequential trainer uses, so the run is bit-identical to a
+	// sequential run with Dist disabled on every node (DESIGN.md §12). Every node must run the same model, dataset, and
 	// TrainConfig except Workers, which splits each node's share across
 	// local workers and may differ between nodes (the connection handshake
 	// verifies seed, method, budget, freeze epoch, batch size, parameter

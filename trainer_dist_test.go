@@ -474,13 +474,16 @@ func stepAll(execs []*shardExecutor, x *tensor.Tensor, y []int) {
 	wg.Wait()
 }
 
-// TestDistWireBytesMatchAnalyticalExactly is the measured half of the O(k)
-// claim: per-step socket-level byte deltas must equal StepFrameBytes — the
-// dense parameter count per row before DropBack freezes, exactly the
-// tracked budget k per row after. Not "about k": equal, byte for byte, which
-// also proves no index side-band crosses the wire in the frozen phase. Local
-// workers split a rank's rows without changing what it sends, so the bytes
-// are the same at W = 2 per rank.
+// TestDistWireBytesMatchAnalyticalExactly is the measured half of the wire
+// claims: per-step socket-level byte deltas must equal the analytical frame
+// sizes exactly. Before DropBack freezes, the rank chain at N = 2 has each
+// rank send and receive one partial frame of the dense parameter count's
+// running sums (PartialFrameBytes), whatever the shard sizes. After, the
+// frame is StepFrameBytes with exactly the tracked budget k per row. Not
+// "about k": equal, byte for byte, which also proves no index side-band
+// crosses the wire in the frozen phase. Local workers split a rank's rows
+// without changing what it sends, so the bytes are the same at W = 2 per
+// rank.
 func TestDistWireBytesMatchAnalyticalExactly(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -513,7 +516,7 @@ func checkDistWireBytes(t *testing.T, workers int) {
 	ranges := shardRangesInto(make([]shardRange, 2), batch)
 	sgds := []*optim.SGD{optim.NewSGD(0.1), optim.NewSGD(0.1)}
 
-	checkStep := func(phase string, active int) {
+	checkStep := func(phase string, frozen bool) {
 		sentBefore := []int64{execs[0].cluster.BytesSent(), execs[1].cluster.BytesSent()}
 		recvBefore := []int64{execs[0].cluster.BytesReceived(), execs[1].cluster.BytesReceived()}
 		x, y := makeBatch()
@@ -522,13 +525,14 @@ func checkDistWireBytes(t *testing.T, workers int) {
 			if err := e.Err(); err != nil {
 				t.Fatalf("%s: node %d: %v", phase, r, err)
 			}
-			own := ranges[r].Hi - ranges[r].Lo
-			peer := ranges[1-r].Hi - ranges[1-r].Lo
-			wantSent := int64(dist.StepFrameBytes(own, active))
-			wantRecv := int64(dist.StepFrameBytes(peer, active))
+			// A partial frame each way while dense, else step frames.
+			wantSent, wantRecv := int64(dist.PartialFrameBytes(total)), int64(dist.PartialFrameBytes(total))
+			if frozen {
+				wantSent = int64(dist.StepFrameBytes(ranges[r].Hi-ranges[r].Lo, budget))
+				wantRecv = int64(dist.StepFrameBytes(ranges[1-r].Hi-ranges[1-r].Lo, budget))
+			}
 			if d := e.cluster.BytesSent() - sentBefore[r]; d != wantSent {
-				t.Fatalf("%s: node %d sent %d bytes this step, StepFrameBytes(%d, %d) says %d",
-					phase, r, d, own, active, wantSent)
+				t.Fatalf("%s: node %d sent %d bytes this step, want %d", phase, r, d, wantSent)
 			}
 			if d := e.cluster.BytesReceived() - recvBefore[r]; d != wantRecv {
 				t.Fatalf("%s: node %d received %d bytes this step, want %d", phase, r, d, wantRecv)
@@ -541,10 +545,10 @@ func checkDistWireBytes(t *testing.T, workers int) {
 		}
 	}
 
-	// Dense phase: every gradient is a bid for the tracked set, so the full
-	// row crosses.
-	checkStep("dense step 1", total)
-	checkStep("dense step 2", total)
+	// Dense phase: every gradient is a bid for the tracked set, so a full
+	// row of running sums crosses each hop of the chain.
+	checkStep("dense step 1", false)
+	checkStep("dense step 2", false)
 
 	// Freeze on both nodes (the trainer does this at the epoch boundary on
 	// every node identically), then the frame drops to k values per row.
@@ -554,8 +558,8 @@ func checkDistWireBytes(t *testing.T, workers int) {
 	if !dbs[0].Frozen() || !dbs[1].Frozen() {
 		t.Fatal("constraints did not freeze")
 	}
-	checkStep("frozen step 1", budget)
-	checkStep("frozen step 2", budget)
+	checkStep("frozen step 1", true)
+	checkStep("frozen step 2", true)
 
 	// The frozen frame must actually be smaller — the point of the paper's
 	// freeze for communication: k × 4 bytes per row instead of total × 4.
@@ -701,7 +705,14 @@ func TestDistConfigValidation(t *testing.T) {
 // BenchmarkDistTrainStep measures one multi-node training step over a
 // 2-node loopback mesh (DropBack, frozen — the steady-state O(k) phase) and
 // reports true bytes-on-wire per step alongside the timing.
-func BenchmarkDistTrainStep(b *testing.B) {
+func BenchmarkDistTrainStep(b *testing.B) { benchDistTrainStep(b, true) }
+
+// BenchmarkDistTrainStepLive is the same step before DropBack freezes: the
+// dense phase, whose gradients cross as one partial frame of running sums
+// per hop of the rank chain.
+func BenchmarkDistTrainStepLive(b *testing.B) { benchDistTrainStep(b, false) }
+
+func benchDistTrainStep(b *testing.B, frozen bool) {
 	const budget = 50
 	execs, ms, dbs := distExecMesh(b, parTestMLP, budget, 2, 1)
 	const batch = 8
@@ -715,10 +726,11 @@ func BenchmarkDistTrainStep(b *testing.B) {
 		y[i] = int(rng.Uint32n(4))
 	}
 	sgd := optim.NewSGD(0.1)
-	for _, db := range dbs {
-		db.Freeze()
+	if frozen {
+		for _, db := range dbs {
+			db.Freeze()
+		}
 	}
-
 	// Rank 1 steps in lockstep until rank 0's side is closed.
 	stop := make(chan struct{})
 	peerDone := make(chan struct{})

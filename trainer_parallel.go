@@ -46,8 +46,11 @@ func shardRangesInto(out []shardRange, n int) []shardRange {
 // backward pass emits per-sample parameter-gradient partials into a global
 // slab (one row of ParamSet.Total() scalars per batch sample, armed via
 // ParamSet.BindSampleSlab with the shard's first global sample index as
-// base). A joined rank then exchanges its slab rows with every peer, and
-// every rank reduces the complete slab.
+// base). A joined rank then combines its rows with its peers': while the
+// exchange is dense it continues its predecessor's running sums and passes
+// them down the rank chain, and once DropBack freezes it exchanges its
+// tracked-value rows with every peer and every rank reduces the complete
+// slab.
 //
 // Bit-identity holds because every kernel in this stack treats batch rows
 // independently in forward (so shard logits are bitwise the sequential
@@ -152,9 +155,9 @@ func modelHash(set *nn.ParamSet) uint64 {
 }
 
 // join connects the executor to a cluster, handshaking the run identity
-// with every peer; from then on every Step exchanges slab rows. db is the
-// DropBack engine whose frozen tracked set narrows the exchange (nil for
-// the SGD baseline). The worker count is not part of the handshake.
+// with every peer; from then on every Step combines its slab rows with the
+// peers' (chain or exchange). db is the DropBack engine whose frozen
+// tracked set narrows the exchange (nil for the SGD baseline). The worker count is not part of the handshake.
 func (e *shardExecutor) join(db *core.DropBack, dcfg dist.Config, hs dist.Handshake) error {
 	hs.ParamTotal = uint64(e.total)
 	hs.ModelHash = modelHash(e.primary.Set)
@@ -195,14 +198,15 @@ func (e *shardExecutor) fail(err error) {
 }
 
 // Step runs one training step: a batched forward/backward per busy worker
-// over its sub-batch of this rank's share, the row exchange once joined,
-// deterministic reduction of the per-sample gradient slab rows into the
-// primary's gradient buffers, and the same loss/accuracy reduction
-// arithmetic as the sequential path. On return the primary model holds
-// exactly the gradients, dropout sample counts, loss, and accuracy that
-// Model.Step would have produced on the full minibatch — on every rank,
-// which is why each can then run the identical optimizer update with no
-// further communication.
+// over its sub-batch of this rank's share, then deterministic reduction of
+// the per-sample gradient slab rows into the primary's gradient buffers
+// (down the rank chain, or after the frozen exchange, once joined), and
+// the same loss/accuracy reduction arithmetic as the sequential path. On
+// return the primary model holds exactly the gradients, dropout sample
+// counts, loss, and accuracy that Model.Step would have produced on the
+// full minibatch — on every rank, which is why each can then run the
+// identical optimizer update with no further communication. After a frozen
+// step that holds at the tracked indices, the only gradients read then.
 func (e *shardExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	if e.err != nil {
 		return math.NaN(), 0
@@ -255,17 +259,34 @@ func (e *shardExecutor) Step(x *tensor.Tensor, labels []int) (loss, acc float64)
 		nn.AdvanceDropoutSamples(e.primary.Net, n)
 	}
 
-	var foldWait time.Duration
-	if e.cluster != nil {
-		var ok bool
-		if foldWait, ok = e.exchange(mine); !ok {
-			return math.NaN(), 0
-		}
-	}
-
 	// Deterministic reduction and the sequential loss/accuracy arithmetic —
 	// identical on every rank, so the optimizer updates stay in lockstep.
-	loss, acc = e.fold(e.primary.Set)
+	// Every path zeroes the gradients and accumulates each slab element in
+	// ascending sample order, the sequential backward pass's sequence. The
+	// sequential path folds −log(p_s+ε) into a float64 ascending s and
+	// divides once; perLoss holds each sample's −log term, so the loss sum
+	// replays the identical float64 operation sequence.
+	var (
+		sum      float64
+		correct  int
+		foldWait time.Duration
+		ok       = true
+	)
+	switch idx := e.activeIndices(); {
+	case e.cluster == nil:
+		e.primary.Set.ZeroGrads()
+		sum, correct = e.foldRows(0, n, 0, 0)
+	case idx == nil:
+		sum, correct, foldWait, ok = e.chain(mine, n)
+	default:
+		if foldWait, ok = e.exchange(mine, idx); ok {
+			sum, correct = e.foldTracked(idx, n)
+		}
+	}
+	if !ok {
+		return math.NaN(), 0
+	}
+	loss, acc = sum/float64(n), float64(correct)/float64(n)
 	if timing {
 		for w, r := range ranges {
 			if r.Lo < r.Hi {
@@ -312,26 +333,112 @@ func (e *shardExecutor) activeIndices() []int32 {
 	return e.trackedIdx
 }
 
-// exchange sends this rank's rows [mine.Lo, mine.Hi) to every peer and
-// scatters theirs into the slab and per-sample buffers. What crosses the
-// wire is per-SAMPLE gradient rows, never pre-reduced partial sums: float
-// addition is not associative, so only shipping the raw rows and folding
-// them in the same fixed order on every rank preserves bit-identity. Before
-// DropBack freezes the full rows go (every weight's gradient is its bid to
-// enter the tracked set); after freeze only the k tracked values per row
-// cross — O(k) frames, no index side-band, because every rank derives the
-// identical ascending tracked-index list from its own constraint state.
-// Untracked entries of remote rows then hold stale slab bytes, which is
-// sound: the frozen constraint never recomputes scores and never reads an
-// untracked gradient, so no observable state (params, masks, swap history,
-// checkpoints) can depend on them. It returns the time spent waiting on
-// the peers, or false after poisoning the executor on a failure.
-func (e *shardExecutor) exchange(mine shardRange) (wait time.Duration, ok bool) {
-	idx := e.activeIndices()
-	active := e.total
-	if idx != nil {
-		active = len(idx)
+// chain reduces a dense step down the rank chain and returns the batch's
+// loss sum and correct count. Rank 0 folds its rows [mine.Lo, mine.Hi) from
+// zero; every later rank loads its predecessor's running sums into the
+// gradient buffers and continues them with its own rows, in ascending
+// sample order, then forwards them; the last rank sends the totals back to
+// every other rank. Each rank owns a contiguous shard in rank order, so
+// element j is still ((0 + row₀[j]) + row₁[j]) + … in ascending global
+// sample order: the chain moves where the additions happen and never
+// re-associates them, and the float64 loss sum continues the same way. A
+// rank with no rows only forwards. Each hop carries one row of sums
+// (PartialFrameBytes), not every sample's row. It returns the time spent
+// waiting on the peers, or false after poisoning the executor on a failure.
+func (e *shardExecutor) chain(mine shardRange, n int) (loss float64, correct int, wait time.Duration, ok bool) {
+	last := len(e.ranks) - 1
+	start := time.Now()
+	if e.rank == 0 {
+		e.primary.Set.ZeroGrads()
+	} else if loss, correct, ok = e.recvSums(e.rank-1, mine.Lo); !ok {
+		return 0, 0, 0, false
 	}
+	wait = time.Since(start)
+	loss, correct = e.foldRows(mine.Lo, mine.Hi, loss, correct)
+	e.encodeSums(mine.Hi, loss, correct)
+
+	start = time.Now()
+	if e.rank < last {
+		if !e.send(e.rank + 1) {
+			return 0, 0, 0, false
+		}
+		loss, correct, ok = e.recvSums(last, n)
+	} else {
+		ok = true
+		for r := 0; r < last && ok; r++ {
+			ok = e.send(r)
+		}
+	}
+	if !ok {
+		return 0, 0, 0, false
+	}
+	e.step++
+	return loss, correct, wait + time.Since(start), true
+}
+
+// foldRows continues the running sums — the primary's gradient buffers, the
+// float64 loss sum and the correct count — with slab rows [lo, hi) in
+// ascending sample order.
+func (e *shardExecutor) foldRows(lo, hi int, loss float64, correct int) (float64, int) {
+	e.primary.Set.ReduceGradSlab(e.slab[lo*e.total:], hi-lo)
+	for s := lo; s < hi; s++ {
+		loss += e.perLoss[s]
+		correct += int(e.perCorrect[s])
+	}
+	return loss, correct
+}
+
+// encodeSums builds the partial payload carrying the running sums over
+// batch rows [0, rows) into sendBuf.
+func (e *shardExecutor) encodeSums(rows int, loss float64, correct int) {
+	buf := dist.AppendPartialHeader(e.sendBuf[:0], dist.PartialHeader{
+		Rank: uint32(e.rank), Step: e.step, Rows: uint32(rows),
+		Active: uint32(e.total), Loss: loss, Correct: uint32(correct),
+	})
+	for _, p := range e.primary.Set.Params() {
+		buf = dist.AppendSampleValues(buf, p.Grad.Data, nil)
+	}
+	e.sendBuf = buf
+}
+
+// send writes sendBuf to rank `to`, poisoning the executor on failure.
+func (e *shardExecutor) send(to int) bool {
+	if err := e.cluster.Send(e.step, to, e.sendBuf); err != nil {
+		e.fail(err)
+		return false
+	}
+	return true
+}
+
+// recvSums receives rank from's running sums, which must cover exactly
+// batch rows [0, rows), and loads them into the primary's gradient buffers.
+func (e *shardExecutor) recvSums(from, rows int) (loss float64, correct int, ok bool) {
+	sp, err := e.cluster.Recv(e.step, from)
+	if err == nil && (int(sp.Hdr.Rows) != rows || int(sp.Hdr.Active) != e.total) {
+		err = fmt.Errorf("%w: peer %d sent sums of %d values over rows [0, %d), expected %d values over [0, %d)",
+			dist.ErrShardMismatch, from, sp.Hdr.Active, sp.Hdr.Rows, e.total, rows)
+	}
+	if err != nil {
+		e.fail(err)
+		return 0, 0, false
+	}
+	set := e.primary.Set
+	for i, p := range set.Params() {
+		sp.CopyValues(p.Grad.Data, set.Offset(i))
+	}
+	return sp.Hdr.Loss, int(sp.Hdr.Correct), true
+}
+
+// exchange runs a frozen step's all-to-all: it sends this rank's rows
+// [mine.Lo, mine.Hi), carrying only the values at the ascending tracked
+// indices idx, to every peer and scatters theirs into the slab and
+// per-sample buffers — O(k) frames, no index side-band, because every rank
+// derives the identical tracked-index list from its own constraint state.
+// Untracked entries of remote rows then hold stale slab bytes, which
+// foldTracked never reads. It returns the time spent waiting on the peers,
+// or false after poisoning the executor on a failure.
+func (e *shardExecutor) exchange(mine shardRange, idx []int32) (wait time.Duration, ok bool) {
+	active := len(idx)
 	buf := dist.AppendStepHeader(e.sendBuf[:0], dist.StepHeader{
 		Rank: uint32(e.rank), Step: e.step,
 		Lo: uint32(mine.Lo), Hi: uint32(mine.Hi), Active: uint32(active),
@@ -448,23 +555,35 @@ func (e *shardExecutor) runShard(m *Model, view *tensor.Tensor, sc *tensor.Works
 	m.Net.Backward(dlogits)
 }
 
-// fold reduces the complete slab into set's gradient buffers in ascending
-// sample order per element — the exact zero-then-accumulate sequence of the
-// sequential backward pass — and returns the batch loss and accuracy. The
-// sequential path folds −log(p_s+ε) into a float64 ascending s and divides
-// once; perLoss already holds each sample's −log term, so the loss loop
-// replays the identical float64 operation sequence.
-func (e *shardExecutor) fold(set *nn.ParamSet) (loss, acc float64) {
-	n := len(e.perLoss)
+// foldTracked reduces a frozen step's complete n-row slab at the ascending
+// tracked indices idx only, each in ascending sample order from zero — the
+// sequential pass's sequence for every gradient the frozen constraint
+// reads — and returns the batch's loss sum and correct count. Every other
+// gradient is left at zero rather than summed from the stale bytes that
+// remote rows hold there. That is sound because the frozen DropBack update
+// steps only the tracked entries and Validate rejects Dist with GradHook,
+// so nothing reads an untracked gradient.
+func (e *shardExecutor) foldTracked(idx []int32, n int) (loss float64, correct int) {
+	set := e.primary.Set
 	set.ZeroGrads()
-	set.ReduceGradSlab(e.slab, n)
+	lo := 0
+	for i, p := range set.Params() {
+		g, off := p.Grad.Data, set.Offset(i)
+		hi := lo
+		for hi < len(idx) && int(idx[hi]) < off+len(g) {
+			hi++
+		}
+		for s := 0; s < n; s++ {
+			row := e.slab[s*e.total : (s+1)*e.total]
+			for _, j := range idx[lo:hi] {
+				g[int(j)-off] += row[j]
+			}
+		}
+		lo = hi
+	}
 	for s := 0; s < n; s++ {
 		loss += e.perLoss[s]
-	}
-	loss /= float64(n)
-	correct := 0
-	for s := 0; s < n; s++ {
 		correct += int(e.perCorrect[s])
 	}
-	return loss, float64(correct) / float64(n)
+	return loss, correct
 }
